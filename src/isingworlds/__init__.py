@@ -70,8 +70,6 @@ from .worlds import (
     weight_rc,
     weight_rc_log,
     weight_spins,
-    weight_spins_field,
-    weight_spins_field_log,
     weight_spins_log,
     weight_subs,
     weight_subs_log,
@@ -145,8 +143,6 @@ __all__ = [
     "weight_rc",
     "weight_rc_log",
     "weight_spins",
-    "weight_spins_field",
-    "weight_spins_field_log",
     "weight_spins_log",
     "weight_subs",
     "weight_subs_log",

@@ -11,7 +11,8 @@ exact subgraphs-world samples.
 Edges with open probability 1 are pinned open (and probability-0 edges
 pinned closed) and excluded from random updates; connectivity queries
 still see them, which realizes the usual contraction of forced edges
-without rebuilding the graph.
+without rebuilding the graph.  The connectivity query is the open-subgraph
+traversal of :mod:`isingworlds.worlds`.
 """
 
 from __future__ import annotations
@@ -19,31 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidConfigError, InvalidParameterError, NoCoalescenceError
-from .graph import WeightedGraph
+from .errors import InvalidParameterError, NoCoalescenceError
+from .graph import WeightedGraph, require_field_free
 from .reductions import rc_to_subs
 from .rng import RngStream
-from .worlds import RcConfig, SubgraphConfig, validate_edge_config
+from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_edge_config
 
 DEFAULT_MAX_EPOCH = 24
-
-
-def _connected_without_edge(g: WeightedGraph, z: Sequence[int], e: int) -> bool:
-    """Are e's endpoints joined by open edges other than e itself?"""
-    i, j = g.edges[e]
-    adj = g.adjacency
-    seen = [False] * g.num_nodes
-    seen[i] = True
-    stack = [i]
-    while stack:
-        v = stack.pop()
-        for w, ei in adj[v]:
-            if ei != e and z[ei] and not seen[w]:
-                if w == j:
-                    return True
-                seen[w] = True
-                stack.append(w)
-    return False
 
 
 def _heat_bath_prob(g: WeightedGraph, z: Sequence[int], e: int) -> float:
@@ -129,10 +112,7 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     """
     if max_epoch < 0:
         raise InvalidParameterError("max_epoch must be nonnegative")
-    if g.has_field():
-        raise InvalidConfigError(
-            "graph carries a magnetic field; apply reduce_unidirectional_field first"
-        )
+    require_field_free(g)
     base, free = _pinned_base(g)
     if not free:
         return CftpRun(tuple(base), 0, 0)

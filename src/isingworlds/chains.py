@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidConfigError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, require_field_free
 from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
 from .rng import RngStream
 from .worlds import SpinConfig, SubgraphConfig, statistic
@@ -85,10 +85,7 @@ def run_chain(
     """
     if steps < 0:
         raise InvalidConfigError("steps must be nonnegative")
-    if g.has_field():
-        raise InvalidConfigError(
-            "graph carries a magnetic field; apply reduce_unidirectional_field first"
-        )
+    require_field_free(g)
     if thin < 1:
         raise InvalidConfigError("thin must be at least 1")
     kernel = _KERNELS.get(init.world)

@@ -55,9 +55,9 @@ from .exact import (
     kernel_stationarity_error,
     sample_from_table,
 )
-from .graph import WeightedGraph
+from .graph import WeightedGraph, require_field_free
 from .graphio import graph_to_text, load_graph
-from .reductions import REDUCTIONS, rc_to_spins, rc_to_subs, subs_to_rc
+from .reductions import REDUCTIONS, subs_to_rc
 from .rng import RngStream
 from .worlds import STATISTICS, config_from_string, statistic, validate_edge_config, validate_spin_config
 
@@ -197,10 +197,8 @@ def _cftp_one(
     rng = RngStream(seed, index)
     run = cftp_rc_run(g, rng, max_epoch)
     config = run.config
-    if world == "subs":
-        config = rc_to_subs(g, config, rng)
-    elif world == "spins":
-        config = rc_to_spins(g, config, rng)
+    if world != "rc":
+        config = REDUCTIONS[("rc", world)](g, config, rng)
     return config, run.epoch
 
 
@@ -297,21 +295,27 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = load_graph(args.graph)
+    require_field_free(g)  # an input error before any enumeration, at any size
+    finite = not any(math.isinf(b) for b in g.betas)
+    within_kernel_caps = g.num_edges <= KERNEL_EDGE_CAP and g.num_nodes <= KERNEL_NODE_CAP
+    # each world is enumerated once; with neither the spins bridges nor the
+    # kernel checks, check_rc_normalizer enumerates only the edge worlds,
+    # so graphs past the spins cap with infinite couplings still verify
+    tables = exact_tables(g) if finite or (args.all_identities and within_kernel_caps) else None
     checks: list[dict] = []
-    if any(math.isinf(b) for b in g.betas):
+    if finite:
+        checks.extend(report.as_dict() for report in check_relate_identity(g, tables=tables))
+    else:
         checks.append(
             {
                 "name": "spins_identities",
                 "skipped": "couplings include inf; the spins bridges need finite couplings",
             }
         )
-    else:
-        checks.extend(report.as_dict() for report in check_relate_identity(g))
-    checks.append(check_rc_normalizer(g).as_dict())
+    checks.append(check_rc_normalizer(g, tables=tables).as_dict())
 
     if args.all_identities:
-        if g.num_edges <= KERNEL_EDGE_CAP and g.num_nodes <= KERNEL_NODE_CAP:
-            tables = exact_tables(g)
+        if within_kernel_caps:
             for kernel in ("subs_to_rc", "rc_to_subs", "spins_to_rc", "rc_to_spins",
                            "sw_classic", "sw_subgraphs"):
                 error = kernel_stationarity_error(g, kernel, tables)
@@ -343,6 +347,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _count(minimum: int):
+    """Argparse type for an integer count of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_nonnegative = _count(0)
+_positive = _count(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isingworlds",
@@ -369,20 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", help="run a cluster-update Markov chain")
     p.add_argument("--kernel", required=True, choices=("sw", "subs-sw"))
     p.add_argument("--graph", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_nonnegative, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stats", help="comma-separated statistic names")
-    p.add_argument("--thin", type=int, default=1)
+    p.add_argument("--thin", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("perfect", help="exact sampling by coupling from the past")
     p.add_argument("--world", required=True, choices=("rc", "subs"))
     p.add_argument("--graph", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_nonnegative, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-epoch", type=int, default=DEFAULT_MAX_EPOCH)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-epoch", type=_nonnegative, default=DEFAULT_MAX_EPOCH)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_perfect)
 
@@ -390,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True, choices=("spins", "subs", "rc"))
     p.add_argument("--method", required=True, choices=("enum", "cftp", "chain"))
     p.add_argument("--graph", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_nonnegative, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--burnin", type=int, default=0)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--max-epoch", type=int, default=DEFAULT_MAX_EPOCH)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--burnin", type=_nonnegative, default=0)
+    p.add_argument("--thin", type=_positive, default=1)
+    p.add_argument("--max-epoch", type=_nonnegative, default=DEFAULT_MAX_EPOCH)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 

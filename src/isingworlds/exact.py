@@ -16,21 +16,21 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
-from .graph import WeightedGraph
-from .reductions import _open_forest, _rc_to_subs_core
+from .graph import WeightedGraph, require_field_free
+from .reductions import _rc_to_subs_core
 from .rng import RngStream
 from .worlds import (
+    _open_forest,
     clusters,
+    degree_parity,
     weight_rc,
     weight_rc_log,
     weight_spins,
-    weight_spins_field,
-    weight_spins_field_log,
     weight_spins_log,
     weight_subs,
     weight_subs_log,
@@ -98,24 +98,35 @@ def _check_caps(g: WeightedGraph, world: str) -> None:
         )
 
 
+# world -> (site values, weight, log weight); spins sit on nodes, the
+# edge worlds on edges
+_WORLD_SPECS = {
+    "spins": ((1, -1), weight_spins, weight_spins_log),
+    "subs": ((0, 1), weight_subs, weight_subs_log),
+    "rc": ((0, 1), weight_rc, weight_rc_log),
+}
+
+
+def _world_spec(
+    g: WeightedGraph, world: str
+) -> tuple[Iterator[tuple[int, ...]], Callable[..., float], Callable[..., float]]:
+    """Configurations in table order, plus the linear and log weight."""
+    _check_caps(g, world)
+    if world not in _WORLD_SPECS:
+        raise InvalidParameterError(f"unknown world {world!r}")
+    values, weight, weight_log = _WORLD_SPECS[world]
+    sites = g.num_nodes if world == "spins" else g.num_edges
+    return product(values, repeat=sites), weight, weight_log
+
+
 def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
     """Exhaustive weight table of one world.
 
     For the spins world, a graph carrying a field is enumerated with the
     field factors included; the edge worlds ignore the field.
     """
-    _check_caps(g, world)
-    if world == "spins":
-        weight = weight_spins_field if g.has_field() else weight_spins
-        configs = tuple(product((1, -1), repeat=g.num_nodes))
-    elif world == "subs":
-        weight = weight_subs
-        configs = tuple(product((0, 1), repeat=g.num_edges))
-    elif world == "rc":
-        weight = weight_rc
-        configs = tuple(product((0, 1), repeat=g.num_edges))
-    else:
-        raise InvalidParameterError(f"unknown world {world!r}")
+    configs, weight, _ = _world_spec(g, world)
+    configs = tuple(configs)
     weights = np.array([weight(g, c) for c in configs], dtype=float)
     return WorldTable(world, configs, weights)
 
@@ -185,16 +196,7 @@ class IdentityReport:
 
 
 def _log_partition(g: WeightedGraph, world: str) -> float:
-    _check_caps(g, world)
-    if world == "spins":
-        weight_log = weight_spins_field_log if g.has_field() else weight_spins_log
-        configs = product((1, -1), repeat=g.num_nodes)
-    elif world == "subs":
-        weight_log = weight_subs_log
-        configs = product((0, 1), repeat=g.num_edges)
-    else:
-        weight_log = weight_rc_log
-        configs = product((0, 1), repeat=g.num_edges)
+    configs, _, weight_log = _world_spec(g, world)
     logs = np.array([weight_log(g, c) for c in configs], dtype=float)
     return float(np.logaddexp.reduce(logs))
 
@@ -225,8 +227,7 @@ def check_relate_identity(
     """
     if any(math.isinf(b) for b in g.betas):
         raise InvalidParameterError("relate identities need finite couplings")
-    if g.has_field():
-        raise InvalidConfigError("identities are stated for field-free models")
+    require_field_free(g)
     tables = tables or exact_tables(g)
     sum_beta = sum(g.betas)
     linear_ok = True
@@ -271,8 +272,7 @@ def check_rc_normalizer(
 
     Infinite couplings are fine here: their factor is exactly 1.
     """
-    if g.has_field():
-        raise InvalidConfigError("identities are stated for field-free models")
+    require_field_free(g)
     z_rc = tables.rc.Z if tables else enumerate_world(g, "rc").Z
     z_subs = tables.subs.Z if tables else enumerate_world(g, "subs").Z
     factor = math.prod(1.0 + math.exp(-2.0 * b) if not math.isinf(b) else 1.0 for b in g.betas)
@@ -386,7 +386,7 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
         index = {config: c for c, config in enumerate(tgt_configs)}
         matrix = np.zeros((len(src_configs), len(tgt_configs)))
         for r, z in enumerate(src_configs):
-            parent_edge, _ = _open_forest(g, z)
+            parent_edge, _, _ = _open_forest(g, z)
             in_forest = set(e for e in parent_edge if e >= 0)
             coin_edges = [e for e in range(g.num_edges) if z[e] and e not in in_forest]
             share = math.ldexp(1.0, -len(coin_edges))
@@ -499,15 +499,7 @@ def check_even_subgraph_count(g: WeightedGraph, z: Sequence[int]) -> EvenCountRe
     open_edges = [e for e in range(g.num_edges) if z[e]]
     if len(open_edges) > EDGE_ENUM_CAP:
         raise CapExceededError(f"even-subgraph enumeration needs <= {EDGE_ENUM_CAP} open edges")
-    count = 0
-    for bits in product((0, 1), repeat=len(open_edges)):
-        parity = [0] * g.num_nodes
-        for e, bit in zip(open_edges, bits):
-            if bit:
-                i, j = g.edges[e]
-                parity[i] ^= 1
-                parity[j] ^= 1
-        if not any(parity):
-            count += 1
+    subsets = product(*((0, 1) if ze else (0,) for ze in z))
+    count = sum(1 for y in subsets if not any(degree_parity(g, y)))
     closed_form = 1 << (len(open_edges) - g.num_nodes + part.count)
     return EvenCountReport(count, closed_form)

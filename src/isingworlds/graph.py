@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidParameterError, UnsupportedFieldError
+from .errors import InvalidConfigError, InvalidParameterError, UnsupportedFieldError
 
 PARAM_NAMES = ("beta", "lambda", "p")
 
@@ -199,6 +199,16 @@ class WeightedGraph:
         if self.field is None:
             return self
         return WeightedGraph(self.num_nodes, self.edges, self.betas, None)
+
+
+def require_field_free(g: WeightedGraph) -> None:
+    """Reject a graph with a field: the three-world correspondence, the
+    samplers and the partition-sum identities are stated for field-free
+    models."""
+    if g.has_field():
+        raise InvalidConfigError(
+            "graph carries a magnetic field; apply reduce_unidirectional_field first"
+        )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ distribution.  The conversions compose: a subgraphs draw reaches the
 spins world through the random-cluster world and vice versa, never
 consuming more than one Bernoulli per edge plus one per cluster.
 
+The two conversions out of the random-cluster world read the open
+subgraph through the traversal in :mod:`isingworlds.worlds`: the spins
+conversion flips its clusters and the subgraphs conversion peels its
+spanning forest.  Every conversion requires a field-free graph.
+
 All functions are pure in (graph, configuration, rng); concurrent calls
 are safe when each owns its own :class:`~isingworlds.rng.RngStream`.
 """
@@ -16,24 +21,17 @@ import math
 from typing import Callable, Sequence
 
 from .errors import InvalidConfigError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, require_field_free
 from .rng import RngStream
 from .worlds import (
     RcConfig,
     SpinConfig,
     SubgraphConfig,
+    _open_forest,
     clusters,
     validate_edge_config,
     validate_spin_config,
 )
-
-
-def _require_field_free(g: WeightedGraph) -> None:
-    # the three-world correspondence is stated for field-free models
-    if g.has_field():
-        raise InvalidConfigError(
-            "graph carries a magnetic field; apply reduce_unidirectional_field first"
-        )
 
 
 def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
@@ -45,7 +43,7 @@ def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
     most one Bernoulli per edge is consumed.  The output dominates the
     input pointwise.
     """
-    _require_field_free(g)
+    require_field_free(g)
     validate_edge_config(g, y)
     lams = g.lambdas
     parity = [0] * g.num_nodes
@@ -71,36 +69,6 @@ def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
     return tuple(out)
 
 
-def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Maximal spanning forest of the open subgraph via iterative DFS.
-
-    Returns ``(parent_edge, order)`` where ``parent_edge[v]`` is the
-    forest edge joining ``v`` to its parent (-1 for roots) and ``order``
-    is node-discovery order.  Scanning ``order`` backwards retires each
-    non-root node's unique parent edge while it is a leaf of what remains.
-    """
-    n = g.num_nodes
-    adj = g.adjacency
-    parent_edge = [-1] * n
-    order: list[int] = []
-    visited = [False] * n
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        order.append(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, e in adj[v]:
-                if z[e] and not visited[w]:
-                    visited[w] = True
-                    parent_edge[w] = e
-                    order.append(w)
-                    stack.append(w)
-    return parent_edge, order
-
-
 def _rc_to_subs_core(
     g: WeightedGraph,
     z: Sequence[int],
@@ -112,7 +80,7 @@ def _rc_to_subs_core(
     ascending edge order; everything else is forced.  Exposing the coins
     lets the exact-kernel machinery convolve over them.
     """
-    parent_edge, order = _open_forest(g, z)
+    parent_edge, order, _ = _open_forest(g, z)
     in_forest = [False] * g.num_edges
     for e in parent_edge:
         if e >= 0:
@@ -152,7 +120,7 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
     order, to the parity bit that keeps every node's degree even.  The
     output is dominated by the input pointwise.
     """
-    _require_field_free(g)
+    require_field_free(g)
     validate_edge_config(g, z)
     lams = g.lambdas
     for e in range(g.num_edges):
@@ -163,7 +131,7 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
 
 def rc_to_spins(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SpinConfig:
     """Assign one fair +/-1 spin per cluster; one Bernoulli per cluster."""
-    _require_field_free(g)
+    require_field_free(g)
     part = clusters(g, z)  # validates z
     spin_of: dict[int, int] = {}
     x = [0] * g.num_nodes
@@ -181,7 +149,7 @@ def spins_to_rc(g: WeightedGraph, x: Sequence[int], rng: RngStream) -> RcConfig:
     Disagreeing edges close deterministically; agreeing edges open with
     probability p(e).  At most one Bernoulli per edge.
     """
-    _require_field_free(g)
+    require_field_free(g)
     validate_spin_config(g, x)
     ps = g.ps
     out = []

@@ -1,18 +1,26 @@
-"""Configurations and weight functions for the three Ising formulations.
+"""Configurations, weights and open-subgraph traversal for the three
+Ising formulations.
 
 A spins configuration assigns ``+1``/``-1`` to every node; the two edge
 worlds assign ``0``/``1`` to every edge.  Configurations are plain tuples
 aligned with the graph's node and edge ordering, so they are hashable and
-usable as table keys.  All weight functions are unnormalized and have
-log-domain companions that agree wherever the linear value is positive
-and representable.
+usable as table keys.  Each world has one unnormalized weight function
+and one log-domain companion; they agree wherever the linear value is
+positive and representable.  The spins weight includes the field's node
+factors when the graph carries one.
+
+All three worlds meet at the clusters of an open edge set, and this
+module holds the one traversal of that open subgraph: cluster labels,
+the maximal spanning forest peeled by the subgraphs conversion, and the
+single-edge connectivity query of the heat-bath kernel.  Degree parity
+lives here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidConfigError, UnknownStatisticError
 from .graph import WeightedGraph
@@ -22,32 +30,6 @@ SubgraphConfig = tuple[int, ...]
 RcConfig = tuple[int, ...]
 
 WORLDS = ("spins", "subs", "rc")
-
-
-class UnionFind:
-    """Disjoint sets over dense integer ids with path compression."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        i, j = self.find(i), self.find(j)
-        if i == j:
-            return False
-        if self.size[i] < self.size[j]:
-            i, j = j, i
-        self.parent[j] = i
-        self.size[i] += self.size[j]
-        return True
 
 
 @dataclass(frozen=True)
@@ -78,84 +60,91 @@ def validate_edge_config(g: WeightedGraph, y: Sequence[int]) -> None:
             raise InvalidConfigError(f"edge values must be 0 or 1, got {value!r}")
 
 
+# ---------------------------------------------------------------------------
+# Open-subgraph traversal
+# ---------------------------------------------------------------------------
+
+def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Maximal spanning forest of the open subgraph via iterative DFS.
+
+    Returns ``(parent_edge, order, root)`` where ``parent_edge[v]`` is the
+    forest edge joining ``v`` to its parent (-1 for roots), ``order`` is
+    node-discovery order and ``root[v]`` is the root of ``v``'s tree.
+    Roots are taken in ascending order, so ``root[v]`` is the smallest
+    node of ``v``'s component.  Scanning ``order`` backwards retires each
+    non-root node's unique parent edge while it is a leaf of what remains.
+    """
+    n = g.num_nodes
+    adj = g.adjacency
+    parent_edge = [-1] * n
+    order: list[int] = []
+    root = [-1] * n
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        order.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for w, e in adj[v]:
+                if z[e] and root[w] < 0:
+                    root[w] = r
+                    parent_edge[w] = e
+                    order.append(w)
+                    stack.append(w)
+    return parent_edge, order, root
+
+
+def _connected_without_edge(g: WeightedGraph, z: Sequence[int], e: int) -> bool:
+    """Are e's endpoints joined by open edges other than e itself?"""
+    i, j = g.edges[e]
+    adj = g.adjacency
+    seen = [False] * g.num_nodes
+    seen[i] = True
+    stack = [i]
+    while stack:
+        v = stack.pop()
+        for w, ei in adj[v]:
+            if ei != e and z[ei] and not seen[w]:
+                if w == j:
+                    return True
+                seen[w] = True
+                stack.append(w)
+    return False
+
+
 def clusters(g: WeightedGraph, z: Sequence[int]) -> ClusterPartition:
     """Connected components induced by the open edges of ``z``."""
     validate_edge_config(g, z)
-    uf = UnionFind(g.num_nodes)
-    for e, (i, j) in enumerate(g.edges):
-        if z[e]:
-            uf.union(i, j)
-    label: dict[int, int] = {}
-    component_id = []
-    for v in range(g.num_nodes):
-        root = uf.find(v)
-        if root not in label:
-            label[root] = v  # v ascending, so first hit is the minimum
-        component_id.append(label[root])
-    return ClusterPartition(tuple(component_id), len(label))
+    parent_edge, _, root = _open_forest(g, z)
+    return ClusterPartition(tuple(root), parent_edge.count(-1))  # one root per component
 
 
-def degree_parity(
-    g: WeightedGraph,
-    y: Sequence[int],
-    restricted_to: Iterable[int] | None = None,
-) -> tuple[int, ...]:
-    """Per-node parity of the open degree, optionally over an edge subset."""
+def degree_parity(g: WeightedGraph, y: Sequence[int]) -> tuple[int, ...]:
+    """Per-node parity of the open degree."""
     validate_edge_config(g, y)
     parity = [0] * g.num_nodes
-    edge_indices = range(g.num_edges) if restricted_to is None else restricted_to
-    for e in edge_indices:
+    for e, (i, j) in enumerate(g.edges):
         if y[e]:
-            i, j = g.edges[e]
             parity[i] ^= 1
             parity[j] ^= 1
     return tuple(parity)
 
 
-def _require_field_free(g: WeightedGraph) -> None:
-    if g.has_field():
-        raise InvalidConfigError(
-            "graph carries a magnetic field; apply reduce_unidirectional_field "
-            "first or evaluate weight_spins_field"
-        )
-
+# ---------------------------------------------------------------------------
+# Weights
+# ---------------------------------------------------------------------------
 
 def weight_spins(g: WeightedGraph, x: Sequence[int]) -> float:
-    """Product of edge factors exp(beta * x_i * x_j); infinite couplings
-    contribute an agreement indicator instead."""
-    validate_spin_config(g, x)
-    _require_field_free(g)
-    acc = 1.0
-    for (i, j), beta in zip(g.edges, g.betas):
-        if math.isinf(beta):
-            if x[i] != x[j]:
-                return 0.0
-            # agreeing infinite coupling contributes factor 1
-        else:
-            acc *= _exp(beta * x[i] * x[j])
-    return acc
+    """Product of edge factors exp(beta * x_i * x_j) and the field's node
+    factors.
 
-
-def weight_spins_log(g: WeightedGraph, x: Sequence[int]) -> float:
-    validate_spin_config(g, x)
-    _require_field_free(g)
-    total = 0.0
-    for (i, j), beta in zip(g.edges, g.betas):
-        if math.isinf(beta):
-            if x[i] != x[j]:
-                return -math.inf
-        else:
-            total += beta * x[i] * x[j]
-    return total
-
-
-def weight_spins_field(g: WeightedGraph, x: Sequence[int]) -> float:
-    """Spins weight including the external-field node factors.
-
-    A node with field value B contributes ``exp(B)`` when its spin is up
-    and 1 when it is down; ``B = +inf`` pins the spin up and ``B = -inf``
-    pins it down (those limits make the pinned factor exactly 1).  Used as
-    the reference weight when enumerating field models exactly.
+    Infinite couplings contribute an agreement indicator instead.  A node
+    with field value B contributes ``exp(B)`` when its spin is up and 1
+    when it is down; ``B = +inf`` pins the spin up and ``B = -inf`` pins
+    it down (those limits make the pinned factor exactly 1).  A graph
+    without a field has no node factors.
     """
     validate_spin_config(g, x)
     acc = 1.0
@@ -163,6 +152,7 @@ def weight_spins_field(g: WeightedGraph, x: Sequence[int]) -> float:
         if math.isinf(beta):
             if x[i] != x[j]:
                 return 0.0
+            # agreeing infinite coupling contributes factor 1
         else:
             acc *= _exp(beta * x[i] * x[j])
     if g.field is None:
@@ -178,7 +168,7 @@ def weight_spins_field(g: WeightedGraph, x: Sequence[int]) -> float:
     return acc
 
 
-def weight_spins_field_log(g: WeightedGraph, x: Sequence[int]) -> float:
+def weight_spins_log(g: WeightedGraph, x: Sequence[int]) -> float:
     validate_spin_config(g, x)
     total = 0.0
     for (i, j), beta in zip(g.edges, g.betas):

@@ -204,6 +204,35 @@ class TestSample:
                      "--samples", "1", "--seed", "0"]) == 3
 
 
+class TestCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--world", "spins", "--method", "chain", "--samples", "3", "--thin", "0"],
+            ["sample", "--world", "spins", "--method", "chain", "--samples", "3", "--burnin", "-1"],
+            ["sample", "--world", "rc", "--method", "enum", "--samples", "-2"],
+            ["sample", "--world", "rc", "--method", "cftp", "--samples", "1", "--jobs", "0"],
+            ["sample", "--world", "rc", "--method", "cftp", "--samples", "1", "--max-epoch", "-1"],
+            ["perfect", "--world", "rc", "--samples", "-2"],
+            ["perfect", "--world", "rc", "--samples", "1", "--jobs", "0"],
+            ["perfect", "--world", "rc", "--samples", "1", "--max-epoch", "-1"],
+            ["perfect", "--world", "rc", "--samples", "two"],
+            ["chain", "--kernel", "sw", "--steps", "-1"],
+            ["chain", "--kernel", "sw", "--steps", "2", "--thin", "0"],
+        ],
+    )
+    def test_bad_count_is_input_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--graph", TRIANGLE, "--seed", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_zero_samples_accepted(self, capsys):
+        assert main(["perfect", "--world", "rc", "--graph", TRIANGLE,
+                     "--samples", "0", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.strip() == ""
+
+
 class TestVerify:
     def test_triangle_fixture_passes(self, capsys):
         assert main(["verify", "--graph", TRIANGLE, "--all-identities"]) == 0
@@ -241,6 +270,12 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "isingworlds" in result.stdout
+
+
+def test_exports_resolve():
+    import isingworlds
+
+    assert [name for name in isingworlds.__all__ if not hasattr(isingworlds, name)] == []
 
 
 class TestFieldGuard:

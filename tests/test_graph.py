@@ -6,14 +6,25 @@ import pytest
 
 from conftest import field_model_distribution, max_pointwise_gap, reduced_conditioned_distribution
 from isingworlds import (
+    InvalidConfigError,
     InvalidParameterError,
+    RngStream,
     UnsupportedFieldError,
     WeightedGraph,
     beta_to_lambda,
     beta_to_p,
+    cftp_rc_run,
+    check_rc_normalizer,
+    check_relate_identity,
+    initial_state,
     lambda_to_beta,
     p_to_beta,
+    rc_to_spins,
+    rc_to_subs,
     reduce_unidirectional_field,
+    run_chain,
+    spins_to_rc,
+    subs_to_rc,
 )
 from isingworlds.fixtures import fixture_graph
 
@@ -168,3 +179,24 @@ class TestFieldReduction:
             field_model_distribution(g), reduced_conditioned_distribution(g)
         )
         assert gap < 1e-9
+
+
+FIELD_GUARDED = {
+    "subs_to_rc": lambda g: subs_to_rc(g, (0,), RngStream(0)),
+    "rc_to_subs": lambda g: rc_to_subs(g, (0,), RngStream(0)),
+    "rc_to_spins": lambda g: rc_to_spins(g, (0,), RngStream(0)),
+    "spins_to_rc": lambda g: spins_to_rc(g, (1, 1), RngStream(0)),
+    "run_chain": lambda g: run_chain(g, initial_state(g, "spins"), 1, RngStream(0)),
+    "cftp_rc_run": lambda g: cftp_rc_run(g, RngStream(0)),
+    "check_relate_identity": check_relate_identity,
+    "check_rc_normalizer": check_rc_normalizer,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FIELD_GUARDED))
+def test_field_graph_rejected_by_every_entry_point(entry):
+    g = WeightedGraph.from_edges(2, [(0, 1, 0.5)], field={0: 1.0})
+    with pytest.raises(InvalidConfigError, match="magnetic field"):
+        FIELD_GUARDED[entry](g)
+    # an all-zero field is no field
+    FIELD_GUARDED[entry](WeightedGraph.from_edges(2, [(0, 1, 0.5)], field={0: 0.0}))

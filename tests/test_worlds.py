@@ -14,8 +14,6 @@ from isingworlds import (
     weight_rc,
     weight_rc_log,
     weight_spins,
-    weight_spins_field,
-    weight_spins_field_log,
     weight_spins_log,
     weight_subs,
     weight_subs_log,
@@ -45,11 +43,6 @@ class TestWeightSpins:
             total += weight_spins(g, x)
         assert total == pytest.approx(2 * math.exp(3 * beta) + 6 * math.exp(-beta), rel=1e-12)
 
-    def test_rejects_field_graph(self):
-        g = WeightedGraph.from_edges(1, [], field={0: 1.0})
-        with pytest.raises(InvalidConfigError):
-            weight_spins(g, (1,))
-
     def test_rejects_bad_config(self):
         g = complete_graph(2, 0.5)
         with pytest.raises(InvalidConfigError):
@@ -61,22 +54,22 @@ class TestWeightSpins:
 class TestWeightSpinsField:
     def test_infinite_field_pins_up(self):
         g = WeightedGraph.from_edges(1, [], field={0: math.inf})
-        assert weight_spins_field(g, (-1,)) == 0.0
-        assert weight_spins_field(g, (1,)) == 1.0
+        assert weight_spins(g, (-1,)) == 0.0
+        assert weight_spins(g, (1,)) == 1.0
 
     def test_negative_infinite_field_pins_down(self):
         g = WeightedGraph.from_edges(1, [], field={0: -math.inf})
-        assert weight_spins_field(g, (1,)) == 0.0
-        assert weight_spins_field(g, (-1,)) == 1.0
+        assert weight_spins(g, (1,)) == 0.0
+        assert weight_spins(g, (-1,)) == 1.0
 
     def test_zero_field_factor_is_one(self):
         g = WeightedGraph.from_edges(1, [], field={0: 0.0})
-        assert weight_spins_field(g, (1,)) == 1.0
-        assert weight_spins_field(g, (-1,)) == 1.0
+        assert weight_spins(g, (1,)) == 1.0
+        assert weight_spins(g, (-1,)) == 1.0
 
     def test_log_three_field_up_spin(self):
         g = WeightedGraph.from_edges(1, [], field={0: math.log(3.0)})
-        assert weight_spins_field(g, (1,)) == pytest.approx(3.0, rel=1e-12)
+        assert weight_spins(g, (1,)) == pytest.approx(3.0, rel=1e-12)
 
 
 class TestWeightSubs:
@@ -145,8 +138,8 @@ class TestLogDomainAgreement:
             g = WeightedGraph(g0.num_nodes, g0.edges, g0.betas, tuple(field[v] for v in range(g0.num_nodes)))
             for _ in range(8):
                 x = tuple(rnd.choice((-1, 1)) for _ in range(g.num_nodes))
-                linear = weight_spins_field(g, x)
-                logv = weight_spins_field_log(g, x)
+                linear = weight_spins(g, x)
+                logv = weight_spins_log(g, x)
                 if linear > 0.0:
                     assert abs(math.exp(logv) / linear - 1.0) < 1e-12
                 else:
@@ -194,10 +187,6 @@ class TestDegreeParity:
     def test_single_edge_odd(self):
         g = fixture_graph("k2")
         assert degree_parity(g, (1,)) == (1, 1)
-
-    def test_restriction(self):
-        g = fixture_graph("triangle")
-        assert degree_parity(g, (1, 1, 1), restricted_to=[0]) == (1, 1, 0)
 
     def test_matches_brute_degrees(self):
         rnd = random.Random(5)
