@@ -28,6 +28,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -128,7 +129,9 @@ def _load_config(path: str, world: str, g: WeightedGraph) -> tuple[int, ...]:
             payload = payload.get("config")
         if not isinstance(payload, list):
             raise InvalidConfigError("config JSON must be an array or {'config': [...]}")
-        config = tuple(int(v) for v in payload)
+        if not all(type(v) is int for v in payload):  # bool is an int subclass
+            raise InvalidConfigError(f"config entries must be integers, got {payload!r}")
+        config = tuple(payload)
     else:
         config = config_from_string(world, text)
     if world == "spins":
@@ -202,24 +205,16 @@ def _cftp_one(
     return config, run.epoch
 
 
-def _cftp_chunk(payload: tuple[WeightedGraph, int, str, int, list[int]]) -> list:
-    g, seed, world, max_epoch, indices = payload
-    return [_cftp_one(g, seed, i, world, max_epoch) for i in indices]
-
-
 def _cftp_samples(
     g: WeightedGraph, seed: int, world: str, max_epoch: int, samples: int, jobs: int
 ) -> list[tuple[tuple[int, ...], int]]:
-    indices = list(range(samples))
+    one = partial(_cftp_one, g, seed, world=world, max_epoch=max_epoch)
     if jobs <= 1 or samples < 2:
-        return [_cftp_one(g, seed, i, world, max_epoch) for i in indices]
-    chunks = [indices[c::jobs] for c in range(jobs)]
+        return [one(i) for i in range(samples)]
+    # each sample has its own stream and map keeps index order, so the
+    # output does not depend on jobs
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_cftp_chunk, [(g, seed, world, max_epoch, c) for c in chunks]))
-    by_index: dict[int, tuple] = {}
-    for chunk, rows in zip(chunks, results):
-        by_index.update(zip(chunk, rows))
-    return [by_index[i] for i in indices]  # merge by sample index, independent of jobs
+        return list(pool.map(one, range(samples), chunksize=math.ceil(samples / jobs)))
 
 
 def cmd_perfect(args: argparse.Namespace) -> int:

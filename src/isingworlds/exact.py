@@ -25,6 +25,7 @@ from .graph import WeightedGraph, require_field_free
 from .reductions import _rc_to_subs_core
 from .rng import RngStream
 from .worlds import (
+    _ldexp,
     _open_forest,
     clusters,
     degree_parity,
@@ -60,10 +61,19 @@ class WorldTable:
     world: str
     configs: tuple[tuple[int, ...], ...]
     weights: np.ndarray
+    graph: WeightedGraph
 
     @cached_property
     def Z(self) -> float:
         return float(self.weights.sum())
+
+    @cached_property
+    def log_Z(self) -> float:
+        """log Z from the world's log weights over the stored configs, for
+        when the linear sum overflows."""
+        weight_log = _WORLD_SPECS[self.world][2]
+        logs = np.array([weight_log(self.graph, c) for c in self.configs], dtype=float)
+        return float(np.logaddexp.reduce(logs))
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -128,7 +138,7 @@ def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
     configs, weight, _ = _world_spec(g, world)
     configs = tuple(configs)
     weights = np.array([weight(g, c) for c in configs], dtype=float)
-    return WorldTable(world, configs, weights)
+    return WorldTable(world, configs, weights, g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +205,6 @@ class IdentityReport:
         }
 
 
-def _log_partition(g: WeightedGraph, world: str) -> float:
-    configs, _, weight_log = _world_spec(g, world)
-    logs = np.array([weight_log(g, c) for c in configs], dtype=float)
-    return float(np.logaddexp.reduce(logs))
-
-
 def _log_cosh(beta: float) -> float:
     # cosh overflows past ~710; beta + log1p(exp(-2 beta)) - log 2 does not
     return beta + math.log1p(math.exp(-2.0 * beta)) - math.log(2.0)
@@ -249,16 +253,14 @@ def check_relate_identity(
                 False,
             ),
         ]
-    log_zs = _log_partition(g, "spins")
-    log_zrc = _log_partition(g, "rc")
-    log_zsubs = _log_partition(g, "subs")
+    log_zs = tables.spins.log_Z
     log_cosh_sum = sum(_log_cosh(b) for b in g.betas)
     return [
-        _report("spins_vs_rc", log_zs, log_zrc + sum_beta, tol, True),
+        _report("spins_vs_rc", log_zs, tables.rc.log_Z + sum_beta, tol, True),
         _report(
             "spins_vs_subs",
             log_zs,
-            log_zsubs + g.num_nodes * math.log(2.0) + log_cosh_sum,
+            tables.subs.log_Z + g.num_nodes * math.log(2.0) + log_cosh_sum,
             tol,
             True,
         ),
@@ -273,15 +275,15 @@ def check_rc_normalizer(
     Infinite couplings are fine here: their factor is exactly 1.
     """
     require_field_free(g)
-    z_rc = tables.rc.Z if tables else enumerate_world(g, "rc").Z
-    z_subs = tables.subs.Z if tables else enumerate_world(g, "subs").Z
+    rc = tables.rc if tables else enumerate_world(g, "rc")
+    subs = tables.subs if tables else enumerate_world(g, "subs")
     factor = math.prod(1.0 + math.exp(-2.0 * b) if not math.isinf(b) else 1.0 for b in g.betas)
-    rhs = z_subs * math.ldexp(factor, g.num_nodes - g.num_edges)
-    if math.isfinite(z_rc) and math.isfinite(rhs):
-        return _report("rc_normalizer", z_rc, rhs, tol, False)
-    log_lhs = _log_partition(g, "rc")
+    rhs = subs.Z * _ldexp(factor, g.num_nodes - g.num_edges)
+    if math.isfinite(rc.Z) and math.isfinite(rhs):
+        return _report("rc_normalizer", rc.Z, rhs, tol, False)
+    log_lhs = rc.log_Z
     log_rhs = (
-        _log_partition(g, "subs")
+        subs.log_Z
         + (g.num_nodes - g.num_edges) * math.log(2.0)
         + sum(math.log1p(math.exp(-2.0 * b)) if not math.isinf(b) else 0.0 for b in g.betas)
     )

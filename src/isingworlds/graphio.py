@@ -15,6 +15,16 @@ strings "inf"/"-inf":
 
     {"param": "beta", "nodes": 4, "field": {"0": 2.0},
      "edges": [[0, 1, 0.5], [1, 2, "inf"]]}
+
+Each reader only checks the shape of its format and hands the raw
+records, each tagged with its location (``line N``, ``edge k`` or
+``field 'key'``), to one builder that checks the schema for both: node
+ids and the node count are nonnegative integers (never booleans or
+fractions), there are no self-loops or duplicate edges, values are
+numbers or infinity spellings (never booleans or NaN), and every edge
+value is a legal coupling in the declared parameterization, so ``inf``
+only passes with ``param beta``.  Every violation is a
+:class:`GraphFormatError` naming its location.
 """
 
 from __future__ import annotations
@@ -27,176 +37,152 @@ from .errors import GraphFormatError, InvalidParameterError
 from .graph import PARAM_NAMES, WeightedGraph, beta_to_param, coupling_to_beta
 
 
-def _parse_value(token: str, line_no: int, allow_inf: bool, what: str) -> float:
-    token = token.strip()
-    lowered = token.lower()
-    if lowered in ("inf", "+inf", "infinity"):
-        if not allow_inf:
-            raise GraphFormatError(f"line {line_no}: 'inf' {what} is only allowed with param beta")
-        return math.inf
-    if lowered == "-inf":
-        if what != "field value":
-            raise GraphFormatError(f"line {line_no}: negative {what} is not allowed")
-        return -math.inf
+def _index(where: str, raw, what: str) -> int:
+    """A nonnegative int, an integral float, or a string ``int`` reads."""
+    value = raw
+    if isinstance(raw, str):
+        try:
+            value = int(raw)
+        except ValueError:
+            pass
+    elif isinstance(raw, float) and raw.is_integer():
+        value = int(raw)
+    if type(value) is not int or value < 0:  # bool is an int subclass
+        raise GraphFormatError(f"{where}: {what} must be a nonnegative integer, got {raw!r}")
+    return value
+
+
+def _number(where: str, raw, what: str) -> float:
+    """A number, or a string ``float`` reads ("0.5", "inf", "-inf", ...)."""
     try:
-        return float(token)
-    except ValueError:
-        raise GraphFormatError(f"line {line_no}: cannot parse {what} {token!r}") from None
+        if isinstance(raw, bool):  # float(True) is 1.0
+            raise TypeError
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise GraphFormatError(f"{where}: cannot parse {what} {raw!r}") from None
+    if math.isnan(value):
+        raise GraphFormatError(f"{where}: {what} is NaN")
+    return value
+
+
+def _build(param: tuple, nodes: tuple | None, fields: list, edges: list) -> WeightedGraph:
+    """Validate raw records and build the graph.
+
+    ``param`` and ``nodes`` are ``(where, raw)``; ``fields`` holds
+    ``(where, node, value)`` and ``edges`` ``(where, i, j, value)``.
+    """
+    where, name = param
+    if name not in PARAM_NAMES:
+        raise GraphFormatError(f"{where}: unknown parameterization {name!r}, expected beta|lambda|p")
+    num_nodes = 0 if nodes is None else _index(*nodes, "node count")
+    pairs: list[tuple[int, int]] = []
+    betas: list[float] = []
+    seen: set[tuple[int, int]] = set()
+    for where, i, j, value in edges:
+        i, j = _index(where, i, "node id"), _index(where, j, "node id")
+        if i == j:
+            raise GraphFormatError(f"{where}: self-loop at node {i}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in seen:
+            raise GraphFormatError(f"{where}: duplicate edge {pair}")
+        seen.add(pair)
+        try:
+            betas.append(coupling_to_beta(_number(where, value, "edge value"), name))
+        except InvalidParameterError as exc:
+            raise GraphFormatError(f"{where}: {exc}") from None
+        pairs.append(pair)
+        num_nodes = max(num_nodes, pair[1] + 1)
+    field: dict[int, float] = {}
+    for where, node, value in fields:
+        node = _index(where, node, "node id")
+        field[node] = _number(where, value, "field value")
+        num_nodes = max(num_nodes, node + 1)
+    values = tuple(field.get(node, 0.0) for node in range(num_nodes)) if fields else None
+    return WeightedGraph(num_nodes, tuple(pairs), tuple(betas), values)
 
 
 def read_graph_text(text: str) -> WeightedGraph:
-    param: str | None = None
-    declared_nodes = 0
-    max_ref = -1
-    field: dict[int, float] = {}
-    edges: list[tuple[int, int, float]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-
+    param = nodes = None
+    fields: list = []
+    edges: list = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
+        where = f"line {line_no}"
         if param is None:
             if tokens[0] != "param" or len(tokens) != 2:
-                raise GraphFormatError(f"line {line_no}: expected header 'param beta|lambda|p'")
-            if tokens[1] not in PARAM_NAMES:
-                raise GraphFormatError(f"line {line_no}: unknown parameterization {tokens[1]!r}")
-            param = tokens[1]
-            continue
-        if tokens[0] == "nodes":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise GraphFormatError(f"line {line_no}: expected 'nodes <count>'")
-            declared_nodes = int(tokens[1])
-            continue
-        if tokens[0] == "field":
+                raise GraphFormatError(f"{where}: expected header 'param beta|lambda|p'")
+            param = (where, tokens[1])
+        elif tokens[0] == "nodes":
+            if len(tokens) != 2:
+                raise GraphFormatError(f"{where}: expected 'nodes <count>'")
+            nodes = (where, tokens[1])
+        elif tokens[0] == "field":
             if len(tokens) != 3:
-                raise GraphFormatError(f"line {line_no}: expected 'field <node> <value>'")
-            try:
-                node = int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(f"line {line_no}: bad node id {tokens[1]!r}") from None
-            if node < 0:
-                raise GraphFormatError(f"line {line_no}: node ids are nonnegative")
-            value = _parse_value(tokens[2], line_no, allow_inf=True, what="field value")
-            field[node] = value
-            max_ref = max(max_ref, node)
-            continue
-        if len(tokens) != 3:
-            raise GraphFormatError(f"line {line_no}: expected edge '<i> <j> <value>'")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphFormatError(f"line {line_no}: bad node ids {tokens[0]!r} {tokens[1]!r}") from None
-        if i < 0 or j < 0:
-            raise GraphFormatError(f"line {line_no}: node ids are nonnegative")
-        if i == j:
-            raise GraphFormatError(f"line {line_no}: self-loop at node {i}")
-        value = _parse_value(tokens[2], line_no, allow_inf=(param == "beta"), what="edge value")
-        pair = (min(i, j), max(i, j))
-        if pair in seen_pairs:
-            raise GraphFormatError(f"line {line_no}: duplicate edge {pair}")
-        seen_pairs.add(pair)
-        try:
-            beta = coupling_to_beta(value, param)
-        except InvalidParameterError as exc:
-            raise GraphFormatError(f"line {line_no}: {exc}") from None
-        edges.append((pair[0], pair[1], beta))
-        max_ref = max(max_ref, pair[1])
-
+                raise GraphFormatError(f"{where}: expected 'field <node> <value>'")
+            fields.append((where, tokens[1], tokens[2]))
+        elif len(tokens) != 3:
+            raise GraphFormatError(f"{where}: expected edge '<i> <j> <value>'")
+        else:
+            edges.append((where, *tokens))
     if param is None:
         raise GraphFormatError("empty graph file: missing 'param' header")
-    num_nodes = max(declared_nodes, max_ref + 1)
-    return WeightedGraph.from_edges(num_nodes, edges, field=field or None, param="beta")
-
-
-def _json_value(value, what: str) -> float:
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("inf", "+inf", "infinity"):
-            return math.inf
-        if lowered == "-inf":
-            return -math.inf
-        raise GraphFormatError(f"cannot parse {what} {value!r}")
-    return float(value)
+    return _build(param, nodes, fields, edges)
 
 
 def read_graph_json(text: str) -> WeightedGraph:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise GraphFormatError("graph JSON must be an object")
-    param = payload.get("param")
+    edges = payload.get("edges", [])
+    field = payload.get("field", {})
+    if not isinstance(edges, list):
+        raise GraphFormatError(f"key 'edges': expected a list of [i, j, value], got {edges!r}")
+    if not isinstance(field, dict):
+        raise GraphFormatError(f"key 'field': expected an object of node: value, got {field!r}")
+    for k, entry in enumerate(edges):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise GraphFormatError(f"edge {k}: expected [i, j, value], got {entry!r}")
+    return _build(
+        ("key 'param'", payload.get("param")),
+        ("key 'nodes'", payload.get("nodes", 0)),
+        [(f"field {key!r}", key, value) for key, value in field.items()],
+        [(f"edge {k}", *entry) for k, entry in enumerate(edges)],
+    )
+
+
+def _spelled(value: float):
+    return value if math.isfinite(value) else ("inf" if value > 0 else "-inf")
+
+
+def _records(g: WeightedGraph, param: str) -> tuple[list, list]:
+    """Nonzero field entries ``(node, value)`` and edges ``(i, j, value)``
+    in ``param``, with infinities spelled "inf"/"-inf"."""
     if param not in PARAM_NAMES:
-        raise GraphFormatError(f"graph JSON needs 'param' of beta|lambda|p, got {param!r}")
-    edges = []
-    max_ref = -1
-    for entry in payload.get("edges", []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise GraphFormatError(f"edge entries are [i, j, value], got {entry!r}")
-        i, j = int(entry[0]), int(entry[1])
-        value = _json_value(entry[2], "edge value")
-        if math.isinf(value) and param != "beta":
-            raise GraphFormatError("'inf' edge value is only allowed with param beta")
-        try:
-            edges.append((i, j, coupling_to_beta(value, param)))
-        except InvalidParameterError as exc:
-            raise GraphFormatError(str(exc)) from None
-        max_ref = max(max_ref, i, j)
-    field = None
-    if payload.get("field"):
-        field = {}
-        for key, value in payload["field"].items():
-            node = int(key)
-            field[node] = _json_value(value, "field value")
-            max_ref = max(max_ref, node)
-    num_nodes = max(int(payload.get("nodes", 0)), max_ref + 1)
-    try:
-        return WeightedGraph.from_edges(num_nodes, edges, field=field, param="beta")
-    except InvalidParameterError as exc:
-        raise GraphFormatError(str(exc)) from None
-
-
-def _format_value(value: float) -> str:
-    if value == math.inf:
-        return "inf"
-    if value == -math.inf:
-        return "-inf"
-    return repr(value)
+        raise InvalidParameterError(f"unknown parameterization {param!r}")
+    field = [(node, _spelled(value)) for node, value in enumerate(g.field or ()) if value != 0.0]
+    edges = [(i, j, _spelled(beta_to_param(beta, param))) for (i, j), beta in zip(g.edges, g.betas)]
+    return field, edges
 
 
 def graph_to_text(g: WeightedGraph, param: str = "beta") -> str:
-    if param not in PARAM_NAMES:
-        raise InvalidParameterError(f"unknown parameterization {param!r}")
+    field, edges = _records(g, param)
     lines = [f"param {param}", f"nodes {g.num_nodes}"]
-    if g.field is not None:
-        for node, value in enumerate(g.field):
-            if value != 0.0:
-                lines.append(f"field {node} {_format_value(value)}")
-    for (i, j), beta in zip(g.edges, g.betas):
-        lines.append(f"{i} {j} {_format_value(beta_to_param(beta, param))}")
+    lines += [f"field {node} {value}" for node, value in field]
+    lines += [f"{i} {j} {value}" for i, j, value in edges]
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json_dict(g: WeightedGraph, param: str = "beta") -> dict:
-    if param not in PARAM_NAMES:
-        raise InvalidParameterError(f"unknown parameterization {param!r}")
-
-    def encode(value: float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-
+    field, edges = _records(g, param)
     payload: dict = {"param": param, "nodes": g.num_nodes}
-    if g.field is not None and any(v != 0.0 for v in g.field):
-        payload["field"] = {
-            str(node): encode(value) for node, value in enumerate(g.field) if value != 0.0
-        }
-    payload["edges"] = [
-        [i, j, encode(beta_to_param(beta, param))] for (i, j), beta in zip(g.edges, g.betas)
-    ]
+    if field:
+        payload["field"] = {str(node): value for node, value in field}
+    payload["edges"] = [list(edge) for edge in edges]
     return payload
 
 
@@ -205,7 +191,7 @@ def load_graph(path: str | Path) -> WeightedGraph:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
     if path.suffix == ".json":
         return read_graph_json(text)

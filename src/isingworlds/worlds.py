@@ -231,7 +231,7 @@ def weight_rc(g: WeightedGraph, z: Sequence[int]) -> float:
     acc = 1.0
     for e, p in enumerate(g.ps):
         acc *= p if z[e] else 1.0 - p
-    return math.ldexp(acc, part.count)
+    return _ldexp(acc, part.count)
 
 
 def weight_rc_log(g: WeightedGraph, z: Sequence[int]) -> float:
@@ -252,6 +252,13 @@ def weight_rc_log(g: WeightedGraph, z: Sequence[int]) -> float:
 def _exp(value: float) -> float:
     try:
         return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _ldexp(value: float, exponent: int) -> float:
+    try:
+        return math.ldexp(value, exponent)
     except OverflowError:
         return math.inf
 

@@ -70,6 +70,18 @@ class TestReduce:
         assert set(payload["config"]) <= {1, -1}
         assert payload["draws"] <= 6
 
+    @pytest.mark.parametrize(
+        "entries", ['["a", 0, 0]', "[[1], 0, 0]", "[1.7, 0, 0]", "[true, false, false]"]
+    )
+    def test_config_entries_must_be_integers(self, tmp_path, capsys, entries):
+        config = write(tmp_path, "z.json", entries)
+        code = main(
+            ["reduce", "--from", "rc", "--to", "subs", "--graph", TRIANGLE,
+             "--config", config, "--seed", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_same_world_rejected(self, tmp_path, capsys):
         config = write(tmp_path, "z.txt", "000")
         code = main(
@@ -247,6 +259,14 @@ class TestVerify:
         assert main(["verify", "--graph", graph, "--all-identities"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert any("skipped" in c for c in report["checks"])
+
+    def test_rc_normalizer_past_float_range(self, tmp_path, capsys):
+        # 2**1099 clusters overflow a float; the check moves to log weights
+        graph = write(tmp_path, "big.graph", "param beta\nnodes 1100\n0 1 inf\n")
+        assert main(["verify", "--graph", graph]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (rc,) = [c for c in report["checks"] if c["name"] == "rc_normalizer"]
+        assert rc["used_log_domain"] and rc["passed"]
 
     def test_json_fixture_accepted(self, capsys):
         graph = str(fixture_path("triangle", "beta", "json"))

@@ -22,7 +22,9 @@ from isingworlds import (
     sample_from_table,
     tv_distance,
 )
+from isingworlds import exact
 from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, path_graph
+from isingworlds.worlds import weight_rc
 
 
 class TestEnumeration:
@@ -115,6 +117,49 @@ class TestIdentities:
         g = fixture_graph("cycle4", [0.1, 0.6, 1.3, 2.2])
         report = check_rc_normalizer(g)
         assert report.passed and report.relative_error < 1e-12
+
+
+class TestLogDomainFallback:
+    """Past float range the identities fall back to the log weights of the
+    stored configurations, without enumerating any world again."""
+
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        worlds = []
+        world_spec = exact._world_spec
+
+        def counting(g, world):
+            worlds.append(world)
+            return world_spec(g, world)
+
+        monkeypatch.setattr(exact, "_world_spec", counting)
+        return worlds
+
+    def test_rc_weight_overflow_is_inf(self):
+        assert weight_rc(WeightedGraph(1100, (), ()), ()) == math.inf
+
+    @pytest.mark.parametrize(
+        "g",
+        [WeightedGraph(1100, (), ()), WeightedGraph(1100, ((0, 1),), (math.inf,))],
+        ids=["edgeless", "inf-edge"],
+    )
+    def test_rc_normalizer_past_float_range(self, g, enumerated):
+        report = check_rc_normalizer(g)
+        assert report.used_log_domain and report.passed
+        assert sorted(enumerated) == ["rc", "subs"]
+
+    def test_relate_with_tables_enumerates_nothing_more(self, enumerated):
+        g = fixture_graph("k2", 800.0)
+        tables = exact_tables(g)
+        assert sorted(enumerated) == ["rc", "spins", "subs"]
+        reports = check_relate_identity(g, tables=tables)
+        assert all(r.used_log_domain and r.passed for r in reports)
+        assert len(enumerated) == 3
+
+    def test_relate_without_tables_enumerates_each_world_once(self, enumerated):
+        reports = check_relate_identity(fixture_graph("k2", 800.0))
+        assert all(r.used_log_domain and r.passed for r in reports)
+        assert sorted(enumerated) == ["rc", "spins", "subs"]
 
 
 class TestKernelMatrices:
