@@ -11,8 +11,16 @@ exact subgraphs-world samples.
 Edges with open probability 1 are pinned open (and probability-0 edges
 pinned closed) and excluded from random updates; connectivity queries
 still see them, which realizes the usual contraction of forced edges
-without rebuilding the graph.  The connectivity query is the open-subgraph
-traversal of :mod:`isingworlds.worlds`.
+without rebuilding the graph.
+
+The two heat-bath thresholds, p when the edge's endpoints are connected
+elsewhere and p / (2 - p) when they are not, bound a band: a uniform
+outside it decides the edge alone, so the connectivity query (the
+two-sided open-subgraph search of :mod:`isingworlds.worlds`) runs only
+for uniforms inside it.  The query is also shared across the sandwich:
+the lower chain asks only when the upper chain has just opened the edge,
+since monotonicity closes it in the lower chain otherwise.  Neither
+shortcut changes a decision or a draw.
 """
 
 from __future__ import annotations
@@ -29,18 +37,22 @@ from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_
 DEFAULT_MAX_EPOCH = 24
 
 
-def _heat_bath_prob(g: WeightedGraph, z: Sequence[int], e: int) -> float:
-    """Conditional open probability of edge e given the rest of z.
+def _heat_bath_open(g: WeightedGraph, z: Sequence[int], e: int, u: float) -> int:
+    """New state of edge e under the heat-bath update with uniform ``u``.
 
     Opening an edge whose endpoints are already connected elsewhere does
-    not change the cluster count, so the odds are p : (1-p); otherwise
-    closing it splits a cluster and doubles the weight, giving odds
-    p : 2(1-p).
+    not change the cluster count, so the conditional open probability is
+    p; otherwise closing it splits a cluster and doubles the weight, giving
+    p / (2 - p).  Since p / (2 - p) <= p, a uniform outside the band
+    between the two thresholds decides the edge without asking whether
+    its endpoints are connected.
     """
     p = g.ps[e]
-    if _connected_without_edge(g, z, e):
-        return p
-    return p / (2.0 - p)
+    if u >= p:
+        return 0
+    if u < p / (2.0 - p):
+        return 1
+    return 1 if _connected_without_edge(g, z, e) else 0
 
 
 def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -> RcConfig:
@@ -51,12 +63,8 @@ def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -
     if not 0.0 <= u < 1.0:
         raise InvalidParameterError(f"uniform variate must lie in [0, 1), got {u}")
     out = list(z)
-    out[edge] = 1 if u < _heat_bath_prob(g, z, edge) else 0
+    out[edge] = _heat_bath_open(g, z, edge, u)
     return tuple(out)
-
-
-def _heat_bath_inplace(g: WeightedGraph, state: list[int], edge: int, u: float) -> None:
-    state[edge] = 1 if u < _heat_bath_prob(g, state, edge) else 0
 
 
 @dataclass
@@ -130,9 +138,11 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
         merged = False
         for step, t in enumerate(range(horizon, 0, -1), start=1):
             edge, u = schedule.record(t)
-            _heat_bath_inplace(g, top, edge, u)
+            top[edge] = _heat_bath_open(g, top, edge, u)
             if not merged:
-                _heat_bath_inplace(g, bot, edge, u)
+                # bot <= top and the kernel is monotone, so an edge top
+                # closes is closed in bot too, without a query
+                bot[edge] = _heat_bath_open(g, bot, edge, u) if top[edge] else 0
                 if step % sweep == 0 and top == bot:
                     merged = True  # chains evolve identically from here on
             total_steps += 1

@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -209,6 +210,7 @@ def _cftp_samples(
     g: WeightedGraph, seed: int, world: str, max_epoch: int, samples: int, jobs: int
 ) -> list[tuple[tuple[int, ...], int]]:
     one = partial(_cftp_one, g, seed, world=world, max_epoch=max_epoch)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or samples < 2:
         return [one(i) for i in range(samples)]
     # each sample has its own stream and map keeps index order, so the

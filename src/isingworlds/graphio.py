@@ -20,11 +20,11 @@ Each reader only checks the shape of its format and hands the raw
 records, each tagged with its location (``line N``, ``edge k`` or
 ``field 'key'``), to one builder that checks the schema for both: node
 ids and the node count are nonnegative integers (never booleans or
-fractions), there are no self-loops or duplicate edges, values are
-numbers or infinity spellings (never booleans or NaN), and every edge
-value is a legal coupling in the declared parameterization, so ``inf``
-only passes with ``param beta``.  Every violation is a
-:class:`GraphFormatError` naming its location.
+fractions) and imply at most ``MAX_NODES`` nodes, there are no
+self-loops or duplicate edges, values are numbers or infinity spellings
+(never booleans or NaN), and every edge value is a legal coupling in the
+declared parameterization, so ``inf`` only passes with ``param beta``.
+Every violation is a :class:`GraphFormatError` naming its location.
 """
 
 from __future__ import annotations
@@ -36,9 +36,13 @@ from pathlib import Path
 from .errors import GraphFormatError, InvalidParameterError
 from .graph import PARAM_NAMES, WeightedGraph, beta_to_param, coupling_to_beta
 
+# every sampler allocates per-node state, so a file may not imply more nodes
+MAX_NODES = 1_000_000
 
-def _index(where: str, raw, what: str) -> int:
-    """A nonnegative int, an integral float, or a string ``int`` reads."""
+
+def _index(where: str, raw, what: str, limit: int) -> int:
+    """A nonnegative int up to ``limit``: an int, an integral float, or a
+    string ``int`` reads."""
     value = raw
     if isinstance(raw, str):
         try:
@@ -49,6 +53,8 @@ def _index(where: str, raw, what: str) -> int:
         value = int(raw)
     if type(value) is not int or value < 0:  # bool is an int subclass
         raise GraphFormatError(f"{where}: {what} must be a nonnegative integer, got {raw!r}")
+    if value > limit:
+        raise GraphFormatError(f"{where}: {what} must be at most {limit}, got {raw!r}")
     return value
 
 
@@ -74,12 +80,13 @@ def _build(param: tuple, nodes: tuple | None, fields: list, edges: list) -> Weig
     where, name = param
     if name not in PARAM_NAMES:
         raise GraphFormatError(f"{where}: unknown parameterization {name!r}, expected beta|lambda|p")
-    num_nodes = 0 if nodes is None else _index(*nodes, "node count")
+    num_nodes = 0 if nodes is None else _index(*nodes, "node count", MAX_NODES)
     pairs: list[tuple[int, int]] = []
     betas: list[float] = []
     seen: set[tuple[int, int]] = set()
     for where, i, j, value in edges:
-        i, j = _index(where, i, "node id"), _index(where, j, "node id")
+        i = _index(where, i, "node id", MAX_NODES - 1)
+        j = _index(where, j, "node id", MAX_NODES - 1)
         if i == j:
             raise GraphFormatError(f"{where}: self-loop at node {i}")
         pair = (i, j) if i < j else (j, i)
@@ -94,7 +101,7 @@ def _build(param: tuple, nodes: tuple | None, fields: list, edges: list) -> Weig
         num_nodes = max(num_nodes, pair[1] + 1)
     field: dict[int, float] = {}
     for where, node, value in fields:
-        node = _index(where, node, "node id")
+        node = _index(where, node, "node id", MAX_NODES - 1)
         field[node] = _number(where, value, "field value")
         num_nodes = max(num_nodes, node + 1)
     values = tuple(field.get(node, 0.0) for node in range(num_nodes)) if fields else None

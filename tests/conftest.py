@@ -59,6 +59,15 @@ def dfs_component_labels(g: WeightedGraph, z) -> tuple[tuple[int, ...], int]:
     return tuple(label), count
 
 
+def joined_without_edge(g: WeightedGraph, z, e: int) -> bool:
+    """Are e's endpoints in one component once e is closed?  By labels."""
+    closed = list(z)
+    closed[e] = 0
+    labels, _ = dfs_component_labels(g, closed)
+    i, j = g.edges[e]
+    return labels[i] == labels[j]
+
+
 def brute_degrees(g: WeightedGraph, y) -> list[int]:
     degrees = [0] * g.num_nodes
     for e, (i, j) in enumerate(g.edges):

@@ -1,6 +1,7 @@
 """Monotone coupling from the past: kernel, schedule, and exactness."""
 
 import math
+import random
 from itertools import product
 
 import pytest
@@ -18,8 +19,18 @@ from isingworlds import (
     tv_distance,
     weight_subs,
 )
-from isingworlds.cftp import CftpSchedule, _heat_bath_prob
-from isingworlds.fixtures import complete_graph, fixture_graph, path_graph
+from conftest import joined_without_edge, random_graph
+from isingworlds.cftp import CftpRun, CftpSchedule, _heat_bath_open
+from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph, path_graph
+
+
+def _opens_below(g, z, e, threshold):
+    """The kernel opens e for every uniform below ``threshold`` and closes
+    it from ``threshold`` on, checked at the two floats either side."""
+    return (
+        _heat_bath_open(g, z, e, math.nextafter(threshold, 0.0)) == 1
+        and _heat_bath_open(g, z, e, threshold) == 0
+    )
 
 
 class TestHeatBathKernel:
@@ -34,16 +45,18 @@ class TestHeatBathKernel:
         # so the conditional open probability is (1/2)/(3/2) = 1/3 which
         # is also the exact stationary marginal
         g = WeightedGraph.from_edges(2, [(0, 1, 0.5)], param="p")
-        assert _heat_bath_prob(g, (0,), 0) == pytest.approx(1 / 3)
-        assert _heat_bath_prob(g, (1,), 0) == pytest.approx(1 / 3)
+        p = g.ps[0]
+        assert p / (2.0 - p) == pytest.approx(1 / 3)
+        assert _opens_below(g, (0,), 0, p / (2.0 - p))
+        assert _opens_below(g, (1,), 0, p / (2.0 - p))
         table = enumerate_world(g, "rc")
         assert table.probs[table.config_index[(1,)]] == pytest.approx(1 / 3)
 
     def test_connected_case_uses_plain_p(self):
         g = fixture_graph("triangle", 0.5)
         p = g.ps[0]
-        assert _heat_bath_prob(g, (1, 1, 1), 0) == pytest.approx(p)
-        assert _heat_bath_prob(g, (0, 0, 0), 0) == pytest.approx(p / (2 - p))
+        assert _opens_below(g, (1, 1, 1), 0, p)
+        assert _opens_below(g, (0, 0, 0), 0, p / (2.0 - p))
         assert p / (2 - p) < p  # disconnected conditional is the smaller
 
     def test_validates_inputs(self):
@@ -84,6 +97,52 @@ class TestSchedule:
         run_a = cftp_rc_run(g, RngStream(99))
         run_b = cftp_rc_run(g, RngStream(99))
         assert run_a == run_b
+
+
+def _reference_run(g, rng, max_epoch=24):
+    """Monotone CFTP with the unbanded heat-bath rule on both chains at
+    every step, connectivity from whole-graph component labels."""
+    free = tuple(e for e, p in enumerate(g.ps) if 0.0 < p < 1.0)
+    base = [1 if p >= 1.0 else 0 for p in g.ps]
+    if not free:
+        return CftpRun(tuple(base), 0, 0)
+    schedule = CftpSchedule(rng, free)
+    steps = 0
+    for epoch in range(max_epoch + 1):
+        schedule.ensure(1 << epoch)
+        top = [1 if e in free else v for e, v in enumerate(base)]
+        bot = list(base)
+        for t in range(1 << epoch, 0, -1):
+            edge, u = schedule.record(t)
+            p = g.ps[edge]
+            for z in (top, bot):
+                z[edge] = 1 if u < (p if joined_without_edge(g, z, edge) else p / (2 - p)) else 0
+            steps += 1
+        if top == bot:
+            return CftpRun(tuple(top), epoch, steps)
+    raise NoCoalescenceError("reference run did not coalesce")
+
+
+class TestBitIdentity:
+    """The banded kernel, the sandwich shortcut and the two-sided search
+    change no sample and no draw."""
+
+    def _assert_same(self, g, seed, stream):
+        rng, ref_rng = RngStream(seed, stream), RngStream(seed, stream)
+        assert cftp_rc_run(g, rng) == _reference_run(g, ref_rng)
+        assert rng.draws == ref_rng.draws
+
+    def test_random_graphs_with_pinned_edges(self):
+        rnd = random.Random(404)
+        for k in range(50):
+            g = random_graph(rnd, max_nodes=7, max_edges=12, extreme_share=0.3)
+            self._assert_same(g, 41, k)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.44, 0.8])
+    def test_grid(self, beta):
+        g = grid_graph(6, 6, beta)
+        for k in range(3):
+            self._assert_same(g, 17, k)
 
 
 class TestCftpSampling:

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from isingworlds import cli
 from isingworlds.cli import main
 from isingworlds.fixtures import fixture_path
 from isingworlds.graphio import load_graph
@@ -238,6 +240,34 @@ class TestCounts:
             main([*argv, "--graph", TRIANGLE, "--seed", "1"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("cpus,workers", [(3, [3]), (None, [])])
+    def test_jobs_capped_at_cpu_count(self, cpus, workers, monkeypatch, capsys):
+        # records the pool size instead of starting workers; an unknown
+        # cpu count means one job, which runs without a pool
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--samples", "4", "--seed", "5"]
+        assert main([*argv, "--jobs", "1"]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main([*argv, "--jobs", "64"]) == 0
+        assert started == workers
+        assert capsys.readouterr().out == expected
 
     def test_zero_samples_accepted(self, capsys):
         assert main(["perfect", "--world", "rc", "--graph", TRIANGLE,

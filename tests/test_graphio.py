@@ -19,6 +19,7 @@ from isingworlds import (
 )
 from isingworlds.cli import main
 from isingworlds.fixtures import fixture_graph, fixture_path
+from isingworlds.graphio import MAX_NODES
 
 TRIANGLE_TEXT = """\
 # a triangle
@@ -189,6 +190,27 @@ MALFORMED = [
     ("nodes fraction", "param beta\nnodes 3.9\n", _json(nodes=3.9), "line 2", "key 'nodes'"),
     ("nodes bool", None, _json(nodes=True), None, "key 'nodes'"),
     ("nodes negative", "param beta\nnodes -1\n", _json(nodes=-1), "line 2", "key 'nodes'"),
+    (
+        "nodes past cap",
+        "param beta\nnodes 2000000000\n0 1 0.5\n",
+        _json(nodes=2_000_000_000, edges=[[0, 1, 0.5]]),
+        "line 2",
+        "key 'nodes'",
+    ),
+    (
+        "node id past cap",
+        f"param beta\n0 {MAX_NODES} 0.5\n",
+        _json(edges=[[0, MAX_NODES, 0.5]]),
+        "line 2",
+        "edge 0",
+    ),
+    (
+        "field node past cap",
+        f"param beta\nfield {MAX_NODES} 1.0\n",
+        _json(field={str(MAX_NODES): 1.0}),
+        "line 2",
+        f"field '{MAX_NODES}'",
+    ),
     ("field not an object", None, _json(field=[1, 2]), None, "key 'field'"),
     ("field node not a number", "param beta\nfield z 1.0\n", _json(field={"z": 1.0}), "line 2", "field 'z'"),
     ("field value bool", "param beta\nfield 0 true\n", _json(field={"0": True}), "line 2", "field '0'"),
@@ -216,6 +238,16 @@ def test_malformed_input_is_a_located_format_error(suffix, body, where, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {where}: ")
+
+
+def test_node_cap(tmp_path, capsys):
+    g = read_graph_text(f"param beta\nnodes {MAX_NODES}\n0 {MAX_NODES - 1} 0.5\n")
+    assert g.num_nodes == MAX_NODES
+    path = tmp_path / "huge.graph"
+    path.write_text("param beta\nnodes 2000000000\n0 1 0.5\n", encoding="utf-8")
+    argv = ["perfect", "--world", "rc", "--graph", str(path), "--samples", "1", "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: node count must be at most")
 
 
 def test_unreadable_input_is_a_format_error(tmp_path):

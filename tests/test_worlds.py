@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import brute_degrees, dfs_component_labels, random_graph
+from conftest import brute_degrees, dfs_component_labels, joined_without_edge, random_graph
 from isingworlds import (
     InvalidConfigError,
     WeightedGraph,
@@ -18,8 +18,13 @@ from isingworlds import (
     weight_subs,
     weight_subs_log,
 )
-from isingworlds.fixtures import complete_graph, fixture_graph
-from isingworlds.worlds import config_from_string, config_to_string, statistic
+from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
+from isingworlds.worlds import (
+    _connected_without_edge,
+    config_from_string,
+    config_to_string,
+    statistic,
+)
 
 
 class TestWeightSpins:
@@ -173,6 +178,26 @@ class TestClusters:
             # i.e. nodes minus the size of any maximal spanning forest
             forest_size = g.num_nodes - count
             assert forest_size <= open_count
+
+
+class TestConnectedWithoutEdge:
+    def test_matches_labels_on_random_graphs(self):
+        rnd = random.Random(2024)
+        for _ in range(300):
+            g = random_graph(rnd, max_nodes=9, max_edges=16)
+            z = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
+            for e in range(g.num_edges):
+                assert _connected_without_edge(g, z, e) == joined_without_edge(g, z, e)
+
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+    def test_matches_labels_on_a_grid(self, density):
+        # long detours and large clusters on either side of the edge
+        rnd = random.Random(int(density * 10))
+        g = grid_graph(7, 7)
+        for _ in range(10):
+            z = tuple(1 if rnd.random() < density else 0 for _ in range(g.num_edges))
+            for e in range(g.num_edges):
+                assert _connected_without_edge(g, z, e) == joined_without_edge(g, z, e)
 
 
 class TestDegreeParity:
