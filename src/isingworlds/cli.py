@@ -99,12 +99,20 @@ def _manifest(command: str, args: argparse.Namespace) -> dict:
     return manifest
 
 
-def _emit(text: str, args: argparse.Namespace, manifest: dict, started: float) -> None:
-    """Write the payload to --out plus a manifest sidecar, or to stdout."""
+def _emit(
+    text: str, args: argparse.Namespace, manifest: dict, started: float, workers: int | None = None
+) -> None:
+    """Write the payload to --out plus a manifest sidecar, or to stdout.
+
+    Only the sidecar records what depends on the machine: the timing and,
+    for the sampling commands, the number of worker processes used.
+    """
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text, encoding="utf-8")
         sidecar = dict(manifest)
+        if workers is not None:
+            sidecar["workers"] = workers
         sidecar["timing_seconds"] = time.perf_counter() - started
         Path(out + ".manifest.json").write_text(
             json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
@@ -206,28 +214,35 @@ def _cftp_one(
     return config, run.epoch
 
 
+def _workers(jobs: int, samples: int) -> int:
+    """Processes that draw the samples: ``--jobs`` capped at the cpu count,
+    and one (this process, no pool) for fewer than two samples."""
+    return min(jobs, os.cpu_count() or 1) if samples >= 2 else 1
+
+
 def _cftp_samples(
-    g: WeightedGraph, seed: int, world: str, max_epoch: int, samples: int, jobs: int
+    g: WeightedGraph, seed: int, world: str, max_epoch: int, samples: int, workers: int
 ) -> list[tuple[tuple[int, ...], int]]:
     one = partial(_cftp_one, g, seed, world=world, max_epoch=max_epoch)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or samples < 2:
+    if workers <= 1:
         return [one(i) for i in range(samples)]
     # each sample has its own stream and map keeps index order, so the
-    # output does not depend on jobs
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, range(samples), chunksize=math.ceil(samples / jobs)))
+    # output does not depend on the number of workers
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(samples), chunksize=math.ceil(samples / workers)))
 
 
 def cmd_perfect(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = load_graph(args.graph)
-    rows = _cftp_samples(g, args.seed, args.world, args.max_epoch, args.samples, args.jobs)
+    workers = _workers(args.jobs, args.samples)
+    rows = _cftp_samples(g, args.seed, args.world, args.max_epoch, args.samples, workers)
     lines = [
         json.dumps({"config": list(config), "epoch": epoch}, separators=(", ", ": "))
         for config, epoch in rows
     ]
-    _emit("\n".join(lines) + ("\n" if lines else ""), args, _manifest("perfect", args), started)
+    text = "\n".join(lines) + ("\n" if lines else "")
+    _emit(text, args, _manifest("perfect", args), started, workers=workers)
     return EXIT_OK
 
 
@@ -252,12 +267,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = load_graph(args.graph)
     world, n = args.world, args.samples
+    workers = _workers(args.jobs, n) if args.method == "cftp" else 1
     if args.method == "enum":
         table = enumerate_world(g, world)
         samples = sample_from_table(table, RngStream(args.seed), n)
         extra = [{} for _ in samples]
     elif args.method == "cftp":
-        rows = _cftp_samples(g, args.seed, world, args.max_epoch, n, args.jobs)
+        rows = _cftp_samples(g, args.seed, world, args.max_epoch, n, workers)
         samples = [config for config, _ in rows]
         extra = [{"epoch": epoch} for _, epoch in rows]
     else:  # chain
@@ -283,7 +299,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "stats": summary_stats,
         "manifest": manifest,
     }
-    _emit("\n".join(lines) + ("\n" if lines else ""), args, manifest, started)
+    _emit("\n".join(lines) + ("\n" if lines else ""), args, manifest, started, workers=workers)
     # summary goes to stdout either way; without --out it is the final line
     print(json.dumps(summary) if not args.out else json.dumps(summary, indent=2))
     return EXIT_OK

@@ -6,6 +6,19 @@ partition-function identities linking the worlds, exact one-step
 transition matrices obtained by convolving a kernel over its internal
 Bernoulli outcomes, and the closed-form even-subgraph count.
 
+Tables are columnar.  A world's configurations are built once, column by
+column, as an int8 matrix with one row per configuration (in
+``itertools.product`` order), and the world's batch weight pair from
+:mod:`worlds` runs over it; the tuples of ``WorldTable.configs`` are
+built only when a caller reads them.  A random-cluster table takes its
+cluster counts from min-label propagation over that matrix, on the
+edge-incident nodes only, which is deliberately independent of the
+forest traversal (``worlds._open_forest``) the samplers use: an oracle
+sharing that code would share its faults.  Parity work likewise covers
+only edge-incident nodes, so a graph with a few edges and many isolated
+nodes costs no more than its edges.  The kernel-matrix convolution, by
+contrast, runs the production conversion code on purpose.
+
 Enumeration is capped; callers see :class:`CapExceededError` rather than
 an accidental exponential blowup.
 """
@@ -16,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,13 +41,14 @@ from .worlds import (
     _ldexp,
     _open_forest,
     clusters,
-    degree_parity,
-    weight_rc,
-    weight_rc_log,
-    weight_spins,
-    weight_spins_log,
-    weight_subs,
-    weight_subs_log,
+    odd_rows,
+    rc_log_weights,
+    rc_weights,
+    spins_log_weights,
+    spins_weights,
+    subs_log_weights,
+    subs_weights,
+    validate_edge_config,
 )
 
 SPINS_ENUM_NODE_CAP = 16
@@ -55,13 +69,18 @@ class WorldTable:
     """Exhaustive (configuration, weight) table for one world.
 
     Configurations are listed in lexicographic order of their serialized
-    bit/sign strings, which keeps golden outputs stable.
+    bit/sign strings, which keeps golden outputs stable.  ``matrix`` holds
+    them as int8 rows; ``configs`` is the same list as tuples.
     """
 
     world: str
-    configs: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray
     weights: np.ndarray
     graph: WeightedGraph
+
+    @cached_property
+    def configs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.matrix.tolist()))
 
     @cached_property
     def Z(self) -> float:
@@ -69,11 +88,10 @@ class WorldTable:
 
     @cached_property
     def log_Z(self) -> float:
-        """log Z from the world's log weights over the stored configs, for
-        when the linear sum overflows."""
+        """log Z from the world's batch log weight over the stored matrix,
+        for when the linear sum overflows."""
         weight_log = _WORLD_SPECS[self.world][2]
-        logs = np.array([weight_log(self.graph, c) for c in self.configs], dtype=float)
-        return float(np.logaddexp.reduce(logs))
+        return float(np.logaddexp.reduce(weight_log(self.graph, self.matrix)))
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -85,7 +103,7 @@ class WorldTable:
 
     @cached_property
     def support_configs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.configs[i] for i in self.support)
+        return tuple(map(tuple, self.matrix[list(self.support)].tolist()))
 
     @cached_property
     def support_probs(self) -> np.ndarray:
@@ -108,25 +126,77 @@ def _check_caps(g: WeightedGraph, world: str) -> None:
         )
 
 
-# world -> (site values, weight, log weight); spins sit on nodes, the
-# edge worlds on edges
+def _config_matrix(sites: int, values: tuple[int, int]) -> np.ndarray:
+    """Every assignment of ``values`` to ``sites`` sites, one int8 row each,
+    in ``product(values, repeat=sites)`` order; built column by column, so
+    each column is contiguous."""
+    rows = np.arange(1 << sites, dtype=np.int32)
+    columns = np.empty((sites, 1 << sites), dtype=np.int8)
+    for k in range(sites):
+        columns[k] = np.where((rows >> (sites - 1 - k)) & 1, values[1], values[0])
+    return columns.T
+
+
+def cluster_counts(
+    num_nodes: int, edges: Sequence[tuple[int, int]], zs: np.ndarray
+) -> np.ndarray:
+    """Number of open-edge clusters in every row of a 0/1 edge matrix.
+
+    Min-label propagation: each node incident to an edge open in some row
+    starts labelled with its own index, and sweeps over the edges copy
+    the smaller endpoint label across every open edge until a sweep
+    changes nothing.  A cluster's nodes then all carry its smallest
+    index, so each cluster has exactly one node labelled with itself;
+    every other node is a cluster of its own.
+    """
+    live = [e for e in range(len(edges)) if zs[:, e].any()]
+    nodes = sorted({v for e in live for v in edges[e]})
+    local = {v: k for k, v in enumerate(nodes)}
+    own = np.arange(len(nodes), dtype=np.min_scalar_type(len(nodes)))[:, None]
+    labels = np.repeat(own, len(zs), axis=1)  # one row per node
+    # a closed edge ORs the far label up to the dtype's top value, which
+    # lowers nothing (a masked np.minimum is two orders slower)
+    top = np.iinfo(labels.dtype).max
+    sweep = [
+        (labels[local[edges[e][0]]], labels[local[edges[e][1]]],
+         np.where(zs[:, e] != 0, 0, top).astype(labels.dtype))
+        for e in live
+    ]
+    far = np.empty(len(zs), labels.dtype)
+    while True:
+        before = labels.copy()
+        for a, b, closed in sweep:
+            np.minimum(a, np.bitwise_or(b, closed, out=far), out=a)
+            np.minimum(b, np.bitwise_or(a, closed, out=far), out=b)
+        if np.array_equal(before, labels):
+            return num_nodes - len(nodes) + np.count_nonzero(labels == own, axis=0)
+        sweep.reverse()  # labels then travel both ways along the edge order
+
+
+# world -> (site values, batch weight, batch log weight); spins sit on
+# nodes, the edge worlds on edges
 _WORLD_SPECS = {
-    "spins": ((1, -1), weight_spins, weight_spins_log),
-    "subs": ((0, 1), weight_subs, weight_subs_log),
-    "rc": ((0, 1), weight_rc, weight_rc_log),
+    "spins": ((1, -1), spins_weights, spins_log_weights),
+    "subs": ((0, 1), subs_weights, subs_log_weights),
+    "rc": (
+        (0, 1),
+        lambda g, zs: rc_weights(g, zs, cluster_counts(g.num_nodes, g.edges, zs)),
+        lambda g, zs: rc_log_weights(g, zs, cluster_counts(g.num_nodes, g.edges, zs)),
+    ),
 }
 
 
 def _world_spec(
     g: WeightedGraph, world: str
-) -> tuple[Iterator[tuple[int, ...]], Callable[..., float], Callable[..., float]]:
-    """Configurations in table order, plus the linear and log weight."""
+) -> tuple[np.ndarray, Callable[..., np.ndarray], Callable[..., np.ndarray]]:
+    """Configuration matrix in table order, plus the batch linear and log
+    weight."""
     _check_caps(g, world)
     if world not in _WORLD_SPECS:
         raise InvalidParameterError(f"unknown world {world!r}")
     values, weight, weight_log = _WORLD_SPECS[world]
     sites = g.num_nodes if world == "spins" else g.num_edges
-    return product(values, repeat=sites), weight, weight_log
+    return _config_matrix(sites, values), weight, weight_log
 
 
 def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
@@ -135,10 +205,8 @@ def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
     For the spins world, a graph carrying a field is enumerated with the
     field factors included; the edge worlds ignore the field.
     """
-    configs, weight, _ = _world_spec(g, world)
-    configs = tuple(configs)
-    weights = np.array([weight(g, c) for c in configs], dtype=float)
-    return WorldTable(world, configs, weights, g)
+    matrix, weight, _ = _world_spec(g, world)
+    return WorldTable(world, matrix, weight(g, matrix), g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +431,7 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
     target = world_table_for(tables, target_world)
     src_configs = source.support_configs
     tgt_configs = target.support_configs
-    tgt_matrix = np.array(tgt_configs, dtype=np.int8) if tgt_configs else np.zeros((0, 0), np.int8)
+    tgt_matrix = target.matrix[list(target.support)]
 
     if kernel == "subs_to_rc":
         lams = np.array(g.lambdas)
@@ -378,11 +446,10 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
         matrix = _edgewise_rows(tgt_matrix, per_row)
     elif kernel == "rc_to_spins":
         matrix = np.zeros((len(src_configs), len(tgt_configs)))
-        xs = np.array(tgt_configs, dtype=np.int8)
         for r, z in enumerate(src_configs):
             part = clusters(g, z)
             rep = list(part.component_id)
-            constant = np.all(xs == xs[:, rep], axis=1)
+            constant = np.all(tgt_matrix == tgt_matrix[:, rep], axis=1)
             matrix[r] = constant * math.ldexp(1.0, -part.count)
     else:  # rc_to_subs
         index = {config: c for c, config in enumerate(tgt_configs)}
@@ -495,13 +562,15 @@ def check_even_subgraph_count(g: WeightedGraph, z: Sequence[int]) -> EvenCountRe
     """Count even-degree subgraphs dominated by ``z`` two ways.
 
     Brute-force enumeration over subsets of the open edges is compared
-    with ``2 ** (open - num_nodes + clusters)``.
+    with ``2 ** (open - num_nodes + clusters)``; both sides run on the
+    columnar tables' parity and cluster counts.
     """
-    part = clusters(g, z)  # validates z
-    open_edges = [e for e in range(g.num_edges) if z[e]]
+    validate_edge_config(g, z)
+    open_edges = [edge for edge, ze in zip(g.edges, z) if ze]
     if len(open_edges) > EDGE_ENUM_CAP:
         raise CapExceededError(f"even-subgraph enumeration needs <= {EDGE_ENUM_CAP} open edges")
-    subsets = product(*((0, 1) if ze else (0,) for ze in z))
-    count = sum(1 for y in subsets if not any(degree_parity(g, y)))
-    closed_form = 1 << (len(open_edges) - g.num_nodes + part.count)
+    subsets = _config_matrix(len(open_edges), (0, 1))
+    count = len(subsets) - int(np.count_nonzero(odd_rows(open_edges, subsets)))
+    (parts,) = cluster_counts(g.num_nodes, open_edges, np.ones((1, len(open_edges)), np.int8))
+    closed_form = 1 << (len(open_edges) - g.num_nodes + int(parts))
     return EvenCountReport(count, closed_form)

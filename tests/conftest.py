@@ -7,6 +7,7 @@ distributions) so they can serve as oracles for the production code.
 
 from __future__ import annotations
 
+import math
 import random
 
 from isingworlds import WeightedGraph, enumerate_world, reduce_unidirectional_field
@@ -75,6 +76,85 @@ def brute_degrees(g: WeightedGraph, y) -> list[int]:
             degrees[i] += 1
             degrees[j] += 1
     return degrees
+
+
+def _exp(value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def reference_weight(g: WeightedGraph, world: str, config) -> float:
+    """Unnormalized weight of one configuration by a plain loop over the
+    paper's factors: edges in order, then field nodes in order, with a
+    hard constraint returning 0 at once."""
+    acc = 1.0
+    if world == "spins":
+        x = config
+        for (i, j), beta in zip(g.edges, g.betas):
+            if math.isinf(beta):
+                if x[i] != x[j]:
+                    return 0.0
+            else:
+                acc *= _exp(beta * x[i] * x[j])
+        for v, b in enumerate(g.field or ()):
+            if math.isinf(b):
+                if x[v] != (1 if b > 0 else -1):
+                    return 0.0
+            elif b != 0.0 and x[v] == 1:
+                acc *= _exp(b)
+        return acc
+    if world == "subs":
+        for e, ze in enumerate(config):
+            if ze:
+                acc *= g.lambdas[e]
+        return 0.0 if any(d % 2 for d in brute_degrees(g, config)) else acc
+    for e, ze in enumerate(config):
+        acc *= g.ps[e] if ze else 1.0 - g.ps[e]
+    try:
+        return math.ldexp(acc, dfs_component_labels(g, config)[1])
+    except OverflowError:
+        return math.inf
+
+
+def reference_log_weight(g: WeightedGraph, world: str, config) -> float:
+    """Log weight of one configuration by the same plain loop, summing the
+    logs of the factors; -inf for a hard constraint or a zero factor."""
+    total = 0.0
+    if world == "spins":
+        x = config
+        for (i, j), beta in zip(g.edges, g.betas):
+            if math.isinf(beta):
+                if x[i] != x[j]:
+                    return -math.inf
+            else:
+                total += beta * x[i] * x[j]
+        for v, b in enumerate(g.field or ()):
+            if math.isinf(b):
+                if x[v] != (1 if b > 0 else -1):
+                    return -math.inf
+            elif b != 0.0 and x[v] == 1:
+                total += b
+        return total
+    if world == "subs":
+        if any(d % 2 for d in brute_degrees(g, config)):
+            return -math.inf
+    else:
+        total = dfs_component_labels(g, config)[1] * math.log(2.0)
+    for e, ze in enumerate(config):
+        if world == "subs" and not ze:
+            continue
+        p = g.lambdas[e] if world == "subs" else g.ps[e]
+        if ze:
+            if p == 0.0:
+                return -math.inf
+            total += math.log(p)
+        else:
+            if p == 1.0:
+                return -math.inf
+            total += math.log1p(-p)
+    return total
 
 
 def distribution_dict(table) -> dict[tuple[int, ...], float]:

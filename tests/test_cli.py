@@ -269,6 +269,45 @@ class TestCounts:
         assert started == workers
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize(
+        "cpus,argv,workers",
+        [
+            (3, ["perfect", "--world", "subs", "--samples", "4"], 3),
+            (None, ["perfect", "--world", "subs", "--samples", "4"], 1),
+            (3, ["perfect", "--world", "rc", "--samples", "1"], 1),
+            (3, ["sample", "--world", "rc", "--method", "cftp", "--samples", "4"], 3),
+            (3, ["sample", "--world", "rc", "--method", "enum", "--samples", "4"], 1),
+        ],
+    )
+    def test_manifest_records_workers_used(self, cpus, argv, workers, tmp_path, monkeypatch, capsys):
+        # the sidecar says how many workers ran; stdout stays machine-free
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        out = str(tmp_path / "d.jsonl")
+        args = [*argv, "--graph", TRIANGLE, "--seed", "5", "--jobs", "64", "--out", out]
+        assert main(args) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected
+        assert '"workers"' not in expected
+        with open(out + ".manifest.json", encoding="utf-8") as handle:
+            sidecar = json.load(handle)
+        assert sidecar["workers"] == workers
+        assert sidecar["options"]["jobs"] == 64
+
     def test_zero_samples_accepted(self, capsys):
         assert main(["perfect", "--world", "rc", "--graph", TRIANGLE,
                      "--samples", "0", "--seed", "1"]) == 0
@@ -295,6 +334,17 @@ class TestVerify:
         graph = write(tmp_path, "big.graph", "param beta\nnodes 1100\n0 1 inf\n")
         assert main(["verify", "--graph", graph]) == 0
         report = json.loads(capsys.readouterr().out)
+        (rc,) = [c for c in report["checks"] if c["name"] == "rc_normalizer"]
+        assert rc["used_log_domain"] and rc["passed"]
+
+    def test_sparse_huge_graph_costs_only_its_edges(self, tmp_path, capsys):
+        # the tables' parity and labels cover edge-incident nodes only; a
+        # loop over every node per configuration took ~25 s here
+        edges = "".join(f"{i} {i + 1 + k} inf\n" for k, i in enumerate(range(0, 200_000, 25_000)))
+        graph = write(tmp_path, "sparse.graph", f"param beta\nnodes 200000\n{edges}")
+        assert main(["verify", "--graph", graph, "--all-identities"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
         (rc,) = [c for c in report["checks"] if c["name"] == "rc_normalizer"]
         assert rc["used_log_domain"] and rc["passed"]
 

@@ -2,11 +2,18 @@
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import (
+    brute_degrees,
+    dfs_component_labels,
+    random_graph,
+    reference_log_weight,
+    reference_weight,
+)
 from isingworlds import (
     CapExceededError,
     InvalidConfigError,
@@ -24,7 +31,41 @@ from isingworlds import (
 )
 from isingworlds import exact
 from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, path_graph
-from isingworlds.worlds import weight_rc
+from isingworlds.worlds import (
+    weight_rc,
+    weight_rc_log,
+    weight_spins,
+    weight_spins_log,
+    weight_subs,
+    weight_subs_log,
+)
+
+SCALAR_WEIGHTS = {
+    "spins": (weight_spins, weight_spins_log),
+    "subs": (weight_subs, weight_subs_log),
+    "rc": (weight_rc, weight_rc_log),
+}
+
+
+def bit_equal(a, b) -> bool:
+    """Equal bit for bit: NaN matches NaN, and 0.0 does not match -0.0."""
+    return np.array_equal(np.asarray(a, float).view(np.uint64), np.asarray(b, float).view(np.uint64))
+
+
+def adversarial_graphs(seed: int, count: int):
+    """Random graphs with couplings of 0 and inf, beta scaled up to ~400
+    (where tanh and p saturate), and no field, a finite field or a field
+    mixing finite and infinite values, in turn."""
+    rnd = random.Random(seed)
+    for k in range(count):
+        g = random_graph(rnd, max_nodes=6, max_edges=8, extreme_share=0.3)
+        scale = rnd.choice((1.0, 40.0, 250.0))
+        field = None
+        if k % 3 == 1:
+            field = tuple(rnd.choice((0.0, rnd.uniform(-3.0, 3.0), 300.0)) for _ in range(g.num_nodes))
+        elif k % 3 == 2:
+            field = tuple(rnd.choice((0.0, 0.8, -1.5, math.inf, -math.inf)) for _ in range(g.num_nodes))
+        yield WeightedGraph(g.num_nodes, g.edges, tuple(b * scale for b in g.betas), field)
 
 
 class TestEnumeration:
@@ -67,6 +108,70 @@ class TestEnumeration:
         table = enumerate_world(g, "spins")
         # up weighs 3, down weighs 1
         assert table.probs[table.config_index[(1,)]] == pytest.approx(0.75)
+
+
+class TestColumnarTables:
+    """The columnar tables against independent plain loops."""
+
+    def test_weights_match_the_reference_loop_bit_for_bit(self):
+        rnd = random.Random(31)
+        for g in adversarial_graphs(2024, 200):
+            for world in ("spins", "subs", "rc"):
+                table = enumerate_world(g, world)
+                sites = g.num_nodes if world == "spins" else g.num_edges
+                values = (1, -1) if world == "spins" else (0, 1)
+                configs = list(product(values, repeat=sites))
+                assert table.configs == tuple(configs)
+                expected = [reference_weight(g, world, c) for c in configs]
+                assert bit_equal(table.weights, expected), (g, world)
+                expected_log = [reference_log_weight(g, world, c) for c in configs]
+                log_weights = exact._WORLD_SPECS[world][2](g, table.matrix)
+                assert bit_equal(log_weights, expected_log), (g, world)
+                # the scalar functions are the table's formula on one row
+                weight, weight_log = SCALAR_WEIGHTS[world]
+                for r in rnd.sample(range(len(configs)), min(3, len(configs))):
+                    assert bit_equal(weight(g, configs[r]), table.weights[r])
+                    assert bit_equal(weight_log(g, configs[r]), log_weights[r])
+
+    def test_cluster_counts_match_a_plain_dfs(self):
+        rnd = random.Random(77)
+        isolated = 0
+        for _ in range(150):
+            g = random_graph(rnd, max_nodes=9, max_edges=8)
+            isolated += g.num_nodes - len({v for edge in g.edges for v in edge})
+            table = enumerate_world(g, "rc")
+            counts = exact.cluster_counts(g.num_nodes, g.edges, table.matrix)
+            assert counts.tolist() == [dfs_component_labels(g, z)[1] for z in table.configs]
+        assert isolated > 0
+
+    def test_cluster_counts_of_a_long_path(self):
+        # labels must cross 19 edges against the sweep order as well as along it
+        g = WeightedGraph(20, tuple((i, i + 1) for i in reversed(range(19))), (0.5,) * 19)
+        counts = exact.cluster_counts(g.num_nodes, g.edges, np.ones((1, 19), np.int8))
+        assert counts.tolist() == [1]
+
+    def test_even_subgraph_counts_match_brute_force(self):
+        rnd = random.Random(4242)
+        for _ in range(120):
+            g = random_graph(rnd, max_nodes=8, max_edges=10)
+            z = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
+            open_edges = [e for e in range(g.num_edges) if z[e]]
+            brute = 0
+            for bits in product((0, 1), repeat=len(open_edges)):
+                y = [0] * g.num_edges
+                for e, bit in zip(open_edges, bits):
+                    y[e] = bit
+                brute += not any(d % 2 for d in brute_degrees(g, y))
+            report = check_even_subgraph_count(g, z)
+            assert report.enumerated == brute
+            parts = dfs_component_labels(g, z)[1]
+            assert report.closed_form == 2 ** (len(open_edges) - g.num_nodes + parts)
+
+    def test_configs_are_built_on_first_read(self):
+        table = enumerate_world(fixture_graph("grid3x3", 0.4), "rc")
+        assert "configs" not in vars(table)
+        assert table.Z > 0.0 and "configs" not in vars(table)
+        assert table.support_configs[0] == (0,) * 12 and "configs" not in vars(table)
 
 
 class TestIdentities:
