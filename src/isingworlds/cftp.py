@@ -20,11 +20,20 @@ two-sided open-subgraph search of :mod:`isingworlds.worlds`) runs only
 for uniforms inside it.  The query is also shared across the sandwich:
 the lower chain asks only when the upper chain has just opened the edge,
 since monotonicity closes it in the lower chain otherwise.  Neither
-shortcut changes a decision or a draw.
+shortcut changes a decision or a draw.  The run loop makes the kernel's
+decision inline, with the low threshold computed once per edge and the
+queries marking visited nodes in one per-run list of stamps.
+
+The schedule keeps its records in two typed arrays, the edges as
+``array('i')`` and the uniforms as ``array('d')``, 12 bytes a record,
+and draws each extension in one batch of
+:meth:`~isingworlds.rng.RngStream.pick_uniform_pairs`, which makes the
+same draws as a ``randrange`` and a ``uniform`` call per record.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,21 +82,20 @@ class CftpSchedule:
 
     The record for step ``-t`` is generated once and replayed verbatim by
     every deeper restart; that reuse is what makes the output exact.
-    Each record holds a uniformly chosen updatable edge and the uniform
-    variate for the heat-bath threshold.
+    Record ``t - 1`` is a uniformly chosen updatable edge,
+    ``edges[t - 1]``, and the uniform variate for its heat-bath
+    threshold, ``uniforms[t - 1]``.
     """
 
     rng: RngStream
     free_edges: tuple[int, ...]
-    records: list[tuple[int, float]] = field(default_factory=list)
+    edges: array = field(default_factory=lambda: array("i"))
+    uniforms: array = field(default_factory=lambda: array("d"))
 
     def ensure(self, steps: int) -> None:
-        while len(self.records) < steps:
-            edge = self.free_edges[self.rng.randrange(len(self.free_edges))]
-            self.records.append((edge, self.rng.uniform()))
-
-    def record(self, t: int) -> tuple[int, float]:
-        return self.records[t - 1]
+        missing = steps - len(self.edges)
+        if missing > 0:
+            self.rng.pick_uniform_pairs(self.free_edges, missing, self.edges, self.uniforms)
 
 
 @dataclass(frozen=True)
@@ -126,27 +134,43 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
         return CftpRun(tuple(base), 0, 0)
 
     schedule = CftpSchedule(rng, tuple(free))
+    ps = g.ps
+    low = [p / (2.0 - p) for p in ps]  # the thresholds of _heat_bath_open
+    mark = [0] * g.num_nodes
+    stamp = 1
     sweep = len(free)
     total_steps = 0
     for epoch in range(max_epoch + 1):
         horizon = 1 << epoch
-        schedule.ensure(horizon)
+        schedule.ensure(horizon)  # exactly horizon records, step -horizon last
         top = list(base)
         bot = list(base)
         for e in free:
             top[e] = 1
-        merged = False
-        for step, t in enumerate(range(horizon, 0, -1), start=1):
-            edge, u = schedule.record(t)
-            top[edge] = _heat_bath_open(g, top, edge, u)
-            if not merged:
-                # bot <= top and the kernel is monotone, so an edge top
-                # closes is closed in bot too, without a query
-                bot[edge] = _heat_bath_open(g, bot, edge, u) if top[edge] else 0
-                if step % sweep == 0 and top == bot:
-                    merged = True  # chains evolve identically from here on
-            total_steps += 1
-        if merged or top == bot:
+        left = sweep
+        for edge, u in zip(reversed(schedule.edges), reversed(schedule.uniforms)):
+            if u >= ps[edge]:
+                top[edge] = bot[edge] = 0
+            elif u < low[edge]:
+                top[edge] = bot[edge] = 1
+            else:
+                stamp += 2
+                if _connected_without_edge(g, top, edge, mark, stamp):
+                    top[edge] = 1
+                    # bot <= top and the kernel is monotone, so the lower
+                    # chain asks only for an edge the upper chain opens
+                    if bot is not top:
+                        stamp += 2
+                        bot[edge] = 1 if _connected_without_edge(g, bot, edge, mark, stamp) else 0
+                else:
+                    top[edge] = bot[edge] = 0
+            left -= 1
+            if not left:
+                left = sweep
+                if bot is not top and top == bot:
+                    bot = top  # chains evolve identically from here on
+        total_steps += horizon
+        if top == bot:
             return CftpRun(tuple(top), epoch, total_steps)
     raise NoCoalescenceError(
         f"no coalescence within 2**{max_epoch} steps; raise max_epoch to search deeper"

@@ -15,7 +15,7 @@ from .errors import InvalidConfigError
 from .graph import WeightedGraph, require_field_free
 from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
 from .rng import RngStream
-from .worlds import SpinConfig, SubgraphConfig, statistic
+from .worlds import SpinConfig, SubgraphConfig, require_statistic, statistic
 
 
 def sw_classic_step(g: WeightedGraph, x: Sequence[int], rng: RngStream) -> SpinConfig:
@@ -94,9 +94,8 @@ def run_chain(
 
     trace = ChainTrace(stats=tuple(collect))
     config = init.config
-    if collect:  # fail fast on unknown statistic names
-        for name in collect:
-            statistic(g, init.world, config, name)
+    for name in collect:  # fail fast on unknown statistic names
+        require_statistic(init.world, name)
 
     step = init.step
     for _ in range(steps):

@@ -87,15 +87,22 @@ class WorldTable:
         return float(self.weights.sum())
 
     @cached_property
+    def log_weights(self) -> np.ndarray:
+        """The world's batch log weight over the stored matrix."""
+        return _WORLD_SPECS[self.world][2](self.graph, self.matrix)
+
+    @cached_property
     def log_Z(self) -> float:
-        """log Z from the world's batch log weight over the stored matrix,
-        for when the linear sum overflows."""
-        weight_log = _WORLD_SPECS[self.world][2]
-        return float(np.logaddexp.reduce(weight_log(self.graph, self.matrix)))
+        """log Z from the log weights, for when the linear sum overflows."""
+        return float(np.logaddexp.reduce(self.log_weights))
 
     @cached_property
     def probs(self) -> np.ndarray:
-        return self.weights / self.Z
+        """Normalized weights; from the log weights once Z is not a
+        positive finite float, where ``weights / Z`` would be NaN."""
+        if 0.0 < self.Z < math.inf:
+            return self.weights / self.Z
+        return np.exp(self.log_weights - self.log_Z)
 
     @cached_property
     def support(self) -> tuple[int, ...]:
@@ -460,8 +467,7 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
             coin_edges = [e for e in range(g.num_edges) if z[e] and e not in in_forest]
             share = math.ldexp(1.0, -len(coin_edges))
             for bits in product((0, 1), repeat=len(coin_edges)):
-                assignment = dict(zip(coin_edges, bits))
-                y = _rc_to_subs_core(g, z, assignment.__getitem__)
+                y = _rc_to_subs_core(g, z, lambda k, bits=bits: bits)
                 matrix[r, index[y]] += share
 
     return KernelMatrix(kernel, source_world, target_world, src_configs, tgt_configs, matrix)

@@ -11,6 +11,13 @@ subgraph through the traversal in :mod:`isingworlds.worlds`: the spins
 conversion flips its clusters and the subgraphs conversion peels its
 spanning forest.  Every conversion requires a field-free graph.
 
+Each conversion first collects the success probabilities of its
+Bernoullis, in ascending edge (or cluster) order, and draws them in one
+:meth:`~isingworlds.rng.RngStream.bernoullis` call: the same draws, in
+the same order, as one scalar draw per edge.  Deterministic entries
+(probability 0 or 1) go into the batch too and cost no randomness.
+Inputs are validated before any draw.
+
 All functions are pure in (graph, configuration, rng); concurrent calls
 are safe when each owns its own :class:`~isingworlds.rng.RngStream`.
 """
@@ -18,6 +25,7 @@ are safe when each owns its own :class:`~isingworlds.rng.RngStream`.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import InvalidConfigError
@@ -56,54 +64,43 @@ def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
     if any(parity):
         raise InvalidConfigError("subgraphs configuration has odd degree (zero weight)")
 
-    out = []
-    for e in range(g.num_edges):
-        if y[e]:
-            out.append(1)
-        elif lams[e] >= 1.0:
-            out.append(1)
-        elif lams[e] <= 0.0:
-            out.append(0)
-        else:
-            out.append(1 if rng.bernoulli(lams[e]) else 0)
-    return tuple(out)
+    return tuple(rng.bernoullis([1.0 if ye else lam for ye, lam in zip(y, lams)]))
 
 
 def _rc_to_subs_core(
     g: WeightedGraph,
     z: Sequence[int],
-    coin: Callable[[int], int],
+    coins: Callable[[int], Sequence[int]],
 ) -> SubgraphConfig:
     """Shared deterministic skeleton of the random-cluster-to-subgraphs map.
 
-    ``coin(e)`` supplies the fair bit for each open non-forest edge, in
-    ascending edge order; everything else is forced.  Exposing the coins
-    lets the exact-kernel machinery convolve over them.
+    ``coins(k)`` supplies the k fair bits of the k open non-forest edges,
+    in ascending edge order; everything else is forced.  Exposing the
+    coins lets the exact-kernel machinery convolve over them.
     """
     parent_edge, order, _ = _open_forest(g, z)
-    in_forest = [False] * g.num_edges
+    coin = list(z)  # closed edges stay closed and cost no randomness
     for e in parent_edge:
         if e >= 0:
-            in_forest[e] = True
+            coin[e] = 0
+    coin_edges = list(compress(range(g.num_edges), coin))
 
+    edges = g.edges
     y = [0] * g.num_edges
     parity = [0] * g.num_nodes
-    for e, (i, j) in enumerate(g.edges):
-        if in_forest[e] or not z[e]:
-            continue  # closed edges stay closed and cost no randomness
-        bit = coin(e)
-        if bit:
-            y[e] = 1
-            parity[i] ^= 1
-            parity[j] ^= 1
+    if coin_edges:
+        for e, bit in zip(coin_edges, coins(len(coin_edges))):
+            if bit:
+                y[e] = 1
+                i, j = edges[e]
+                parity[i] ^= 1
+                parity[j] ^= 1
 
     for v in reversed(order):
         e = parent_edge[v]
-        if e < 0:
-            continue
-        if parity[v]:
+        if e >= 0 and parity[v]:
             y[e] = 1
-            i, j = g.edges[e]
+            i, j = edges[e]
             parity[i] ^= 1
             parity[j] ^= 1
 
@@ -123,23 +120,28 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
     require_field_free(g)
     validate_edge_config(g, z)
     lams = g.lambdas
-    for e in range(g.num_edges):
-        if z[e] and lams[e] == 0.0:
-            raise InvalidConfigError(f"edge {e} is open but has zero coupling (zero weight)")
-    return _rc_to_subs_core(g, z, lambda e: 1 if rng.bernoulli(0.5) else 0)
+    if 0.0 in lams:
+        for e in range(g.num_edges):
+            if z[e] and lams[e] == 0.0:
+                raise InvalidConfigError(f"edge {e} is open but has zero coupling (zero weight)")
+    return _rc_to_subs_core(g, z, lambda k: rng.bernoullis([0.5] * k))
 
 
 def rc_to_spins(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SpinConfig:
     """Assign one fair +/-1 spin per cluster; one Bernoulli per cluster."""
     require_field_free(g)
     part = clusters(g, z)  # validates z
-    spin_of: dict[int, int] = {}
-    x = [0] * g.num_nodes
-    for v in range(g.num_nodes):
-        cid = part.component_id[v]
-        if cid == v:  # canonical (smallest) member draws for its cluster
-            spin_of[cid] = 1 if rng.bernoulli(0.5) else -1
-        x[v] = spin_of[cid]
+    bits = rng.bernoullis([0.5] * part.count)
+    # a cluster's label is its smallest member, which draws for it: the
+    # clusters take the bits in ascending order of their smallest members
+    x: list[int] = []
+    k = 0
+    for v, c in enumerate(part.component_id):
+        if c == v:
+            x.append(2 * bits[k] - 1)
+            k += 1
+        else:
+            x.append(x[c])
     return tuple(x)
 
 
@@ -151,18 +153,14 @@ def spins_to_rc(g: WeightedGraph, x: Sequence[int], rng: RngStream) -> RcConfig:
     """
     require_field_free(g)
     validate_spin_config(g, x)
-    ps = g.ps
-    out = []
-    for e, (i, j) in enumerate(g.edges):
-        if x[i] != x[j]:
-            if math.isinf(g.betas[e]):
+    qs = [p if x[i] == x[j] else 0.0 for (i, j), p in zip(g.edges, g.ps)]
+    if math.inf in g.betas:
+        for e, (i, j) in enumerate(g.edges):
+            if x[i] != x[j] and math.isinf(g.betas[e]):
                 raise InvalidConfigError(
                     f"edge {e} has infinite coupling but disagreeing endpoints (zero weight)"
                 )
-            out.append(0)
-        else:
-            out.append(1 if rng.bernoulli(ps[e]) else 0)
-    return tuple(out)
+    return tuple(rng.bernoullis(qs))
 
 
 def subs_to_spins(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> SpinConfig:

@@ -7,12 +7,20 @@ keys, which also makes nested substreams cheap).  ``draws`` counts the
 entropy-consuming calls, which is how reductions report their Bernoulli
 budgets; degenerate Bernoulli draws (success probability 0 or 1) are
 answered without consuming randomness.
+
+The batch draws, :meth:`RngStream.bernoullis` and
+:meth:`RngStream.pick_uniform_pairs`, are draw for draw equal to the
+scalar calls they replace: the same values, the same ``draws`` count and
+the same state of the stream afterwards.  They only save the per-call
+overhead of a Python-level draw.
 """
 
 from __future__ import annotations
 
 import math
 import random as _random
+from array import array
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +59,56 @@ class RngStream:
         if q >= 1.0:
             return True
         return self.uniform() < q
+
+    def bernoullis(self, qs: Iterable[float]) -> list[int]:
+        """``[bernoulli(q) for q in qs]`` as 0/1 ints, in one call.
+
+        Parameters are validated in the same pass; a bad one raises after
+        the draws of the parameters before it, as the scalar loop would.
+        """
+        random = self._rng.random
+        out: list[int] = []
+        fixed = 0  # answered without a draw
+        for q in qs:
+            if 0.0 < q < 1.0:
+                out.append(1 if random() < q else 0)
+            elif q == 0.0 or q == 1.0:
+                out.append(int(q))
+                fixed += 1
+            else:
+                self.draws += len(out) - fixed
+                raise InvalidParameterError(f"Bernoulli parameter must lie in [0, 1], got {q}")
+        self.draws += len(out) - fixed
+        return out
+
+    def pick_uniform_pairs(
+        self, choices: Sequence[int], count: int, picks: array, uniforms: array
+    ) -> None:
+        """Append ``count`` pairs ``(choices[randrange(len(choices))],
+        uniform())`` to ``picks`` and ``uniforms``; two draws a pair.
+
+        ``random.Random.randrange(n)`` draws ``getrandbits(n.bit_length())``
+        until the value falls below n; this loop makes the same calls
+        without their Python-level layers and builds no object per pair
+        that outlives it.
+        """
+        n = len(choices)
+        if n <= 0:
+            raise InvalidParameterError("randrange needs a positive bound")
+        if count < 0:
+            raise InvalidParameterError("the pair count must be nonnegative")
+        k = n.bit_length()
+        getrandbits = self._rng.getrandbits
+        random = self._rng.random
+        pick = picks.append
+        uniform = uniforms.append
+        for _ in range(count):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            pick(choices[r])
+            uniform(random())
+        self.draws += 2 * count
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n); counts as one draw."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -88,9 +89,25 @@ class TestSchedule:
     def test_records_are_reused_bitwise(self):
         sched = CftpSchedule(RngStream(5), (0, 1, 2))
         sched.ensure(4)
-        early = list(sched.records)
+        early = (sched.edges.tobytes(), sched.uniforms.tobytes())
         sched.ensure(64)
-        assert sched.records[:4] == early
+        assert len(sched.edges) == len(sched.uniforms) == 64
+        assert sched.edges[:4].tobytes() == early[0]
+        assert sched.uniforms[:4].tobytes() == early[1]
+
+    def test_memory_per_record(self):
+        # two typed arrays: 12 bytes a record plus their growth slack
+        records = 1 << 16
+        sched = CftpSchedule(RngStream(1), tuple(range(480)))
+        tracemalloc.start()
+        try:
+            sched.ensure(records)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sched.edges) == records
+        assert held <= 16 * records
+        assert peak <= 16 * records
 
     def test_same_seed_same_run(self):
         g = fixture_graph("cycle4", 0.8)
@@ -101,19 +118,21 @@ class TestSchedule:
 
 def _reference_run(g, rng, max_epoch=24):
     """Monotone CFTP with the unbanded heat-bath rule on both chains at
-    every step, connectivity from whole-graph component labels."""
+    every step, connectivity from whole-graph component labels, and the
+    record of step -t drawn by scalar calls as the t-th (edge, uniform)."""
     free = tuple(e for e, p in enumerate(g.ps) if 0.0 < p < 1.0)
     base = [1 if p >= 1.0 else 0 for p in g.ps]
     if not free:
         return CftpRun(tuple(base), 0, 0)
-    schedule = CftpSchedule(rng, free)
+    records = []
     steps = 0
     for epoch in range(max_epoch + 1):
-        schedule.ensure(1 << epoch)
+        while len(records) < 1 << epoch:
+            records.append((free[rng.randrange(len(free))], rng.uniform()))
         top = [1 if e in free else v for e, v in enumerate(base)]
         bot = list(base)
         for t in range(1 << epoch, 0, -1):
-            edge, u = schedule.record(t)
+            edge, u = records[t - 1]
             p = g.ps[edge]
             for z in (top, bot):
                 z[edge] = 1 if u < (p if joined_without_edge(g, z, edge) else p / (2 - p)) else 0

@@ -17,8 +17,10 @@ from isingworlds import (
     weight_spins,
     weight_subs,
 )
+from isingworlds import chains
 from isingworlds.chains import ChainState, initial_state, run_chain
 from isingworlds.fixtures import complete_graph, fixture_graph, path_graph
+from isingworlds.worlds import statistic
 
 
 class TestClassicKernel:
@@ -124,6 +126,27 @@ class TestRunChain:
         g = fixture_graph("triangle", 0.5)
         with pytest.raises(UnknownStatisticError):
             run_chain(g, initial_state(g, "subs"), 1, RngStream(0), ("m",))
+
+    def test_unknown_statistic_rejected_before_any_draw(self):
+        g = fixture_graph("triangle", 0.5)
+        rng = RngStream(0)
+        with pytest.raises(UnknownStatisticError, match="statistic 'm' is not defined for world 'subs'"):
+            run_chain(g, initial_state(g, "subs"), 5, rng, ("edges", "m"))
+        assert rng.draws == 0
+
+    def test_statistics_evaluated_only_on_recorded_rows(self, monkeypatch):
+        calls = []
+
+        def counting(g, world, config, name):
+            calls.append(name)
+            return statistic(g, world, config, name)
+
+        monkeypatch.setattr(chains, "statistic", counting)
+        g = fixture_graph("cycle4", 0.5)
+        stats = ("m", "energy", "clusters")
+        trace = run_chain(g, initial_state(g, "spins"), 12, RngStream(8), stats, thin=3)
+        assert len(trace) == 12 // 3
+        assert len(calls) == 12 // 3 * len(stats)
 
     def test_rc_world_has_no_kernel(self):
         g = fixture_graph("triangle", 0.5)

@@ -348,6 +348,25 @@ class TestVerify:
         (rc,) = [c for c in report["checks"] if c["name"] == "rc_normalizer"]
         assert rc["used_log_domain"] and rc["passed"]
 
+    def test_overflowing_partition_sum_reports_finite_errors(self, tmp_path):
+        # three beta-300 edges overflow every linear Z; the stationarity
+        # checks used to divide inf by inf and print NaN with a warning
+        graph = write(tmp_path, "hot.graph", "param beta\n0 1 300\n1 2 300\n0 2 300\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "isingworlds.cli", "verify", "--graph", graph, "--all-identities"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        report = json.loads(result.stdout, parse_constant=reject)
+        assert report["passed"] is True
+        assert any(c["name"].startswith("stationarity[") for c in report["checks"])
+
     def test_json_fixture_accepted(self, capsys):
         graph = str(fixture_path("triangle", "beta", "json"))
         assert main(["verify", "--graph", graph]) == 0

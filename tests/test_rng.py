@@ -1,5 +1,9 @@
 """Reproducibility contract of the seeded stream source."""
 
+import math
+import random
+from array import array
+
 import pytest
 
 from isingworlds import InvalidParameterError, RngStream
@@ -69,3 +73,56 @@ def test_bernoulli_frequency_sane():
     rng = RngStream(123)
     hits = sum(rng.bernoulli(0.3) for _ in range(20000))
     assert abs(hits / 20000 - 0.3) < 0.02
+
+
+EDGE_QS = (0.0, 1.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), -0.0, 0.5)
+
+
+def _scalar_bernoullis(rng, qs):
+    return [rng.bernoulli(q) for q in qs]
+
+
+class TestBernoullis:
+    def test_equals_scalar_calls(self):
+        rnd = random.Random(2024)
+        for k in range(200):
+            n = rnd.choice((0, 1, 2, 3, 7, 100))
+            qs = [rnd.choice(EDGE_QS) if rnd.random() < 0.3 else rnd.random() for _ in range(n)]
+            batch, scalar = RngStream(9, k), RngStream(9, k)
+            assert batch.bernoullis(qs) == _scalar_bernoullis(scalar, qs)
+            assert batch.draws == scalar.draws
+            assert batch.uniform() == scalar.uniform()  # the streams stay in step
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), math.inf])
+    def test_validates_like_bernoulli(self, bad):
+        batch, scalar = RngStream(5), RngStream(5)
+        with pytest.raises(InvalidParameterError):
+            batch.bernoullis([0.5, 0.0, 0.25, bad, 0.5])
+        with pytest.raises(InvalidParameterError):
+            _scalar_bernoullis(scalar, [0.5, 0.0, 0.25, bad, 0.5])
+        assert batch.draws == scalar.draws == 2
+        assert batch.uniform() == scalar.uniform()
+
+
+class TestPickUniformPairs:
+    def test_equals_scalar_calls(self):
+        rnd = random.Random(77)
+        for k in range(60):
+            n = rnd.choice((1, 2, 3, 5, 7, 8, 9, 480, 1000, 1 << 20))
+            choices = range(10, 10 + n)
+            count = rnd.randrange(0, 50)
+            batch, scalar = RngStream(11, k), RngStream(11, k)
+            picks, uniforms = array("i"), array("d")
+            batch.pick_uniform_pairs(choices, count, picks, uniforms)
+            expected = [(choices[scalar.randrange(n)], scalar.uniform()) for _ in range(count)]
+            assert list(zip(picks, uniforms)) == expected
+            assert batch.draws == scalar.draws == 2 * count
+            assert batch.uniform() == scalar.uniform()
+
+    def test_validates_arguments(self):
+        rng = RngStream(0)
+        with pytest.raises(InvalidParameterError):
+            rng.pick_uniform_pairs((), 1, array("i"), array("d"))
+        with pytest.raises(InvalidParameterError):
+            rng.pick_uniform_pairs((1,), -1, array("i"), array("d"))
+        assert rng.draws == 0

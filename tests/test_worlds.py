@@ -199,6 +199,19 @@ class TestConnectedWithoutEdge:
             for e in range(g.num_edges):
                 assert _connected_without_edge(g, z, e) == joined_without_edge(g, z, e)
 
+    def test_one_stamp_list_serves_many_queries(self):
+        # the CFTP run loop keeps one list of marks per run and raises the
+        # stamp by 2 per query; stale marks must read as unvisited
+        rnd = random.Random(77)
+        g = grid_graph(6, 6)
+        mark = [0] * g.num_nodes
+        stamp = 1
+        for _ in range(400):
+            z = [1 if rnd.random() < 0.5 else 0 for _ in range(g.num_edges)]
+            e = rnd.randrange(g.num_edges)
+            stamp += 2
+            assert _connected_without_edge(g, z, e, mark, stamp) == joined_without_edge(g, z, e)
+
 
 class TestDegreeParity:
     def test_all_zero(self):
