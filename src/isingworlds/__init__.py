@@ -66,7 +66,6 @@ from .worlds import (
     clusters,
     config_from_string,
     config_to_string,
-    degree_parity,
     weight_rc,
     weight_rc_log,
     weight_spins,
@@ -111,7 +110,6 @@ __all__ = [
     "clusters",
     "config_from_string",
     "config_to_string",
-    "degree_parity",
     "empirical_distribution",
     "enumerate_world",
     "exact_kernel_matrix",

@@ -41,7 +41,7 @@ from .errors import InvalidParameterError, NoCoalescenceError
 from .graph import WeightedGraph, require_field_free
 from .reductions import rc_to_subs
 from .rng import RngStream
-from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_edge_config
+from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_config
 
 DEFAULT_MAX_EPOCH = 24
 
@@ -66,7 +66,7 @@ def _heat_bath_open(g: WeightedGraph, z: Sequence[int], e: int, u: float) -> int
 
 def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -> RcConfig:
     """Resample one edge from its conditional law using the uniform ``u``."""
-    validate_edge_config(g, z)
+    validate_config(g, "rc", z)
     if not 0 <= edge < g.num_edges:
         raise InvalidParameterError(f"edge index {edge} out of range")
     if not 0.0 <= u < 1.0:

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidConfigError
-from .graph import WeightedGraph, require_field_free
+from .graph import WeightedGraph
 from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
 from .rng import RngStream
-from .worlds import SpinConfig, SubgraphConfig, require_statistic, statistic
+from .worlds import SpinConfig, SubgraphConfig, require_statistic, require_support, statistic
 
 
 def sw_classic_step(g: WeightedGraph, x: Sequence[int], rng: RngStream) -> SpinConfig:
@@ -80,17 +80,17 @@ def run_chain(
     """Apply the world's kernel ``steps`` times, recording statistics.
 
     A row is recorded after every ``thin``-th step; ``steps = 0`` yields
-    an empty trace and leaves the state untouched.  Statistic names are
-    validated up front against the state's world.
+    an empty trace and leaves the state untouched.  The start state and
+    the statistic names are checked up front, whatever ``steps`` is.
     """
     if steps < 0:
         raise InvalidConfigError("steps must be nonnegative")
-    require_field_free(g)
     if thin < 1:
         raise InvalidConfigError("thin must be at least 1")
     kernel = _KERNELS.get(init.world)
     if kernel is None:
         raise InvalidConfigError(f"no chain kernel runs in world {init.world!r}")
+    require_support(g, init.world, init.config)
 
     trace = ChainTrace(stats=tuple(collect))
     config = init.config

@@ -48,7 +48,7 @@ from .worlds import (
     spins_weights,
     subs_log_weights,
     subs_weights,
-    validate_edge_config,
+    validate_config,
 )
 
 SPINS_ENUM_NODE_CAP = 16
@@ -571,7 +571,7 @@ def check_even_subgraph_count(g: WeightedGraph, z: Sequence[int]) -> EvenCountRe
     with ``2 ** (open - num_nodes + clusters)``; both sides run on the
     columnar tables' parity and cluster counts.
     """
-    validate_edge_config(g, z)
+    validate_config(g, "rc", z)
     open_edges = [edge for edge, ze in zip(g.edges, z) if ze]
     if len(open_edges) > EDGE_ENUM_CAP:
         raise CapExceededError(f"even-subgraph enumeration needs <= {EDGE_ENUM_CAP} open edges")

@@ -184,6 +184,12 @@ class WeightedGraph:
         return tuple(beta_to_p(b) for b in self.betas)
 
     @cached_property
+    def extreme_edges(self) -> tuple[int, ...]:
+        """Edges with p of 0 (where lambda is 0) or 1, ascending: the only
+        edges on which a coupling can rule a configuration out."""
+        return tuple(e for e, p in enumerate(self.ps) if p == 0.0 or p == 1.0)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-node tuple of ``(neighbor, edge_index)`` pairs in edge order."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]

@@ -9,14 +9,18 @@ consuming more than one Bernoulli per edge plus one per cluster.
 The two conversions out of the random-cluster world read the open
 subgraph through the traversal in :mod:`isingworlds.worlds`: the spins
 conversion flips its clusters and the subgraphs conversion peels its
-spanning forest.  Every conversion requires a field-free graph.
+spanning forest.
 
 Each conversion first collects the success probabilities of its
 Bernoullis, in ascending edge (or cluster) order, and draws them in one
 :meth:`~isingworlds.rng.RngStream.bernoullis` call: the same draws, in
 the same order, as one scalar draw per edge.  Deterministic entries
 (probability 0 or 1) go into the batch too and cost no randomness.
-Inputs are validated before any draw.
+
+Each conversion checks its input with
+:func:`~isingworlds.worlds.require_support` before any draw: a
+zero-weight configuration is no draw from the source world, so there
+is nothing exact to return for it.
 
 All functions are pure in (graph, configuration, rng); concurrent calls
 are safe when each owns its own :class:`~isingworlds.rng.RngStream`.
@@ -24,22 +28,12 @@ are safe when each owns its own :class:`~isingworlds.rng.RngStream`.
 
 from __future__ import annotations
 
-import math
 from itertools import compress
 from typing import Callable, Sequence
 
-from .errors import InvalidConfigError
-from .graph import WeightedGraph, require_field_free
+from .graph import WeightedGraph
 from .rng import RngStream
-from .worlds import (
-    RcConfig,
-    SpinConfig,
-    SubgraphConfig,
-    _open_forest,
-    clusters,
-    validate_edge_config,
-    validate_spin_config,
-)
+from .worlds import RcConfig, SpinConfig, SubgraphConfig, _open_forest, require_support
 
 
 def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
@@ -51,20 +45,8 @@ def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
     most one Bernoulli per edge is consumed.  The output dominates the
     input pointwise.
     """
-    require_field_free(g)
-    validate_edge_config(g, y)
-    lams = g.lambdas
-    parity = [0] * g.num_nodes
-    for e, (i, j) in enumerate(g.edges):
-        if y[e]:
-            if lams[e] == 0.0:
-                raise InvalidConfigError(f"edge {e} is open but has zero coupling (zero weight)")
-            parity[i] ^= 1
-            parity[j] ^= 1
-    if any(parity):
-        raise InvalidConfigError("subgraphs configuration has odd degree (zero weight)")
-
-    return tuple(rng.bernoullis([1.0 if ye else lam for ye, lam in zip(y, lams)]))
+    require_support(g, "subs", y)
+    return tuple(rng.bernoullis([1.0 if ye else lam for ye, lam in zip(y, g.lambdas)]))
 
 
 def _rc_to_subs_core(
@@ -117,26 +99,20 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
     order, to the parity bit that keeps every node's degree even.  The
     output is dominated by the input pointwise.
     """
-    require_field_free(g)
-    validate_edge_config(g, z)
-    lams = g.lambdas
-    if 0.0 in lams:
-        for e in range(g.num_edges):
-            if z[e] and lams[e] == 0.0:
-                raise InvalidConfigError(f"edge {e} is open but has zero coupling (zero weight)")
+    require_support(g, "rc", z)
     return _rc_to_subs_core(g, z, lambda k: rng.bernoullis([0.5] * k))
 
 
 def rc_to_spins(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SpinConfig:
     """Assign one fair +/-1 spin per cluster; one Bernoulli per cluster."""
-    require_field_free(g)
-    part = clusters(g, z)  # validates z
-    bits = rng.bernoullis([0.5] * part.count)
-    # a cluster's label is its smallest member, which draws for it: the
+    require_support(g, "rc", z)
+    parent_edge, _, root = _open_forest(g, z)
+    bits = rng.bernoullis([0.5] * parent_edge.count(-1))  # one root per cluster
+    # a cluster's root is its smallest member, which draws for it: the
     # clusters take the bits in ascending order of their smallest members
     x: list[int] = []
     k = 0
-    for v, c in enumerate(part.component_id):
+    for v, c in enumerate(root):
         if c == v:
             x.append(2 * bits[k] - 1)
             k += 1
@@ -151,15 +127,8 @@ def spins_to_rc(g: WeightedGraph, x: Sequence[int], rng: RngStream) -> RcConfig:
     Disagreeing edges close deterministically; agreeing edges open with
     probability p(e).  At most one Bernoulli per edge.
     """
-    require_field_free(g)
-    validate_spin_config(g, x)
+    require_support(g, "spins", x)
     qs = [p if x[i] == x[j] else 0.0 for (i, j), p in zip(g.edges, g.ps)]
-    if math.inf in g.betas:
-        for e, (i, j) in enumerate(g.edges):
-            if x[i] != x[j] and math.isinf(g.betas[e]):
-                raise InvalidConfigError(
-                    f"edge {e} has infinite coupling but disagreeing endpoints (zero weight)"
-                )
     return tuple(rng.bernoullis(qs))
 
 

@@ -13,29 +13,32 @@ one-row matrix.  The spins weight includes the field's node factors
 when the graph carries one; the random-cluster pair takes each row's
 cluster count from its caller.
 
+Each world has two guards: :func:`validate_config` checks a
+configuration's shape, and :func:`require_support`, which every
+conversion and chain applies to its input, adds a field-free graph and
+positive weight.
+
 All three worlds meet at the clusters of an open edge set, and this
 module holds the one traversal of that open subgraph: cluster labels,
 the maximal spanning forest peeled by the subgraphs conversion, and the
-single-edge connectivity query of the heat-bath kernel.  Degree parity
-lives here too.
+single-edge connectivity query of the heat-bath kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidConfigError, UnknownStatisticError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, require_field_free
 
 SpinConfig = tuple[int, ...]
 SubgraphConfig = tuple[int, ...]
 RcConfig = tuple[int, ...]
-
-WORLDS = ("spins", "subs", "rc")
 
 
 @dataclass(frozen=True)
@@ -50,20 +53,58 @@ class ClusterPartition:
     count: int
 
 
-def validate_spin_config(g: WeightedGraph, x: Sequence[int]) -> None:
-    if len(x) != g.num_nodes:
-        raise InvalidConfigError(f"spin configuration has length {len(x)}, expected {g.num_nodes}")
-    for value in x:
-        if value not in (-1, 1):
-            raise InvalidConfigError(f"spin values must be -1 or +1, got {value!r}")
+_SPIN_VALUES = frozenset((-1, 1))
+_EDGE_VALUES = frozenset((0, 1))
 
 
-def validate_edge_config(g: WeightedGraph, y: Sequence[int]) -> None:
-    if len(y) != g.num_edges:
-        raise InvalidConfigError(f"edge configuration has length {len(y)}, expected {g.num_edges}")
-    for value in y:
-        if value not in (0, 1):
-            raise InvalidConfigError(f"edge values must be 0 or 1, got {value!r}")
+def validate_config(g: WeightedGraph, world: str, config: Sequence[int]) -> None:
+    """Check a configuration's shape only: one value per node (spins) or
+    per edge (subs, rc), each -1/+1 or 0/1."""
+    # three names, not four: Python then assigns without building a tuple
+    if world == "spins":
+        kind, size, values = "spin", g.num_nodes, _SPIN_VALUES
+    else:
+        kind, size, values = "edge", len(g.edges), _EDGE_VALUES
+    if len(config) != size:
+        raise InvalidConfigError(f"{kind} configuration has length {len(config)}, expected {size}")
+    try:
+        if values.issuperset(config):  # one hashed lookup per value, in C
+            return
+    except TypeError:  # an unhashable value, which the loop names
+        pass
+    legal = sorted(values)  # compared by ==, which an unhashable value allows
+    for value in config:
+        if value not in legal:
+            text = "-1 or +1" if kind == "spin" else "0 or 1"
+            raise InvalidConfigError(f"{kind} values must be {text}, got {value!r}")
+
+
+def require_support(g: WeightedGraph, world: str, config: Sequence[int]) -> None:
+    """Reject a graph with a field, then a malformed ``config``, then one
+    that the world's batch log weight gives -inf: spins disagreeing
+    across an infinite coupling, an open zero-coupling edge, an odd
+    degree (subs) or a closed p = 1 edge (rc)."""
+    require_field_free(g)
+    validate_config(g, world, config)
+    for e in g.extreme_edges:
+        if world == "spins":
+            i, j = g.edges[e]
+            if config[i] != config[j] and math.isinf(g.betas[e]):
+                raise InvalidConfigError(
+                    f"edge {e} has infinite coupling but disagreeing endpoints (zero weight)"
+                )
+        elif config[e]:
+            if g.ps[e] == 0.0:  # lambda is 0 too
+                raise InvalidConfigError(f"edge {e} is open but has zero coupling (zero weight)")
+        elif world == "rc" and g.ps[e] == 1.0:
+            raise InvalidConfigError(f"edge {e} is closed but has p = 1 (zero weight)")
+    if world == "subs":
+        parity = [0] * g.num_nodes
+        for i, j in compress(g.edges, config):
+            parity[i] ^= 1
+            parity[j] ^= 1
+        if any(parity):
+            raise InvalidConfigError("subgraphs configuration has odd degree (zero weight)")
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +199,9 @@ def _connected_without_edge(
 
 def clusters(g: WeightedGraph, z: Sequence[int]) -> ClusterPartition:
     """Connected components induced by the open edges of ``z``."""
-    validate_edge_config(g, z)
+    validate_config(g, "rc", z)
     parent_edge, _, root = _open_forest(g, z)
     return ClusterPartition(tuple(root), parent_edge.count(-1))  # one root per component
-
-
-def degree_parity(g: WeightedGraph, y: Sequence[int]) -> tuple[int, ...]:
-    """Per-node parity of the open degree."""
-    validate_edge_config(g, y)
-    parity = [0] * g.num_nodes
-    for e, (i, j) in enumerate(g.edges):
-        if y[e]:
-            parity[i] ^= 1
-            parity[j] ^= 1
-    return tuple(parity)
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +335,24 @@ def weight_spins(g: WeightedGraph, x: Sequence[int]) -> float:
     it down (those limits make the pinned factor exactly 1).  A graph
     without a field has no node factors.
     """
-    validate_spin_config(g, x)
+    validate_config(g, "spins", x)
     return float(spins_weights(g, _row(x))[0])
 
 
 def weight_spins_log(g: WeightedGraph, x: Sequence[int]) -> float:
-    validate_spin_config(g, x)
+    validate_config(g, "spins", x)
     return float(spins_log_weights(g, _row(x))[0])
 
 
 def weight_subs(g: WeightedGraph, y: Sequence[int]) -> float:
     """Product of lambda over open edges if every node has even open
     degree, else 0."""
-    validate_edge_config(g, y)
+    validate_config(g, "subs", y)
     return float(subs_weights(g, _row(y))[0])
 
 
 def weight_subs_log(g: WeightedGraph, y: Sequence[int]) -> float:
-    validate_edge_config(g, y)
+    validate_config(g, "subs", y)
     return float(subs_log_weights(g, _row(y))[0])
 
 

@@ -153,6 +153,16 @@ class TestRunChain:
         with pytest.raises(InvalidConfigError):
             run_chain(g, ChainState("rc", (0, 0, 0)), 1, RngStream(0))
 
+    @pytest.mark.parametrize(
+        "state",
+        [ChainState("spins", (1, 0)), ChainState("subs", (1,)), ChainState("subs", (1, 1))],
+        ids=["bad spin", "odd degree", "short"],
+    )
+    def test_start_state_checked_even_without_steps(self, state):
+        g = fixture_graph("k2", 0.5)
+        with pytest.raises(InvalidConfigError):
+            run_chain(g, state, 0, RngStream(0))
+
     def test_negative_steps_rejected(self):
         g = fixture_graph("k2", 0.5)
         with pytest.raises(InvalidConfigError):

@@ -100,6 +100,24 @@ class TestReduce:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("to", ["spins", "subs"])
+    @pytest.mark.parametrize(
+        "coupling, bits",
+        [("0", "1"), ("inf", "0")],
+        ids=["open edge with p 0", "closed edge with p 1"],
+    )
+    def test_zero_weight_rc_input_is_input_error(self, tmp_path, capsys, to, coupling, bits):
+        graph = write(tmp_path, "g.graph", f"param beta\n0 1 {coupling}\n")
+        config = write(tmp_path, "z.txt", bits)
+        code = main(
+            ["reduce", "--from", "rc", "--to", to, "--graph", graph,
+             "--config", config, "--seed", "1"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zero weight" in captured.err
+
     def test_deterministic_output_files(self, tmp_path):
         config = write(tmp_path, "z.txt", "111")
         outs = []
@@ -210,6 +228,32 @@ class TestSample:
         assert len(lines) == 5  # 4 configs + summary
         for line in lines[:4]:
             assert set(json.loads(line)["config"]) <= {1, -1}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--world", "spins", "--method", "chain"],
+            ["sample", "--world", "rc", "--method", "enum"],
+            ["sample", "--world", "subs", "--method", "cftp"],
+            ["perfect", "--world", "rc"],
+        ],
+    )
+    def test_zero_samples_print_strict_json(self, argv, capsys):
+        # an undefined mean or se is null (never NaN), and an empty
+        # payload adds no blank line
+        assert main([*argv, "--graph", TRIANGLE, "--samples", "0", "--seed", "1"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        lines = capsys.readouterr().out.splitlines()
+        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        if argv[0] == "perfect":
+            assert rows == []
+        else:
+            (summary,) = rows
+            assert summary["samples"] == 0
+            assert all(s == {"mean": None, "se": None} for s in summary["stats"].values())
 
     def test_cap_exit_code(self, tmp_path):
         edges = "\n".join(f"{i} {i + 1} 0.5" for i in range(21))

@@ -7,13 +7,12 @@ import pytest
 
 import numpy as np
 
-from conftest import random_graph
+from conftest import brute_degrees, random_graph
 from isingworlds import (
     InvalidConfigError,
     RngStream,
     WeightedGraph,
     clusters,
-    degree_parity,
     empirical_distribution,
     enumerate_world,
     exact_kernel_matrix,
@@ -166,6 +165,51 @@ class TestSpinsToRc:
         assert rng.draws == 1  # only the agreeing edge tosses a coin
 
 
+CONVERSIONS = {
+    "subs_to_rc": ("subs", subs_to_rc),
+    "subs_to_spins": ("subs", subs_to_spins),
+    "rc_to_subs": ("rc", rc_to_subs),
+    "rc_to_spins": ("rc", rc_to_spins),
+    "spins_to_rc": ("spins", spins_to_rc),
+    "spins_to_subs": ("spins", spins_to_subs),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    """Every configuration of every world on 160 random graphs with zero
+    and infinite couplings, with its batch log weight."""
+    rnd = random.Random(9082151)
+    rows = []
+    for _ in range(160):
+        g = random_graph(rnd, extreme_share=0.3)
+        for world in ("spins", "subs", "rc"):
+            table = enumerate_world(g, world)
+            rows.extend((g, world, c, w) for c, w in zip(table.configs, table.log_weights))
+    return rows
+
+
+class TestZeroWeightInputs:
+    @pytest.mark.parametrize("name", list(CONVERSIONS))
+    def test_rejected_before_any_draw(self, name, oracle_rows):
+        # a zero-weight input is no draw from the source world: no output,
+        # no randomness spent; every positive-weight input converts
+        world, convert = CONVERSIONS[name]
+        rejected = 0
+        for g, row_world, config, log_weight in oracle_rows:
+            if row_world != world:
+                continue
+            rng = RngStream(7)
+            if log_weight == -math.inf:
+                with pytest.raises(InvalidConfigError):
+                    convert(g, config, rng)
+                assert rng.draws == 0
+                rejected += 1
+            else:
+                convert(g, config, rng)
+        assert rejected > 0
+
+
 class TestCompositions:
     def test_bernoulli_budget(self):
         rnd = random.Random(23)
@@ -261,7 +305,7 @@ class TestMonotoneCouplings:
         for k, z in enumerate(zs):
             y = rc_to_subs(g, z, RngStream(2000 + k))
             assert all(ye <= ze for ye, ze in zip(y, z))
-            assert not any(degree_parity(g, y))
+            assert not any(d % 2 for d in brute_degrees(g, y))
 
 
 class TestSamplingMatchesTables:

@@ -1,7 +1,8 @@
-"""Weight functions, cluster extraction, and parity utilities."""
+"""Weight functions, cluster extraction, and the configuration guards."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from isingworlds import (
     InvalidConfigError,
     WeightedGraph,
     clusters,
-    degree_parity,
+    enumerate_world,
     weight_rc,
     weight_rc_log,
     weight_spins,
@@ -23,7 +24,9 @@ from isingworlds.worlds import (
     _connected_without_edge,
     config_from_string,
     config_to_string,
+    require_support,
     statistic,
+    validate_config,
 )
 
 
@@ -213,33 +216,94 @@ class TestConnectedWithoutEdge:
             assert _connected_without_edge(g, z, e, mark, stamp) == joined_without_edge(g, z, e)
 
 
+def rejects(g, world, config) -> bool:
+    try:
+        require_support(g, world, config)
+    except InvalidConfigError:
+        return True
+    return False
+
+
 class TestDegreeParity:
+    """The even-degree rule of the subgraphs guard."""
+
     def test_all_zero(self):
-        g = fixture_graph("triangle")
-        assert degree_parity(g, (0, 0, 0)) == (0, 0, 0)
+        assert not rejects(fixture_graph("triangle"), "subs", (0, 0, 0))
 
     def test_triangle_full_even(self):
-        g = fixture_graph("triangle")
-        assert degree_parity(g, (1, 1, 1)) == (0, 0, 0)
+        assert not rejects(fixture_graph("triangle"), "subs", (1, 1, 1))
 
     def test_single_edge_odd(self):
-        g = fixture_graph("k2")
-        assert degree_parity(g, (1,)) == (1, 1)
+        with pytest.raises(InvalidConfigError, match="odd degree"):
+            require_support(fixture_graph("k2"), "subs", (1,))
 
     def test_matches_brute_degrees(self):
         rnd = random.Random(5)
         for _ in range(100):
-            g = random_graph(rnd, max_nodes=7, max_edges=12)
+            g = random_graph(rnd, max_nodes=7, max_edges=12)  # no zero couplings
             y = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
-            assert degree_parity(g, y) == tuple(d % 2 for d in brute_degrees(g, y))
+            assert rejects(g, "subs", y) == any(d % 2 for d in brute_degrees(g, y))
 
     def test_positive_weight_implies_even(self):
         rnd = random.Random(6)
         g = fixture_graph("k4")
         for _ in range(64):
             y = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
-            if weight_subs(g, y) > 0:
-                assert not any(degree_parity(g, y))
+            assert rejects(g, "subs", y) == (weight_subs(g, y) == 0.0)
+
+
+class TestRequireSupport:
+    def test_agrees_with_the_oracle(self):
+        # the guard rejects exactly the rows whose batch log weight is -inf
+        rnd = random.Random(9082151)
+        rejected = dict.fromkeys(("spins", "subs", "rc"), 0)
+        for _ in range(160):
+            g = random_graph(rnd, extreme_share=0.3)
+            for world in rejected:
+                table = enumerate_world(g, world)
+                for config, log_weight in zip(table.configs, table.log_weights):
+                    assert rejects(g, world, config) == (log_weight == -math.inf), (g, world, config)
+                    rejected[world] += log_weight == -math.inf
+        assert min(rejected.values()) > 0
+
+    def test_field_then_shape_then_support(self):
+        g = WeightedGraph.from_edges(2, [(0, 1, math.inf)], field={0: 1.0})
+        with pytest.raises(InvalidConfigError, match="magnetic field"):
+            require_support(g, "spins", (1,))
+        g = g.without_field()
+        with pytest.raises(InvalidConfigError, match="length 1, expected 2"):
+            require_support(g, "spins", (1,))
+        with pytest.raises(InvalidConfigError, match="values must be -1 or \\+1, got 0"):
+            require_support(g, "spins", (1, 0))
+        with pytest.raises(InvalidConfigError, match="infinite coupling"):
+            require_support(g, "spins", (1, -1))
+
+    def test_rc_rules_name_the_lowest_edge(self):
+        g = WeightedGraph.from_edges(3, [(0, 1, math.inf), (1, 2, 0.0), (0, 2, 0.5)])
+        with pytest.raises(InvalidConfigError, match="edge 0 is closed but has p = 1"):
+            require_support(g, "rc", (0, 1, 0))
+        with pytest.raises(InvalidConfigError, match="edge 1 is open but has zero coupling"):
+            require_support(g, "rc", (1, 1, 0))
+        require_support(g, "rc", (1, 0, 1))
+        with pytest.raises(InvalidConfigError, match="edge 1 is open but has zero coupling"):
+            require_support(g, "subs", (1, 1, 1))  # before the parity check
+
+
+class TestValidateConfig:
+    @pytest.mark.parametrize("world", ["subs", "rc"])
+    def test_values_equal_to_zero_or_one_pass(self, world):
+        validate_config(fixture_graph("triangle"), world, [True, 1.0, 0])
+
+    @pytest.mark.parametrize("bad", [[1], {1}, 2, 0.5, "1", float("nan")])
+    def test_bad_values_are_named(self, bad):
+        # the set lookup cannot hash a list or a set; the loop still names them
+        message = f"edge values must be 0 or 1, got {re.escape(repr(bad))}"
+        with pytest.raises(InvalidConfigError, match=message):
+            validate_config(fixture_graph("triangle"), "rc", (0, bad, 1))
+
+    def test_first_bad_value_is_named(self):
+        with pytest.raises(InvalidConfigError, match="got 3"):
+            validate_config(fixture_graph("triangle"), "spins", (1, 3, [0]))
 
 
 class TestSerialization:
