@@ -264,6 +264,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     world, n = args.world, args.samples
     workers = _workers(args.jobs, n) if args.method == "cftp" else 1
     if args.method == "enum":
+        if world != "spins":
+            require_field_free(g)  # the edge-world tables would drop the field
         table = enumerate_world(g, world)
         samples = sample_from_table(table, RngStream(args.seed), n)
         extra = [{} for _ in samples]

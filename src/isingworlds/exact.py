@@ -3,8 +3,7 @@
 Everything here exists to pin down the sampling code against ground
 truth: full weight tables and partition sums per world, the
 partition-function identities linking the worlds, exact one-step
-transition matrices obtained by convolving a kernel over its internal
-Bernoulli outcomes, and the closed-form even-subgraph count.
+transition matrices, and the closed-form even-subgraph count.
 
 Tables are columnar.  A world's configurations are built once, column by
 column, as an int8 matrix with one row per configuration (in
@@ -16,8 +15,11 @@ edge-incident nodes only, which is deliberately independent of the
 forest traversal (``worlds._open_forest``) the samplers use: an oracle
 sharing that code would share its faults.  Parity work likewise covers
 only edge-incident nodes, so a graph with a few edges and many isolated
-nodes costs no more than its edges.  The kernel-matrix convolution, by
-contrast, runs the production conversion code on purpose.
+nodes costs no more than its edges.
+
+Kernel matrices, by contrast, run the production code on purpose: each
+conversion in ``reductions.REDUCTIONS`` runs once per outcome of its
+Bernoulli draws, so a stationarity check tests the code that samples.
 
 Enumeration is capped; callers see :class:`CapExceededError` rather than
 an accidental exponential blowup.
@@ -26,21 +28,18 @@ an accidental exponential blowup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, require_field_free
-from .reductions import _rc_to_subs_core
+from .reductions import REDUCTIONS
 from .rng import RngStream
 from .worlds import (
     _ldexp,
-    _open_forest,
-    clusters,
     odd_rows,
     rc_log_weights,
     rc_weights,
@@ -224,6 +223,8 @@ class ExactTables:
     spins: WorldTable
     subs: WorldTable
     rc: WorldTable
+    # conversion name -> its KernelMatrix, filled by exact_kernel_matrix
+    kernels: dict[str, KernelMatrix] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def Z_spins(self) -> float:
@@ -369,15 +370,19 @@ def check_rc_normalizer(
 # Exact kernel matrices
 # ---------------------------------------------------------------------------
 
+# conversion -> (source world, target world)
 KERNEL_SPECS = {
     "subs_to_rc": ("subs", "rc"),
     "rc_to_subs": ("rc", "subs"),
     "rc_to_spins": ("rc", "spins"),
     "spins_to_rc": ("spins", "rc"),
-    "subs_to_spins": ("subs", "spins"),
-    "spins_to_subs": ("spins", "subs"),
-    "sw_classic": ("spins", "spins"),
-    "sw_subgraphs": ("subs", "subs"),
+}
+# composite -> its two conversions, which meet in the random-cluster world
+KERNEL_LEGS = {
+    "subs_to_spins": ("subs_to_rc", "rc_to_spins"),
+    "spins_to_subs": ("spins_to_rc", "rc_to_subs"),
+    "sw_classic": ("spins_to_rc", "rc_to_spins"),
+    "sw_subgraphs": ("subs_to_rc", "rc_to_subs"),
 }
 
 
@@ -386,8 +391,9 @@ class KernelMatrix:
     """Exact transition matrix of a kernel, over positive-weight configs.
 
     Rows index the source world's support, columns the target world's
-    support; every kernel provably never leaves the target support, so
-    each row sums to one.
+    support.  An output of zero target weight has no column, so each row
+    sums to one except where a conversion can reach such an output:
+    ``spins_to_rc`` at finite beta past ~18.7, where p rounds to 1.
     """
 
     kernel: str
@@ -398,101 +404,88 @@ class KernelMatrix:
     matrix: np.ndarray
 
 
-def _edgewise_rows(
-    targets: np.ndarray,
-    open_probs_per_row: list[np.ndarray],
-) -> np.ndarray:
-    rows = np.empty((len(open_probs_per_row), targets.shape[0]))
-    for r, q1 in enumerate(open_probs_per_row):
-        rows[r] = np.prod(np.where(targets.astype(bool), q1, 1.0 - q1), axis=1)
-    return rows
+class _PresetBits:
+    """Stand-in stream for one run of a conversion: the k-th draw with
+    0 < q < 1 returns ``bits[k]`` (0 past the preset bits, appended) and
+    records q in ``qs``; q = 0 or 1 is answered without a draw."""
+
+    def __init__(self, bits: list[int]) -> None:
+        self.bits, self.qs = bits, []
+
+    def bernoullis(self, qs: Sequence[float]) -> list[int]:
+        bits, drawn, out = self.bits, self.qs, []
+        for q in qs:
+            if 0.0 < q < 1.0:
+                if len(drawn) == len(bits):
+                    bits.append(0)
+                out.append(bits[len(drawn)])
+                drawn.append(q)
+            elif q == 0.0 or q == 1.0:
+                out.append(int(q))
+            else:
+                raise InvalidParameterError(f"Bernoulli parameter must lie in [0, 1], got {q}")
+        return out
+
+
+def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatrix:
+    """Run the conversion once per outcome of its Bernoulli draws from each
+    source support row, adding each output's probability to its column.
+
+    A run answers the draws past its preset bits with 0, which ends one
+    branch; each such 0 starts a branch that presets it to 1.
+    """
+    source_world, target_world = KERNEL_SPECS[kernel]
+    source = world_table_for(tables, source_world)
+    target = world_table_for(tables, target_world)
+    convert = REDUCTIONS[(source_world, target_world)]
+    column = {config: c for c, config in enumerate(target.support_configs)}
+    matrix = np.zeros((len(source.support), len(column)))
+    for r, config in enumerate(source.support_configs):
+        row = [0.0] * len(column)
+        pending: list[list[int]] = [[]]  # the first run is the all-zero branch
+        while pending:
+            rng = _PresetBits(pending.pop())
+            preset = len(rng.bits)
+            c = column.get(convert(g, config, rng))
+            pending.extend(rng.bits[:k] + [1] for k in range(preset, len(rng.bits)))
+            if c is not None:
+                prob = 1.0
+                for q, bit in zip(rng.qs, rng.bits):
+                    prob *= q if bit else 1.0 - q
+                row[c] += prob
+        matrix[r] = row
+    matrix.flags.writeable = False
+    return KernelMatrix(
+        kernel, source_world, target_world, source.support_configs, target.support_configs, matrix
+    )
 
 
 def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | None = None) -> KernelMatrix:
-    """Exact one-step transition probabilities of a reduction or chain kernel.
+    """Exact one-step transition probabilities of a conversion or chain kernel.
 
-    Per-edge kernels factorize exactly; the forest-based kernel is
-    convolved by enumerating its fair coins through the production code
-    path.  Chain kernels compose the two legs by matrix product over the
-    intermediate world.
+    A conversion's matrix runs ``REDUCTIONS[(source, target)]`` itself,
+    over every outcome of its Bernoulli draws; it is built once per
+    ``tables`` (which must belong to ``g``) and kept there, read-only.
+    A composite is the product of its two legs' matrices.
     """
-    if kernel not in KERNEL_SPECS:
+    if kernel not in KERNEL_SPECS and kernel not in KERNEL_LEGS:
         raise InvalidParameterError(f"unknown kernel {kernel!r}")
     if g.num_edges > KERNEL_EDGE_CAP:
         raise CapExceededError(f"kernel matrices need num_edges <= {KERNEL_EDGE_CAP}")
     if g.num_nodes > KERNEL_NODE_CAP:
         raise CapExceededError(f"kernel matrices need num_nodes <= {KERNEL_NODE_CAP}")
-
-    if kernel == "sw_classic":
-        return _compose(g, "spins_to_rc", "rc_to_spins", "sw_classic", tables)
-    if kernel == "sw_subgraphs":
-        return _compose(g, "subs_to_rc", "rc_to_subs", "sw_subgraphs", tables)
-    if kernel == "subs_to_spins":
-        return _compose(g, "subs_to_rc", "rc_to_spins", "subs_to_spins", tables)
-    if kernel == "spins_to_subs":
-        return _compose(g, "spins_to_rc", "rc_to_subs", "spins_to_subs", tables)
-
     tables = tables or exact_tables(g)
-    source_world, target_world = KERNEL_SPECS[kernel]
-    source = world_table_for(tables, source_world)
-    target = world_table_for(tables, target_world)
-    src_configs = source.support_configs
-    tgt_configs = target.support_configs
-    tgt_matrix = target.matrix[list(target.support)]
-
-    if kernel == "subs_to_rc":
-        lams = np.array(g.lambdas)
-        per_row = [np.where(np.array(y, dtype=bool), 1.0, lams) for y in src_configs]
-        matrix = _edgewise_rows(tgt_matrix, per_row)
-    elif kernel == "spins_to_rc":
-        ps = np.array(g.ps)
-        per_row = []
-        for x in src_configs:
-            agree = np.array([x[i] == x[j] for i, j in g.edges], dtype=bool)
-            per_row.append(np.where(agree, ps, 0.0))
-        matrix = _edgewise_rows(tgt_matrix, per_row)
-    elif kernel == "rc_to_spins":
-        matrix = np.zeros((len(src_configs), len(tgt_configs)))
-        for r, z in enumerate(src_configs):
-            part = clusters(g, z)
-            rep = list(part.component_id)
-            constant = np.all(tgt_matrix == tgt_matrix[:, rep], axis=1)
-            matrix[r] = constant * math.ldexp(1.0, -part.count)
-    else:  # rc_to_subs
-        index = {config: c for c, config in enumerate(tgt_configs)}
-        matrix = np.zeros((len(src_configs), len(tgt_configs)))
-        for r, z in enumerate(src_configs):
-            parent_edge, _, _ = _open_forest(g, z)
-            in_forest = set(e for e in parent_edge if e >= 0)
-            coin_edges = [e for e in range(g.num_edges) if z[e] and e not in in_forest]
-            share = math.ldexp(1.0, -len(coin_edges))
-            for bits in product((0, 1), repeat=len(coin_edges)):
-                y = _rc_to_subs_core(g, z, lambda k, bits=bits: bits)
-                matrix[r, index[y]] += share
-
-    return KernelMatrix(kernel, source_world, target_world, src_configs, tgt_configs, matrix)
-
-
-def _compose(
-    g: WeightedGraph,
-    first: str,
-    second: str,
-    name: str,
-    tables: ExactTables | None,
-) -> KernelMatrix:
-    tables = tables or exact_tables(g)
-    k1 = exact_kernel_matrix(g, first, tables)
-    k2 = exact_kernel_matrix(g, second, tables)
-    if k1.target_configs != k2.source_configs:
-        raise InvalidConfigError("kernel composition needs matching intermediate supports")
-    return KernelMatrix(
-        name,
-        k1.source_world,
-        k2.target_world,
-        k1.source_configs,
-        k2.target_configs,
-        k1.matrix @ k2.matrix,
-    )
+    if tables.graph != g:
+        raise InvalidParameterError("the tables passed belong to another graph")
+    if kernel in KERNEL_LEGS:
+        k1, k2 = (exact_kernel_matrix(g, leg, tables) for leg in KERNEL_LEGS[kernel])
+        return KernelMatrix(
+            kernel, k1.source_world, k2.target_world, k1.source_configs, k2.target_configs,
+            k1.matrix @ k2.matrix,
+        )
+    if kernel not in tables.kernels:
+        tables.kernels[kernel] = _convolve(g, kernel, tables)
+    return tables.kernels[kernel]
 
 
 def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables | None = None) -> float:
@@ -514,7 +507,10 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
 # ---------------------------------------------------------------------------
 
 def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[int, ...]]:
-    """n i.i.d. draws from an exact table by inverse CDF."""
+    """n i.i.d. draws from an exact table by inverse CDF; a table with no
+    positive-weight configuration is an error, whatever n is."""
+    if not table.support:
+        raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
     cum = np.cumsum(table.support_probs)
     us = np.array([rng.uniform() for _ in range(n)])
     idx = np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1)

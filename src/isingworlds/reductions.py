@@ -16,6 +16,10 @@ Bernoullis, in ascending edge (or cluster) order, and draws them in one
 :meth:`~isingworlds.rng.RngStream.bernoullis` call: the same draws, in
 the same order, as one scalar draw per edge.  Deterministic entries
 (probability 0 or 1) go into the batch too and cost no randomness.
+``bernoullis`` is the only randomness a conversion reads, which is
+what lets :func:`~isingworlds.exact.exact_kernel_matrix` convolve these
+very functions: it runs each one once per outcome of its draws, on a
+stand-in stream that answers them from preset bits.
 
 Each conversion checks its input with
 :func:`~isingworlds.worlds.require_support` before any draw: a
@@ -29,7 +33,7 @@ are safe when each owns its own :class:`~isingworlds.rng.RngStream`.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graph import WeightedGraph
 from .rng import RngStream
@@ -49,17 +53,15 @@ def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
     return tuple(rng.bernoullis([1.0 if ye else lam for ye, lam in zip(y, g.lambdas)]))
 
 
-def _rc_to_subs_core(
-    g: WeightedGraph,
-    z: Sequence[int],
-    coins: Callable[[int], Sequence[int]],
-) -> SubgraphConfig:
-    """Shared deterministic skeleton of the random-cluster-to-subgraphs map.
+def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphConfig:
+    """Convert a random-cluster draw into a subgraphs draw.
 
-    ``coins(k)`` supplies the k fair bits of the k open non-forest edges,
-    in ascending edge order; everything else is forced.  Exposing the
-    coins lets the exact-kernel machinery convolve over them.
+    Open edges outside a maximal spanning forest each get a fair coin, in
+    ascending edge order; forest edges are then forced, leaf by leaf in
+    reverse discovery order, to the parity bit that keeps every node's
+    degree even.  The output is dominated by the input pointwise.
     """
+    require_support(g, "rc", z)
     parent_edge, order, _ = _open_forest(g, z)
     coin = list(z)  # closed edges stay closed and cost no randomness
     for e in parent_edge:
@@ -70,13 +72,12 @@ def _rc_to_subs_core(
     edges = g.edges
     y = [0] * g.num_edges
     parity = [0] * g.num_nodes
-    if coin_edges:
-        for e, bit in zip(coin_edges, coins(len(coin_edges))):
-            if bit:
-                y[e] = 1
-                i, j = edges[e]
-                parity[i] ^= 1
-                parity[j] ^= 1
+    for e, bit in zip(coin_edges, rng.bernoullis([0.5] * len(coin_edges))):
+        if bit:
+            y[e] = 1
+            i, j = edges[e]
+            parity[i] ^= 1
+            parity[j] ^= 1
 
     for v in reversed(order):
         e = parent_edge[v]
@@ -89,18 +90,6 @@ def _rc_to_subs_core(
     assert not any(parity), "leaf peeling must leave every degree even"
     assert all(ye <= ze for ye, ze in zip(y, z)), "output must stay below the input"
     return tuple(y)
-
-
-def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphConfig:
-    """Convert a random-cluster draw into a subgraphs draw.
-
-    Open edges outside a maximal spanning forest each get a fair coin;
-    forest edges are then forced, leaf by leaf in reverse discovery
-    order, to the parity bit that keeps every node's degree even.  The
-    output is dominated by the input pointwise.
-    """
-    require_support(g, "rc", z)
-    return _rc_to_subs_core(g, z, lambda k: rng.bernoullis([0.5] * k))
 
 
 def rc_to_spins(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SpinConfig:

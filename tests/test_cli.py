@@ -255,6 +255,15 @@ class TestSample:
             assert summary["samples"] == 0
             assert all(s == {"mean": None, "se": None} for s in summary["stats"].values())
 
+    @pytest.mark.parametrize("samples", ["0", "3"])
+    def test_enum_without_positive_weight_is_input_error(self, samples, tmp_path, capsys):
+        graph = write(tmp_path, "g.graph",
+                      "param beta\nnodes 2\nfield 0 inf\nfield 1 -inf\n0 1 inf\n")
+        code = main(["sample", "--world", "spins", "--method", "enum", "--graph", graph,
+                     "--samples", samples, "--seed", "0"])
+        assert code == 2
+        assert "positive weight" in capsys.readouterr().err
+
     def test_cap_exit_code(self, tmp_path):
         edges = "\n".join(f"{i} {i + 1} 0.5" for i in range(21))
         graph = write(tmp_path, "big.graph", f"param beta\n{edges}\n")
@@ -449,3 +458,11 @@ class TestFieldGuard:
         assert main(["chain", "--kernel", "sw", "--graph", graph,
                      "--steps", "1", "--seed", "0"]) == 2
         assert main(["verify", "--graph", graph]) == 2
+        # the edge-world tables drop the field, so enum sampling there must refuse it
+        field3 = write(tmp_path, "field3.graph",
+                       "param beta\nnodes 3\nfield 0 0.7\n0 1 0.5\n1 2 0.5\n0 2 0.5\n")
+        for world in ("subs", "rc"):
+            assert main(["sample", "--world", world, "--method", "enum", "--graph", field3,
+                         "--samples", "2", "--seed", "0"]) == 2
+        assert main(["sample", "--world", "spins", "--method", "enum", "--graph", field3,
+                     "--samples", "2", "--seed", "0"]) == 0

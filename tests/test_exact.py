@@ -17,6 +17,7 @@ from conftest import (
 from isingworlds import (
     CapExceededError,
     InvalidConfigError,
+    InvalidParameterError,
     RngStream,
     WeightedGraph,
     check_even_subgraph_count,
@@ -31,6 +32,7 @@ from isingworlds import (
 )
 from isingworlds import exact
 from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, path_graph
+from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import (
     weight_rc,
     weight_rc_log,
@@ -281,9 +283,62 @@ class TestKernelMatrices:
         km = exact_kernel_matrix(fixture_graph("k2", 0.5), "subs_to_rc")
         assert km.matrix.tolist() == [pytest.approx([1 - lam, lam], rel=1e-12)]
 
-    def test_unknown_kernel(self):
-        from isingworlds import InvalidParameterError
+    def test_edgewise_rows_match_closed_form(self):
+        # subs_to_rc and spins_to_rc open each edge on its own, so a row is
+        # the product over edges of q (open) or 1 - q (closed), in edge order
+        rnd = random.Random(8215)
+        for _ in range(120):
+            g = random_graph(rnd, max_nodes=6, max_edges=8, extreme_share=0.3)
+            tables = exact_tables(g)
+            for kernel, open_prob in (
+                ("subs_to_rc", lambda y, e: 1.0 if y[e] else g.lambdas[e]),
+                ("spins_to_rc", lambda x, e: g.ps[e] if x[g.edges[e][0]] == x[g.edges[e][1]] else 0.0),
+            ):
+                km = exact_kernel_matrix(g, kernel, tables)
+                expected = []
+                for source in km.source_configs:
+                    for z in km.target_configs:
+                        prob = 1.0
+                        for e in range(g.num_edges):
+                            q = open_prob(source, e)
+                            prob *= q if z[e] else 1.0 - q
+                        expected.append(prob)
+                assert bit_equal(km.matrix, np.reshape(expected, km.matrix.shape)), (g, kernel)
 
+    def test_branches_follow_draws_that_depend_on_earlier_ones(self, monkeypatch):
+        # subs -> spins -> rc draws one coin per cluster of a random rc
+        # draw, then one per agreeing edge, so how many draws a run makes
+        # depends on the draws before them
+        g = fixture_graph("cycle4", [0.3, 0.6, 1.1, math.inf])
+        tables = exact_tables(g)
+        expected = (exact_kernel_matrix(g, "subs_to_spins", tables).matrix
+                    @ exact_kernel_matrix(g, "spins_to_rc", tables).matrix)
+        subs_to_spins, spins_to_rc = REDUCTIONS[("subs", "spins")], REDUCTIONS[("spins", "rc")]
+        monkeypatch.setitem(REDUCTIONS, ("subs", "rc"),
+                            lambda g, y, rng: spins_to_rc(g, subs_to_spins(g, y, rng), rng))
+        km = exact_kernel_matrix(g, "subs_to_rc", exact_tables(g))
+        assert np.allclose(km.matrix, expected, rtol=0, atol=1e-15)
+        assert not np.allclose(km.matrix, exact_kernel_matrix(g, "subs_to_rc", tables).matrix)
+
+    def test_conversion_matrices_kept_on_their_tables(self):
+        g = fixture_graph("k4", 0.45)
+        tables = exact_tables(g)
+        km = exact_kernel_matrix(g, "rc_to_subs", tables)
+        assert exact_kernel_matrix(fixture_graph("k4", 0.45), "rc_to_subs", tables) is km
+        assert not km.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            km.matrix[0, 0] = 0.5
+        with pytest.raises(InvalidParameterError):
+            exact_kernel_matrix(fixture_graph("k4", 0.5), "rc_to_subs", tables)
+        with pytest.raises(InvalidParameterError):
+            exact_kernel_matrix(fixture_graph("k4", 0.5), "sw_subgraphs", tables)
+
+    def test_field_graph_is_refused_by_the_conversions(self):
+        g = WeightedGraph(3, ((0, 1), (1, 2), (0, 2)), (0.5, 0.5, 0.5), (0.7, 0.0, 0.0))
+        with pytest.raises(InvalidConfigError, match="field"):
+            exact_kernel_matrix(g, "rc_to_spins")
+
+    def test_unknown_kernel(self):
         with pytest.raises(InvalidParameterError):
             exact_kernel_matrix(fixture_graph("k2", 0.5), "teleport")
 
@@ -310,6 +365,13 @@ class TestTvDistance:
         table = enumerate_world(fixture_graph("k2", 0.5), "rc")
         with pytest.raises(InvalidConfigError):
             empirical_distribution([(0, 1)], table)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_sampling_needs_a_positive_weight_row(self, n):
+        g = WeightedGraph(2, ((0, 1),), (math.inf,), (math.inf, -math.inf))
+        table = enumerate_world(g, "spins")
+        with pytest.raises(InvalidConfigError, match="positive weight"):
+            sample_from_table(table, RngStream(0), n)
 
     def test_sampling_round_trip(self):
         table = enumerate_world(fixture_graph("triangle", 0.9), "rc")

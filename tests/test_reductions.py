@@ -28,6 +28,7 @@ from isingworlds import (
     tv_distance,
 )
 from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
+from isingworlds.reductions import REDUCTIONS
 
 
 class TestSubsToRc:
@@ -249,6 +250,16 @@ class TestCompositions:
         assert kernel_stationarity_error(g, "subs_to_spins") < 1e-9
 
 
+class _Halved:
+    """A stream whose Bernoulli parameters strictly inside (0, 1) are halved."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def bernoullis(self, qs):
+        return self.rng.bernoullis([q / 2 if 0.0 < q < 1.0 else q for q in qs])
+
+
 # Parameter settings exercising interior and extreme couplings.
 PARAM_SETS = [
     ("k2", 0.5),
@@ -278,6 +289,16 @@ class TestExactnessAgainstOracle:
             for kernel in ("subs_to_rc", "rc_to_subs", "spins_to_rc", "rc_to_spins"):
                 assert kernel_stationarity_error(g, kernel, tables) < 1e-9
             checked += 1
+
+    @pytest.mark.parametrize("kernel", ["subs_to_rc", "rc_to_subs", "rc_to_spins", "spins_to_rc"])
+    def test_oracle_catches_a_biased_conversion(self, kernel, monkeypatch):
+        # the production conversion, guard and all, with every Bernoulli
+        # parameter strictly inside (0, 1) halved: lambda/2 and p/2 for the
+        # edges, 1/4 for the cluster spins and the non-forest coins
+        pair = tuple(kernel.split("_to_"))
+        convert = REDUCTIONS[pair]
+        monkeypatch.setitem(REDUCTIONS, pair, lambda g, config, rng: convert(g, config, _Halved(rng)))
+        assert kernel_stationarity_error(fixture_graph("k4", 0.45), kernel) > 1e-3
 
     def test_round_trip_preserves_subs_law(self):
         # one subgraphs -> rc -> subgraphs cycle fixes the subgraphs law
