@@ -29,6 +29,15 @@ The schedule keeps its records in two typed arrays, the edges as
 and draws each extension in one batch of
 :meth:`~isingworlds.rng.RngStream.pick_uniform_pairs`, which makes the
 same draws as a ``randrange`` and a ``uniform`` call per record.
+
+Two exact rules stop the epochs that cannot coalesce.  A free edge's
+first record is its last update before time 0, so an epoch whose horizon
+misses some free edge ends with that edge open on top and closed below:
+it is not run, though its records are still drawn.  And an epoch ends as
+soon as an edge's last update leaves the chains apart on it, which only
+happens inside the band when the upper chain opens the edge and the
+lower closes it.  Neither rule changes a sample, an epoch or a draw;
+:attr:`CftpRun.steps` counts the steps actually run.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ from .rng import RngStream
 from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_config
 
 DEFAULT_MAX_EPOCH = 24
+# the deepest schedule allowed: 2**27 records of 12 bytes, about 1.5 GiB
+MAX_EPOCH = 27
 
 
 def _heat_bath_open(g: WeightedGraph, z: Sequence[int], e: int, u: float) -> int:
@@ -100,7 +111,14 @@ class CftpSchedule:
 
 @dataclass(frozen=True)
 class CftpRun:
-    """A coalesced run: the exact sample plus how hard it was to get."""
+    """A coalesced run: the exact sample plus how hard it was to get.
+
+    ``epoch`` is the coalescing epoch, whose run started 2**epoch steps in
+    the past.  ``steps`` counts the kernel steps actually run over all
+    epochs: the coalescing epoch in full, a failed epoch up to the step
+    at which it was seen to fail, and none for an epoch whose horizon
+    misses a free edge.
+    """
 
     config: tuple[int, ...]
     epoch: int
@@ -124,10 +142,10 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     Epoch k starts the extremal chains 2**k steps in the past.  Raises
     :class:`NoCoalescenceError` if they have not met by the time the
     ``max_epoch`` schedule is exhausted; callers may retry with a larger
-    budget.
+    budget, up to :data:`MAX_EPOCH`.
     """
-    if max_epoch < 0:
-        raise InvalidParameterError("max_epoch must be nonnegative")
+    if not 0 <= max_epoch <= MAX_EPOCH:
+        raise InvalidParameterError(f"max_epoch must lie in [0, {MAX_EPOCH}], got {max_epoch}")
     require_field_free(g)
     base, free = _pinned_base(g)
     if not free:
@@ -139,15 +157,31 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     mark = [0] * g.num_nodes
     stamp = 1
     sweep = len(free)
+    # last[e]: index of free edge e's first record, which is its last
+    # update before time 0; -1 until the schedule has drawn e
+    last = [-1] * g.num_edges
+    unseen = sweep
     total_steps = 0
     for epoch in range(max_epoch + 1):
         horizon = 1 << epoch
         schedule.ensure(horizon)  # exactly horizon records, step -horizon last
+        if unseen:  # scan the records this epoch added
+            edges = schedule.edges
+            for i in range(horizon >> 1, horizon):
+                e = edges[i]
+                if last[e] < 0:
+                    last[e] = i
+                    unseen -= 1
+                    if not unseen:
+                        break
+            if unseen:
+                continue  # an edge never updated keeps the chains apart on it
         top = list(base)
         bot = list(base)
         for e in free:
             top[e] = 1
         left = sweep
+        offset = horizon - 1 - sweep  # the current record is at offset + left
         for edge, u in zip(reversed(schedule.edges), reversed(schedule.uniforms)):
             if u >= ps[edge]:
                 top[edge] = bot[edge] = 0
@@ -161,19 +195,29 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
                     # chain asks only for an edge the upper chain opens
                     if bot is not top:
                         stamp += 2
-                        bot[edge] = 1 if _connected_without_edge(g, bot, edge, mark, stamp) else 0
+                        if _connected_without_edge(g, bot, edge, mark, stamp):
+                            bot[edge] = 1
+                        else:
+                            bot[edge] = 0
+                            if last[edge] == offset + left:
+                                # edge's last update left the chains apart
+                                total_steps += horizon - offset - left
+                                break
                 else:
                     top[edge] = bot[edge] = 0
             left -= 1
             if not left:
                 left = sweep
+                offset -= sweep
                 if bot is not top and top == bot:
                     bot = top  # chains evolve identically from here on
-        total_steps += horizon
-        if top == bot:
-            return CftpRun(tuple(top), epoch, total_steps)
+        else:
+            total_steps += horizon
+            if top == bot:
+                return CftpRun(tuple(top), epoch, total_steps)
     raise NoCoalescenceError(
-        f"no coalescence within 2**{max_epoch} steps; raise max_epoch to search deeper"
+        f"no coalescence within 2**{max_epoch} steps; "
+        f"raise max_epoch (at most {MAX_EPOCH}) to search deeper"
     )
 
 

@@ -33,7 +33,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .cftp import DEFAULT_MAX_EPOCH, cftp_rc_run
+from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, cftp_rc_run
 from .chains import initial_state, run_chain
 from .errors import (
     CapExceededError,
@@ -357,8 +357,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _count(minimum: int):
-    """Argparse type for an integer count of at least ``minimum``."""
+def _count(minimum: int, maximum: int | None = None):
+    """Argparse type for an integer count of at least ``minimum`` and, if
+    given, at most ``maximum``."""
 
     def parse(text: str) -> int:
         try:
@@ -367,6 +368,8 @@ def _count(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -374,6 +377,7 @@ def _count(minimum: int):
 
 _nonnegative = _count(0)
 _positive = _count(1)
+_epoch_budget = _count(0, MAX_EPOCH)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=_nonnegative, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-epoch", type=_nonnegative, default=DEFAULT_MAX_EPOCH)
+    p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_perfect)
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burnin", type=_nonnegative, default=0)
     p.add_argument("--thin", type=_positive, default=1)
-    p.add_argument("--max-epoch", type=_nonnegative, default=DEFAULT_MAX_EPOCH)
+    p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from isingworlds import (
+    InvalidParameterError,
     NoCoalescenceError,
     RngStream,
     WeightedGraph,
@@ -21,7 +22,7 @@ from isingworlds import (
     weight_subs,
 )
 from conftest import joined_without_edge, random_graph
-from isingworlds.cftp import CftpRun, CftpSchedule, _heat_bath_open
+from isingworlds.cftp import MAX_EPOCH, CftpRun, CftpSchedule, _heat_bath_open
 from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph, path_graph
 
 
@@ -62,8 +63,6 @@ class TestHeatBathKernel:
 
     def test_validates_inputs(self):
         g = fixture_graph("k2", 0.5)
-        from isingworlds import InvalidParameterError
-
         with pytest.raises(InvalidParameterError):
             heat_bath_rc_step(g, (0,), 5, 0.5)
         with pytest.raises(InvalidParameterError):
@@ -119,7 +118,12 @@ class TestSchedule:
 def _reference_run(g, rng, max_epoch=24):
     """Monotone CFTP with the unbanded heat-bath rule on both chains at
     every step, connectivity from whole-graph component labels, and the
-    record of step -t drawn by scalar calls as the t-th (edge, uniform)."""
+    record of step -t drawn by scalar calls as the t-th (edge, uniform).
+
+    Steps are counted under the two stopping rules: an epoch whose records
+    miss a free edge is not run, and a run stops at the step that updates
+    an edge for the last time (its first record) and leaves the chains
+    apart on it.  First records come from a fresh scan of every epoch."""
     free = tuple(e for e, p in enumerate(g.ps) if 0.0 < p < 1.0)
     base = [1 if p >= 1.0 else 0 for p in g.ps]
     if not free:
@@ -129,6 +133,12 @@ def _reference_run(g, rng, max_epoch=24):
     for epoch in range(max_epoch + 1):
         while len(records) < 1 << epoch:
             records.append((free[rng.randrange(len(free))], rng.uniform()))
+        first = {}
+        for t, (edge, _) in enumerate(records):
+            if edge not in first:
+                first[edge] = t
+        if len(first) < len(free):
+            continue
         top = [1 if e in free else v for e, v in enumerate(base)]
         bot = list(base)
         for t in range(1 << epoch, 0, -1):
@@ -137,6 +147,8 @@ def _reference_run(g, rng, max_epoch=24):
             for z in (top, bot):
                 z[edge] = 1 if u < (p if joined_without_edge(g, z, edge) else p / (2 - p)) else 0
             steps += 1
+            if first[edge] == t - 1 and top[edge] != bot[edge]:
+                break
         if top == bot:
             return CftpRun(tuple(top), epoch, steps)
     raise NoCoalescenceError("reference run did not coalesce")
@@ -185,6 +197,36 @@ class TestCftpSampling:
         g = fixture_graph("triangle", 0.5)
         with pytest.raises(NoCoalescenceError):
             cftp_rc_run(g, RngStream(3), max_epoch=0)
+
+    def test_skipped_epochs_still_draw_their_records(self):
+        # neither epoch of two steps or fewer covers the triangle, so none
+        # is run, but both schedules are drawn: two records, two draws each
+        g = fixture_graph("triangle", 0.5)
+        rng = RngStream(3)
+        with pytest.raises(NoCoalescenceError):
+            cftp_rc_run(g, rng, max_epoch=1)
+        assert rng.draws == 4
+
+    def test_uncovered_epochs_are_not_run(self):
+        # 60 free edges: no horizon below 64 updates them all, so epochs 0-5
+        # (63 steps) are skipped out of the 2**(epoch + 1) - 1 of every epoch
+        g = grid_graph(6, 6, 0.44)
+        for k in range(5):
+            run = cftp_rc_run(g, RngStream(23, k))
+            assert run.epoch >= 6
+            assert 2**run.epoch <= run.steps <= 2 ** (run.epoch + 1) - 1 - 63
+
+    @pytest.mark.parametrize("max_epoch", [-1, MAX_EPOCH + 1, 40])
+    def test_epoch_budget_bounded(self, max_epoch):
+        rng = RngStream(0)
+        with pytest.raises(InvalidParameterError):
+            cftp_rc_run(fixture_graph("triangle", 0.5), rng, max_epoch)
+        assert rng.draws == 0
+
+    def test_largest_epoch_budget_accepted(self):
+        # the triangle coalesces long before the budget is reached
+        run = cftp_rc_run(fixture_graph("triangle", 0.5), RngStream(3), MAX_EPOCH)
+        assert run.epoch < 8
 
     def test_k2_half_marginal(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 0.5)], param="p")

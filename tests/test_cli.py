@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from isingworlds import cli
+from isingworlds.cftp import MAX_EPOCH
 from isingworlds.cli import main
 from isingworlds.fixtures import fixture_path
 from isingworlds.graphio import load_graph
@@ -180,6 +182,10 @@ class TestPerfect:
         assert main(["perfect", "--world", "rc", "--graph", TRIANGLE, "--samples", "1",
                      "--seed", "2", "--max-epoch", "0"]) == 4
 
+    def test_largest_epoch_budget_accepted(self, capsys):
+        assert main(["perfect", "--world", "rc", "--graph", TRIANGLE, "--samples", "2",
+                     "--seed", "2", "--max-epoch", str(MAX_EPOCH)]) == 0
+
     def test_jobs_do_not_change_output(self, tmp_path):
         blobs = []
         for jobs, name in (("1", "s1.jsonl"), ("2", "s2.jsonl")):
@@ -271,6 +277,41 @@ class TestSample:
                      "--samples", "1", "--seed", "0"]) == 3
 
 
+# sha256 of the stdout of 200 samples with --jobs 1, the graph named
+# relative to the fixture directory (sample's summary line carries the
+# manifest: version, options and graph path).  A change that alters how
+# CFTP or the conversions use randomness updates these on purpose.
+PINNED_CFTP_STDOUT = {
+    ("grid3x3", "perfect-subs", 7): "1d0cdb67c953744c0f3ff715bdf45be2cb85bb28999d6a4bf4e250363372c3f7",
+    ("grid3x3", "perfect-subs", 2024): "81249953fd39d410794b883a32d974a610c201b3572dd685dd5b902987c941e0",
+    ("grid3x3", "perfect-rc", 7): "4230ef3dc88c469617c90fd13cdfd62af340cf7abe06157af159ed1f6c509e85",
+    ("grid3x3", "perfect-rc", 2024): "aff70595cd6bfdfff0645ef2a620ecbe7cba9e3945458360845ac77d3dacac46",
+    ("grid3x3", "sample-spins", 7): "762aea901cb11b7492551625956027365776f024c34e4d1fde1055ede35a06ad",
+    ("grid3x3", "sample-spins", 2024): "717186392edc6178c8b4976ce7af17167ed8d028c262b6108d42fbb1bab9916f",
+    ("cycle4", "perfect-subs", 7): "2af8d234b2d3c46d8b03532f7761f59c02d6d2ad482e4124ee7884117dd267e4",
+    ("cycle4", "perfect-subs", 2024): "877f7fc0772385a84ec588a007e6c9cbc31e8e9ec0d6948fb8fe1a64a0b336e3",
+    ("cycle4", "perfect-rc", 7): "85f0de8120cbf1ec2a9df307325545e7001332641665fa9c6e6dd6b92a8017e3",
+    ("cycle4", "perfect-rc", 2024): "6dafbec81961c290737e6b13e3f88fe82bb3c310f453f50896fec47bfe7a499f",
+    ("cycle4", "sample-spins", 7): "24989cd8c3a4d5a53e55eae6cbc850bb8dad76533fb55a4ad959d44990aee920",
+    ("cycle4", "sample-spins", 2024): "f350c5fed5c65764229ca3f86404cae22153532a6dcb040a205b1f19db782e57",
+}
+CFTP_COMMANDS = {
+    "perfect-subs": ["perfect", "--world", "subs"],
+    "perfect-rc": ["perfect", "--world", "rc"],
+    "sample-spins": ["sample", "--method", "cftp", "--world", "spins"],
+}
+
+
+@pytest.mark.parametrize("name,command,seed", sorted(PINNED_CFTP_STDOUT))
+def test_cftp_stdout_pinned(name, command, seed, monkeypatch, capsys):
+    monkeypatch.chdir(fixture_path(name, "beta").parent)
+    argv = [*CFTP_COMMANDS[command], "--graph", f"{name}.beta.graph",
+            "--samples", "200", "--seed", str(seed), "--jobs", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_CFTP_STDOUT[(name, command, seed)]
+
+
 class TestCounts:
     @pytest.mark.parametrize(
         "argv",
@@ -286,6 +327,9 @@ class TestCounts:
             ["perfect", "--world", "rc", "--samples", "two"],
             ["chain", "--kernel", "sw", "--steps", "-1"],
             ["chain", "--kernel", "sw", "--steps", "2", "--thin", "0"],
+            ["sample", "--world", "rc", "--method", "cftp", "--samples", "1", "--max-epoch", "28"],
+            ["perfect", "--world", "rc", "--samples", "1", "--max-epoch", "28"],
+            ["perfect", "--world", "rc", "--samples", "1", "--max-epoch", "40"],
         ],
     )
     def test_bad_count_is_input_error(self, argv, capsys):
