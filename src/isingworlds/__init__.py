@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .cftp import (
     CftpRun,
-    CftpSchedule,
     cftp_rc_run,
     cftp_rc_sample,
     heat_bath_rc_step,
@@ -80,7 +79,6 @@ __all__ = [
     "ChainState",
     "ChainTrace",
     "CftpRun",
-    "CftpSchedule",
     "ClusterPartition",
     "EvenCountReport",
     "ExactTables",

@@ -24,9 +24,9 @@ shortcut changes a decision or a draw.  The run loop makes the kernel's
 decision inline, with the low threshold computed once per edge and the
 queries marking visited nodes in one per-run list of stamps.
 
-The schedule keeps its records in two typed arrays, the edges as
-``array('i')`` and the uniforms as ``array('d')``, 12 bytes a record,
-and draws each extension in one batch of
+The run keeps its (edge, uniform) records in two typed arrays, edges
+``array('i')`` and uniforms ``array('d')``, 12 bytes a record, and each
+epoch extends them in one batch of
 :meth:`~isingworlds.rng.RngStream.pick_uniform_pairs`, which makes the
 same draws as a ``randrange`` and a ``uniform`` call per record.
 
@@ -43,7 +43,7 @@ lower closes it.  Neither rule changes a sample, an epoch or a draw;
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidParameterError, NoCoalescenceError
@@ -57,8 +57,8 @@ DEFAULT_MAX_EPOCH = 24
 MAX_EPOCH = 27
 
 
-def _heat_bath_open(g: WeightedGraph, z: Sequence[int], e: int, u: float) -> int:
-    """New state of edge e under the heat-bath update with uniform ``u``.
+def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -> RcConfig:
+    """Resample one edge from its conditional law using the uniform ``u``.
 
     Opening an edge whose endpoints are already connected elsewhere does
     not change the cluster count, so the conditional open probability is
@@ -67,46 +67,15 @@ def _heat_bath_open(g: WeightedGraph, z: Sequence[int], e: int, u: float) -> int
     between the two thresholds decides the edge without asking whether
     its endpoints are connected.
     """
-    p = g.ps[e]
-    if u >= p:
-        return 0
-    if u < p / (2.0 - p):
-        return 1
-    return 1 if _connected_without_edge(g, z, e) else 0
-
-
-def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -> RcConfig:
-    """Resample one edge from its conditional law using the uniform ``u``."""
     validate_config(g, "rc", z)
     if not 0 <= edge < g.num_edges:
         raise InvalidParameterError(f"edge index {edge} out of range")
     if not 0.0 <= u < 1.0:
         raise InvalidParameterError(f"uniform variate must lie in [0, 1), got {u}")
+    p = g.ps[edge]
     out = list(z)
-    out[edge] = _heat_bath_open(g, z, edge, u)
+    out[edge] = int(u < p / (2.0 - p) or (u < p and _connected_without_edge(g, z, edge, [0] * g.num_nodes)))
     return tuple(out)
-
-
-@dataclass
-class CftpSchedule:
-    """Cached per-step randomness, indexed by distance into the past.
-
-    The record for step ``-t`` is generated once and replayed verbatim by
-    every deeper restart; that reuse is what makes the output exact.
-    Record ``t - 1`` is a uniformly chosen updatable edge,
-    ``edges[t - 1]``, and the uniform variate for its heat-bath
-    threshold, ``uniforms[t - 1]``.
-    """
-
-    rng: RngStream
-    free_edges: tuple[int, ...]
-    edges: array = field(default_factory=lambda: array("i"))
-    uniforms: array = field(default_factory=lambda: array("d"))
-
-    def ensure(self, steps: int) -> None:
-        missing = steps - len(self.edges)
-        if missing > 0:
-            self.rng.pick_uniform_pairs(self.free_edges, missing, self.edges, self.uniforms)
 
 
 @dataclass(frozen=True)
@@ -125,17 +94,6 @@ class CftpRun:
     steps: int
 
 
-def _pinned_base(g: WeightedGraph) -> tuple[list[int], list[int]]:
-    base = [0] * g.num_edges
-    free = []
-    for e, p in enumerate(g.ps):
-        if p >= 1.0:
-            base[e] = 1
-        elif p > 0.0:
-            free.append(e)
-    return base, free
-
-
 def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH) -> CftpRun:
     """Run monotone coupling from the past until coalescence.
 
@@ -147,26 +105,30 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     if not 0 <= max_epoch <= MAX_EPOCH:
         raise InvalidParameterError(f"max_epoch must lie in [0, {MAX_EPOCH}], got {max_epoch}")
     require_field_free(g)
-    base, free = _pinned_base(g)
+    ps = g.ps
+    base = [1 if p >= 1.0 else 0 for p in ps]
+    free = [e for e, p in enumerate(ps) if 0.0 < p < 1.0]
     if not free:
         return CftpRun(tuple(base), 0, 0)
 
-    schedule = CftpSchedule(rng, tuple(free))
-    ps = g.ps
-    low = [p / (2.0 - p) for p in ps]  # the thresholds of _heat_bath_open
+    # record t - 1 is step -t: an updatable edge and the uniform for its
+    # heat-bath threshold, drawn once and replayed by every deeper epoch
+    edges = array("i")
+    uniforms = array("d")
+    low = [p / (2.0 - p) for p in ps]  # the band's lower thresholds, as in heat_bath_rc_step
     mark = [0] * g.num_nodes
     stamp = 1
     sweep = len(free)
     # last[e]: index of free edge e's first record, which is its last
-    # update before time 0; -1 until the schedule has drawn e
+    # update before time 0; -1 until the records include e
     last = [-1] * g.num_edges
     unseen = sweep
     total_steps = 0
     for epoch in range(max_epoch + 1):
         horizon = 1 << epoch
-        schedule.ensure(horizon)  # exactly horizon records, step -horizon last
+        # exactly horizon records, step -horizon last
+        rng.pick_uniform_pairs(free, horizon - len(edges), edges, uniforms)
         if unseen:  # scan the records this epoch added
-            edges = schedule.edges
             for i in range(horizon >> 1, horizon):
                 e = edges[i]
                 if last[e] < 0:
@@ -182,7 +144,7 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
             top[e] = 1
         left = sweep
         offset = horizon - 1 - sweep  # the current record is at offset + left
-        for edge, u in zip(reversed(schedule.edges), reversed(schedule.uniforms)):
+        for edge, u in zip(reversed(edges), reversed(uniforms)):
             if u >= ps[edge]:
                 top[edge] = bot[edge] = 0
             elif u < low[edge]:

@@ -61,7 +61,7 @@ from .graph import WeightedGraph, require_field_free
 from .graphio import graph_to_text, load_graph
 from .reductions import REDUCTIONS, subs_to_rc
 from .rng import RngStream
-from .worlds import STATISTICS, config_from_string, statistic
+from .worlds import STATISTICS, config_from_string
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -281,13 +281,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         json.dumps({"config": list(c), **info}, separators=(", ", ": "))
         for c, info in zip(samples, extra)
     ]
-    stat_names = STATISTICS[world]
     summary_stats = {}
-    for name in stat_names:
-        values = [statistic(g, world, c, name) for c in samples]
+    for name, observable in STATISTICS[world].items():
+        values = [observable(g, c) for c in samples]
         mean = sum(values) / n if n else None  # null in the JSON: undefined, not NaN
-        var = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
-        summary_stats[name] = {"mean": mean, "se": math.sqrt(var / n) if n else None}
+        var = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else None  # one sample: no spread
+        summary_stats[name] = {"mean": mean, "se": math.sqrt(var / n) if var is not None else None}
     manifest = _manifest("sample", args)
     summary = {
         "world": world,

@@ -28,7 +28,7 @@ an accidental exponential blowup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -270,15 +270,7 @@ class IdentityReport:
     used_log_domain: bool
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relative_error": self.relative_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "used_log_domain": self.used_log_domain,
-        }
+        return asdict(self)
 
 
 def _log_cosh(beta: float) -> float:
@@ -509,6 +501,8 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
 def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[int, ...]]:
     """n i.i.d. draws from an exact table by inverse CDF; a table with no
     positive-weight configuration is an error, whatever n is."""
+    if n < 0:
+        raise InvalidParameterError(f"the sample count must be nonnegative, got {n}")
     if not table.support:
         raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
     cum = np.cumsum(table.support_probs)
@@ -520,6 +514,8 @@ def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[i
 
 def empirical_distribution(samples: Sequence[tuple[int, ...]], table: WorldTable) -> np.ndarray:
     """Histogram of samples aligned to a table's configuration order."""
+    if len(samples) == 0:
+        raise InvalidParameterError("an empirical distribution needs at least one sample")
     counts = np.zeros(len(table.configs))
     index = table.config_index
     for s in samples:
@@ -553,11 +549,7 @@ class EvenCountReport:
         return self.enumerated == self.closed_form
 
     def as_dict(self) -> dict:
-        return {
-            "enumerated": self.enumerated,
-            "closed_form": self.closed_form,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_even_subgraph_count(g: WeightedGraph, z: Sequence[int]) -> EvenCountReport:

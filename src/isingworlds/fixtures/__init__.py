@@ -52,14 +52,6 @@ def grid_graph(rows: int, cols: int, beta: float | Sequence[float] = 0.5) -> Wei
     return WeightedGraph.from_edges(rows * cols, _with_betas(pairs, beta))
 
 
-def k2(beta: float | Sequence[float] = 0.5) -> WeightedGraph:
-    return complete_graph(2, beta)
-
-
-def triangle(beta: float | Sequence[float] = 0.5) -> WeightedGraph:
-    return complete_graph(3, beta)
-
-
 FIXTURES = {
     "k2": lambda beta=0.5: complete_graph(2, beta),
     "path3": lambda beta=0.5: path_graph(3, beta),

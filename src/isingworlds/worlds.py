@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,7 +144,7 @@ def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[in
 
 
 def _connected_without_edge(
-    g: WeightedGraph, z: Sequence[int], e: int, mark: list[int] | None = None, stamp: int = 1
+    g: WeightedGraph, z: Sequence[int], e: int, mark: list[int], stamp: int = 1
 ) -> bool:
     """Are e's endpoints joined by open edges other than e itself?
 
@@ -160,8 +160,6 @@ def _connected_without_edge(
     """
     i, j = g.edges[e]
     adj = g.adjacency
-    if mark is None:
-        mark = [0] * g.num_nodes
     mine, theirs = stamp, stamp + 1
     mark[i] = mine
     mark[j] = theirs
@@ -385,11 +383,6 @@ def _ldexp(value: float, exponent: int) -> float:
 # Observables recorded by chains and sample summaries
 # ---------------------------------------------------------------------------
 
-def magnetization(x: Sequence[int]) -> int:
-    """Sum of spins."""
-    return sum(x)
-
-
 def spins_energy(g: WeightedGraph, x: Sequence[int]) -> float:
     """Interaction energy -sum(beta * x_i * x_j) over finite couplings.
 
@@ -402,42 +395,42 @@ def spins_energy(g: WeightedGraph, x: Sequence[int]) -> float:
     return total
 
 
-def open_edge_count(y: Sequence[int]) -> int:
-    return sum(y)
+def _total(g: WeightedGraph, config: Sequence[int]) -> float:
+    """Sum of the values: m (spins) or the open-edge count (subs, rc)."""
+    return float(sum(config))
 
 
-def agreement_clusters(g: WeightedGraph, x: Sequence[int]) -> ClusterPartition:
-    """Components of the subgraph of edges whose endpoints agree."""
-    agree = tuple(1 if x[i] == x[j] else 0 for i, j in g.edges)
-    return clusters(g, agree)
+def _cluster_count(g: WeightedGraph, z: Sequence[int]) -> float:
+    return float(clusters(g, z).count)
 
 
-STATISTICS = {
-    "spins": ("m", "energy", "clusters"),
-    "subs": ("edges", "clusters"),
-    "rc": ("edges", "clusters"),
+_Statistic = Callable[[WeightedGraph, Sequence[int]], float]
+
+# each world's observables in recording order; spins clusters are the
+# components of the edges whose endpoints agree
+STATISTICS: dict[str, dict[str, _Statistic]] = {
+    "spins": {
+        "m": _total,
+        "energy": spins_energy,
+        "clusters": lambda g, x: _cluster_count(g, tuple(1 if x[i] == x[j] else 0 for i, j in g.edges)),
+    },
+    "subs": {"edges": _total, "clusters": _cluster_count},
+    "rc": {"edges": _total, "clusters": _cluster_count},
 }
 
 
-def require_statistic(world: str, name: str) -> None:
-    """Raise :class:`UnknownStatisticError` unless ``name`` is a statistic
-    of ``world``."""
-    if name not in STATISTICS.get(world, ()):
-        raise UnknownStatisticError(f"statistic {name!r} is not defined for world {world!r}")
+def require_statistic(world: str, name: str) -> _Statistic:
+    """The observable ``name`` of ``world``; :class:`UnknownStatisticError`
+    if there is none."""
+    try:
+        return STATISTICS[world][name]
+    except KeyError:
+        raise UnknownStatisticError(f"statistic {name!r} is not defined for world {world!r}") from None
 
 
 def statistic(g: WeightedGraph, world: str, config: Sequence[int], name: str) -> float:
     """Evaluate a named observable of a configuration in its world."""
-    require_statistic(world, name)
-    if world == "spins":
-        if name == "m":
-            return float(magnetization(config))
-        if name == "energy":
-            return spins_energy(g, config)
-        return float(agreement_clusters(g, config).count)
-    if name == "edges":
-        return float(open_edge_count(config))
-    return float(clusters(g, config).count)
+    return require_statistic(world, name)(g, config)
 
 
 # ---------------------------------------------------------------------------

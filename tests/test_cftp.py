@@ -1,8 +1,9 @@
-"""Monotone coupling from the past: kernel, schedule, and exactness."""
+"""Monotone coupling from the past: kernel, records, and exactness."""
 
 import math
 import random
 import tracemalloc
+from array import array
 from itertools import product
 
 import pytest
@@ -22,7 +23,7 @@ from isingworlds import (
     weight_subs,
 )
 from conftest import joined_without_edge, random_graph
-from isingworlds.cftp import MAX_EPOCH, CftpRun, CftpSchedule, _heat_bath_open
+from isingworlds.cftp import MAX_EPOCH, CftpRun
 from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph, path_graph
 
 
@@ -30,8 +31,8 @@ def _opens_below(g, z, e, threshold):
     """The kernel opens e for every uniform below ``threshold`` and closes
     it from ``threshold`` on, checked at the two floats either side."""
     return (
-        _heat_bath_open(g, z, e, math.nextafter(threshold, 0.0)) == 1
-        and _heat_bath_open(g, z, e, threshold) == 0
+        heat_bath_rc_step(g, z, e, math.nextafter(threshold, 0.0))[e] == 1
+        and heat_bath_rc_step(g, z, e, threshold)[e] == 0
     )
 
 
@@ -85,26 +86,18 @@ class TestHeatBathKernel:
 
 
 class TestSchedule:
-    def test_records_are_reused_bitwise(self):
-        sched = CftpSchedule(RngStream(5), (0, 1, 2))
-        sched.ensure(4)
-        early = (sched.edges.tobytes(), sched.uniforms.tobytes())
-        sched.ensure(64)
-        assert len(sched.edges) == len(sched.uniforms) == 64
-        assert sched.edges[:4].tobytes() == early[0]
-        assert sched.uniforms[:4].tobytes() == early[1]
-
     def test_memory_per_record(self):
         # two typed arrays: 12 bytes a record plus their growth slack
         records = 1 << 16
-        sched = CftpSchedule(RngStream(1), tuple(range(480)))
+        rng, free = RngStream(1), tuple(range(480))
         tracemalloc.start()
         try:
-            sched.ensure(records)
+            edges, uniforms = array("i"), array("d")
+            rng.pick_uniform_pairs(free, records, edges, uniforms)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(sched.edges) == records
+        assert len(edges) == len(uniforms) == records
         assert held <= 16 * records
         assert peak <= 16 * records
 

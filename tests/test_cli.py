@@ -261,6 +261,14 @@ class TestSample:
             assert summary["samples"] == 0
             assert all(s == {"mean": None, "se": None} for s in summary["stats"].values())
 
+    def test_one_sample_has_a_mean_but_no_se(self, capsys):
+        # one value has no spread to estimate: se is null, as with none
+        assert main(["sample", "--world", "spins", "--method", "enum", "--graph", TRIANGLE,
+                     "--samples", "1", "--seed", "4"]) == 0
+        row, summary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        assert summary["stats"]["m"] == {"mean": float(sum(row["config"])), "se": None}
+        assert all(s["mean"] is not None and s["se"] is None for s in summary["stats"].values())
+
     @pytest.mark.parametrize("samples", ["0", "3"])
     def test_enum_without_positive_weight_is_input_error(self, samples, tmp_path, capsys):
         graph = write(tmp_path, "g.graph",

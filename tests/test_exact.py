@@ -366,6 +366,19 @@ class TestTvDistance:
         with pytest.raises(InvalidConfigError):
             empirical_distribution([(0, 1)], table)
 
+    def test_empirical_distribution_needs_a_sample(self):
+        table = enumerate_world(fixture_graph("k2", 0.5), "rc")
+        with pytest.raises(InvalidParameterError, match="at least one sample"):
+            empirical_distribution([], table)
+
+    def test_sample_count_nonnegative(self):
+        table = enumerate_world(fixture_graph("k2", 0.5), "rc")
+        rng = RngStream(0)
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            sample_from_table(table, rng, -3)
+        assert rng.draws == 0
+        assert sample_from_table(table, rng, 0) == []
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_sampling_needs_a_positive_weight_row(self, n):
         g = WeightedGraph(2, ((0, 1),), (math.inf,), (math.inf, -math.inf))

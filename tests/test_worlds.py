@@ -21,6 +21,7 @@ from isingworlds import (
 )
 from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
 from isingworlds.worlds import (
+    STATISTICS,
     _connected_without_edge,
     config_from_string,
     config_to_string,
@@ -190,7 +191,7 @@ class TestConnectedWithoutEdge:
             g = random_graph(rnd, max_nodes=9, max_edges=16)
             z = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
             for e in range(g.num_edges):
-                assert _connected_without_edge(g, z, e) == joined_without_edge(g, z, e)
+                assert _connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
 
     @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
     def test_matches_labels_on_a_grid(self, density):
@@ -200,7 +201,7 @@ class TestConnectedWithoutEdge:
         for _ in range(10):
             z = tuple(1 if rnd.random() < density else 0 for _ in range(g.num_edges))
             for e in range(g.num_edges):
-                assert _connected_without_edge(g, z, e) == joined_without_edge(g, z, e)
+                assert _connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
 
     def test_one_stamp_list_serves_many_queries(self):
         # the CFTP run loop keeps one list of marks per run and raises the
@@ -332,6 +333,29 @@ class TestStatistics:
         g = fixture_graph("triangle", 0.5)
         assert statistic(g, "rc", (1, 0, 0), "edges") == 1.0
         assert statistic(g, "subs", (1, 1, 1), "clusters") == 1.0
+
+    def test_table_matches_plain_references(self):
+        rnd = random.Random(515)
+        for _ in range(200):
+            g = random_graph(rnd, max_nodes=8, max_edges=14, extreme_share=0.3)
+            x = tuple(rnd.choice((-1, 1)) for _ in range(g.num_nodes))
+            z = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
+            agree = [1 if x[i] == x[j] else 0 for i, j in g.edges]
+            energy = sum(-b * x[i] * x[j] for (i, j), b in zip(g.edges, g.betas) if b != math.inf)
+            assert statistic(g, "spins", x, "m") == sum(x)
+            assert statistic(g, "spins", x, "energy") == pytest.approx(energy)
+            assert statistic(g, "spins", x, "clusters") == dfs_component_labels(g, agree)[1]
+            for world in ("subs", "rc"):
+                assert statistic(g, world, z, "edges") == sum(z)
+                assert statistic(g, world, z, "clusters") == dfs_component_labels(g, z)[1]
+
+    def test_table_order(self):
+        # the CLI summary lists each world's statistics in this order
+        assert {world: list(table) for world, table in STATISTICS.items()} == {
+            "spins": ["m", "energy", "clusters"],
+            "subs": ["edges", "clusters"],
+            "rc": ["edges", "clusters"],
+        }
 
     def test_unknown_statistic(self):
         from isingworlds import UnknownStatisticError
