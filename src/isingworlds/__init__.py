@@ -28,23 +28,6 @@ from .errors import (
     UnknownStatisticError,
     UnsupportedFieldError,
 )
-from .exact import (
-    EvenCountReport,
-    ExactTables,
-    IdentityReport,
-    KernelMatrix,
-    WorldTable,
-    check_even_subgraph_count,
-    check_rc_normalizer,
-    check_relate_identity,
-    empirical_distribution,
-    enumerate_world,
-    exact_kernel_matrix,
-    exact_tables,
-    kernel_stationarity_error,
-    sample_from_table,
-    tv_distance,
-)
 from .graph import (
     FieldReduction,
     WeightedGraph,
@@ -65,12 +48,6 @@ from .worlds import (
     clusters,
     config_from_string,
     config_to_string,
-    weight_rc,
-    weight_rc_log,
-    weight_spins,
-    weight_spins_log,
-    weight_subs,
-    weight_subs_log,
 )
 
 __all__ = [
@@ -143,3 +120,21 @@ __all__ = [
     "weight_subs",
     "weight_subs_log",
 ]
+
+
+# The names of __all__ not imported above belong to the enumeration
+# oracle, the only module that needs numpy.  They are imported on first
+# access (PEP 562), so the samplers and the command line start without
+# numpy.
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import exact
+
+    value = getattr(exact, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))

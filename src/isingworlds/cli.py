@@ -7,11 +7,12 @@ draws exact samples by coupling from the past, ``sample`` unifies the
 sampling backends, and ``verify`` checks the partition-function
 identities and kernel exactness on a small graph.
 
-Every sampling command requires ``--seed`` and is fully deterministic
-given its inputs.  With ``--out FILE`` the payload goes to the file and
-a run manifest (including timing) is written next to it as
-``FILE.manifest.json``; without ``--out`` the payload goes to stdout
-with timing omitted so repeated runs are byte-identical.
+Every sampling command requires ``--seed``, a nonnegative integer, and
+is fully deterministic given its inputs.  With ``--out FILE`` the
+payload goes to the file and a run manifest (including timing) is
+written next to it as ``FILE.manifest.json``; without ``--out`` the
+payload goes to stdout with timing omitted so repeated runs are
+byte-identical.
 
 Exit codes: 0 success, 1 failed verification, 2 input/parse error,
 3 enumeration cap exceeded, 4 no coalescence.
@@ -28,11 +29,11 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
 from . import __version__
+from .caps import CAPS, KERNEL_EDGE_CAP, KERNEL_NODE_CAP
 from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, cftp_rc_run
 from .chains import initial_state, run_chain
 from .errors import (
@@ -44,18 +45,6 @@ from .errors import (
     NoCoalescenceError,
     UnknownStatisticError,
     UnsupportedFieldError,
-)
-from .exact import (
-    CAPS,
-    exact_tables,
-    KERNEL_EDGE_CAP,
-    KERNEL_NODE_CAP,
-    check_even_subgraph_count,
-    check_rc_normalizer,
-    check_relate_identity,
-    enumerate_world,
-    kernel_stationarity_error,
-    sample_from_table,
 )
 from .graph import WeightedGraph, require_field_free
 from .graphio import graph_to_text, load_graph
@@ -221,6 +210,8 @@ def _cftp_samples(
     one = partial(_cftp_one, g, seed, world=world, max_epoch=max_epoch)
     if workers <= 1:
         return [one(i) for i in range(samples)]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     # each sample has its own stream and map keeps index order, so the
     # output does not depend on the number of workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -264,6 +255,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     world, n = args.world, args.samples
     workers = _workers(args.jobs, n) if args.method == "cftp" else 1
     if args.method == "enum":
+        from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
+
         if world != "spins":
             require_field_free(g)  # the edge-world tables would drop the field
         table = enumerate_world(g, world)
@@ -302,6 +295,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .exact import (  # the oracle loads numpy
+        check_even_subgraph_count,
+        check_rc_normalizer,
+        check_relate_identity,
+        exact_tables,
+        kernel_stationarity_error,
+    )
+
     started = time.perf_counter()
     g = load_graph(args.graph)
     require_field_free(g)  # an input error before any enumeration, at any size
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, choices=("subs", "rc", "spins"))
     p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_reduce)
 
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True, choices=("sw", "subs-sw"))
     p.add_argument("--graph", required=True)
     p.add_argument("--steps", type=_nonnegative, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative, required=True)
     p.add_argument("--stats", help="comma-separated statistic names")
     p.add_argument("--thin", type=_positive, default=1)
     p.add_argument("--out")
@@ -416,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True, choices=("rc", "subs"))
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=_nonnegative, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative, required=True)
     p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out")
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=("enum", "cftp", "chain"))
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=_nonnegative, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative, required=True)
     p.add_argument("--burnin", type=_nonnegative, default=0)
     p.add_argument("--thin", type=_positive, default=1)
     p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)

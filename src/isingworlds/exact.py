@@ -5,13 +5,23 @@ truth: full weight tables and partition sums per world, the
 partition-function identities linking the worlds, exact one-step
 transition matrices, and the closed-form even-subgraph count.
 
+Each world has one unnormalized weight formula and one log-domain
+companion, written here as a batch pair over an int8 configuration
+matrix (one row per configuration); they agree wherever the linear value
+is positive and representable.  The scalar ``weight_*`` functions
+validate one configuration and evaluate it as a one-row matrix.  The
+spins weight includes the field's node factors when the graph carries
+one; the random-cluster pair takes each row's cluster count from its
+caller.  The weights live here, not in :mod:`worlds`, because the oracle
+is their only production user: the samplers never import numpy.
+
 Tables are columnar.  A world's configurations are built once, column by
 column, as an int8 matrix with one row per configuration (in
-``itertools.product`` order), and the world's batch weight pair from
-:mod:`worlds` runs over it; the tuples of ``WorldTable.configs`` are
-built only when a caller reads them.  A random-cluster table takes its
-cluster counts from min-label propagation over that matrix, on the
-edge-incident nodes only, which is deliberately independent of the
+``itertools.product`` order), and the world's batch weight pair runs
+over it; the tuples of ``WorldTable.configs`` are built only when a
+caller reads them.  A random-cluster table takes its cluster counts
+from min-label propagation over that matrix, on the edge-incident
+nodes only, which is deliberately independent of the
 forest traversal (``worlds._open_forest``) the samplers use: an oracle
 sharing that code would share its faults.  Parity work likewise covers
 only edge-incident nodes, so a graph with a few edges and many isolated
@@ -21,8 +31,9 @@ Kernel matrices, by contrast, run the production code on purpose: each
 conversion in ``reductions.REDUCTIONS`` runs once per outcome of its
 Bernoulli draws, so a stationarity check tests the code that samples.
 
-Enumeration is capped; callers see :class:`CapExceededError` rather than
-an accidental exponential blowup.
+Enumeration is capped (the caps live in :mod:`caps` and are re-exported
+here); callers see :class:`CapExceededError` rather than an accidental
+exponential blowup.
 """
 
 from __future__ import annotations
@@ -34,33 +45,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .caps import CAPS, EDGE_ENUM_CAP, KERNEL_EDGE_CAP, KERNEL_NODE_CAP, SPINS_ENUM_NODE_CAP
 from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, require_field_free
 from .reductions import REDUCTIONS
 from .rng import RngStream
-from .worlds import (
-    _ldexp,
-    odd_rows,
-    rc_log_weights,
-    rc_weights,
-    spins_log_weights,
-    spins_weights,
-    subs_log_weights,
-    subs_weights,
-    validate_config,
-)
-
-SPINS_ENUM_NODE_CAP = 16
-EDGE_ENUM_CAP = 20
-KERNEL_EDGE_CAP = 10
-KERNEL_NODE_CAP = 12
-
-CAPS = {
-    "spins_enum_nodes": SPINS_ENUM_NODE_CAP,
-    "edge_enum_edges": EDGE_ENUM_CAP,
-    "kernel_edges": KERNEL_EDGE_CAP,
-    "kernel_nodes": KERNEL_NODE_CAP,
-}
+from .worlds import clusters, validate_config
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,6 +167,183 @@ def cluster_counts(
         if np.array_equal(before, labels):
             return num_nodes - len(nodes) + np.count_nonzero(labels == own, axis=0)
         sweep.reverse()  # labels then travel both ways along the edge order
+
+
+# ---------------------------------------------------------------------------
+# Weights
+# ---------------------------------------------------------------------------
+
+# Each world's weight is one batch pair over a configuration matrix: one
+# row per configuration, one column per node (spins) or edge.  Columns
+# are folded in node/edge order with the float operations of the plain
+# loop (a factor of 1.0 or a term of 0.0 stands for a skipped site), and
+# rows ruled out by a hard constraint are set at the end, so a 0 * inf
+# on the way never leaks a NaN into them.
+
+def spins_weights(g: WeightedGraph, xs: np.ndarray) -> np.ndarray:
+    """:func:`weight_spins` of every row of an int8 +1/-1 matrix."""
+    acc = np.ones(len(xs))
+    ruled_out = np.zeros(len(xs), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        for (i, j), beta in zip(g.edges, g.betas):
+            agree = xs[:, i] == xs[:, j]
+            if math.isinf(beta):
+                ruled_out |= ~agree
+            else:
+                acc *= _pick(agree, _exp(-beta), _exp(beta))
+        for v, b in enumerate(g.field or ()):
+            if b == 0.0:
+                continue
+            up = xs[:, v] == 1
+            if math.isinf(b):
+                ruled_out |= up != (b > 0)
+            else:
+                acc *= _pick(up, 1.0, _exp(b))
+    acc[ruled_out] = 0.0
+    return acc
+
+
+def spins_log_weights(g: WeightedGraph, xs: np.ndarray) -> np.ndarray:
+    """:func:`weight_spins_log` of every row of an int8 +1/-1 matrix."""
+    total = np.zeros(len(xs))
+    ruled_out = np.zeros(len(xs), dtype=bool)
+    for (i, j), beta in zip(g.edges, g.betas):
+        agree = xs[:, i] == xs[:, j]
+        if math.isinf(beta):
+            ruled_out |= ~agree
+        else:
+            total += _pick(agree, -beta, beta)
+    for v, b in enumerate(g.field or ()):
+        if b == 0.0:
+            continue
+        up = xs[:, v] == 1
+        if math.isinf(b):
+            ruled_out |= up != (b > 0)
+        else:
+            total += _pick(up, 0.0, b)
+    total[ruled_out] = -math.inf
+    return total
+
+
+def odd_rows(edges: Sequence[tuple[int, int]], ys: np.ndarray) -> np.ndarray:
+    """Rows of an int8 0/1 edge matrix in which some node has odd open degree.
+
+    Only nodes incident to an edge carry a parity column.
+    """
+    parity: dict[int, np.ndarray] = {}
+    for e, (i, j) in enumerate(edges):
+        column = ys[:, e]
+        for v in (i, j):
+            parity[v] = parity[v] ^ column if v in parity else column
+    odd = np.zeros(len(ys), dtype=bool)
+    for column in parity.values():
+        np.logical_or(odd, column, out=odd)
+    return odd
+
+
+def subs_weights(g: WeightedGraph, ys: np.ndarray) -> np.ndarray:
+    """:func:`weight_subs` of every row of an int8 0/1 edge matrix."""
+    acc = np.ones(len(ys))
+    for e, lam in enumerate(g.lambdas):
+        acc *= _pick(ys[:, e], 1.0, lam)
+    acc[odd_rows(g.edges, ys)] = 0.0
+    return acc
+
+
+def subs_log_weights(g: WeightedGraph, ys: np.ndarray) -> np.ndarray:
+    """:func:`weight_subs_log` of every row of an int8 0/1 edge matrix."""
+    total = np.zeros(len(ys))
+    for e, lam in enumerate(g.lambdas):
+        total += _pick(ys[:, e], 0.0, math.log(lam) if lam > 0.0 else -math.inf)
+    total[odd_rows(g.edges, ys)] = -math.inf
+    return total
+
+
+def rc_weights(g: WeightedGraph, zs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """:func:`weight_rc` of every row of an int8 0/1 edge matrix, given
+    each row's cluster count."""
+    acc = np.ones(len(zs))
+    for e, p in enumerate(g.ps):
+        acc *= _pick(zs[:, e], 1.0 - p, p)
+    with np.errstate(over="ignore"):
+        return np.ldexp(acc, counts)  # inf past float range, as _ldexp
+
+
+def rc_log_weights(g: WeightedGraph, zs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """:func:`weight_rc_log` of every row of an int8 0/1 edge matrix,
+    given each row's cluster count."""
+    total = counts * math.log(2.0)
+    for e, p in enumerate(g.ps):
+        opened = math.log(p) if p > 0.0 else -math.inf
+        closed = math.log1p(-p) if p < 1.0 else -math.inf
+        total += _pick(zs[:, e], closed, opened)
+    return total
+
+
+def _pick(flags: np.ndarray, unset: float, set_: float) -> np.ndarray:
+    """``set_`` where a bool or 0/1 int8 flag is set, else ``unset``: a
+    gather, several times faster than ``np.where`` with scalar choices."""
+    return np.array([unset, set_]).take(flags.view(np.int8))
+
+
+def _row(config: Sequence[int]) -> np.ndarray:
+    return np.array([config], dtype=np.int8)
+
+
+def weight_spins(g: WeightedGraph, x: Sequence[int]) -> float:
+    """Product of edge factors exp(beta * x_i * x_j) and the field's node
+    factors.
+
+    Infinite couplings contribute an agreement indicator instead.  A node
+    with field value B contributes ``exp(B)`` when its spin is up and 1
+    when it is down; ``B = +inf`` pins the spin up and ``B = -inf`` pins
+    it down (those limits make the pinned factor exactly 1).  A graph
+    without a field has no node factors.
+    """
+    validate_config(g, "spins", x)
+    return float(spins_weights(g, _row(x))[0])
+
+
+def weight_spins_log(g: WeightedGraph, x: Sequence[int]) -> float:
+    validate_config(g, "spins", x)
+    return float(spins_log_weights(g, _row(x))[0])
+
+
+def weight_subs(g: WeightedGraph, y: Sequence[int]) -> float:
+    """Product of lambda over open edges if every node has even open
+    degree, else 0."""
+    validate_config(g, "subs", y)
+    return float(subs_weights(g, _row(y))[0])
+
+
+def weight_subs_log(g: WeightedGraph, y: Sequence[int]) -> float:
+    validate_config(g, "subs", y)
+    return float(subs_log_weights(g, _row(y))[0])
+
+
+def weight_rc(g: WeightedGraph, z: Sequence[int]) -> float:
+    """Open/closed probability products times 2 to the number of clusters."""
+    count = clusters(g, z).count  # validates z
+    return float(rc_weights(g, _row(z), np.array([count]))[0])
+
+
+def weight_rc_log(g: WeightedGraph, z: Sequence[int]) -> float:
+    count = clusters(g, z).count  # validates z
+    return float(rc_log_weights(g, _row(z), np.array([count]))[0])
+
+
+def _exp(value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _ldexp(value: float, exponent: int) -> float:
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.inf
 
 
 # world -> (site values, batch weight, batch log weight); spins sit on

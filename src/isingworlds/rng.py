@@ -1,9 +1,14 @@
 """Seeded, splittable randomness for reproducible simulation runs.
 
-A stream is identified by ``(seed, stream)``; the same pair always
-replays the same draw sequence, and distinct stream ids are well
-separated (stream ids are fed to ``numpy.random.SeedSequence`` as spawn
-keys, which also makes nested substreams cheap).  ``draws`` counts the
+A stream is identified by ``(seed, stream)``, a nonnegative integer
+seed and a tuple of nonnegative integer stream ids; the same pair always
+replays the same draw sequence.  The key ``(seed, *stream)`` is written
+as lowercase hex digits, each integer followed by a comma (so
+``(1, 23)``, ``(12, 3)`` and ``(1, 2, 3)`` give different bytes), and the
+16-byte ``hashlib.blake2b`` digest of those bytes, read as a
+little-endian integer, seeds the stream's ``random.Random``.  Distinct
+keys thus give well separated streams, a substream is the key with one
+more id, and nothing here needs numpy.  ``draws`` counts the
 entropy-consuming calls, which is how reductions report their Bernoulli
 budgets; degenerate Bernoulli draws (success probability 0 or 1) are
 answered without consuming randomness.
@@ -18,27 +23,39 @@ overhead of a Python-level draw.
 from __future__ import annotations
 
 import math
+import operator
 import random as _random
 from array import array
+from hashlib import blake2b
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InvalidParameterError
+
+
+def _key_part(value: object, what: str) -> int:
+    """``value`` as an exact nonnegative int; a bool, a float or a negative
+    number is an :class:`InvalidParameterError`."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be a nonnegative integer, got {value!r}") from None
+    if value < 0:
+        raise InvalidParameterError(f"{what} must be a nonnegative integer, got {value}")
+    return value
 
 
 class RngStream:
     """Reproducible uniform/Bernoulli source with draw counting."""
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = 0):
-        seed = int(seed)
-        if seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
-        self.seed = seed
-        self.stream: tuple[int, ...] = (stream,) if isinstance(stream, int) else tuple(stream)
-        key = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
-        state = int.from_bytes(key.generate_state(4, np.uint32).tobytes(), "little")
-        self._rng = _random.Random(state)
+        self.seed = _key_part(seed, "seed")
+        ids = stream if isinstance(stream, (tuple, list)) else (stream,)
+        self.stream: tuple[int, ...] = tuple(_key_part(i, "stream id") for i in ids)
+        key = (self.seed, *self.stream)
+        digest = blake2b(("%x," * len(key) % key).encode(), digest_size=16).digest()
+        self._rng = _random.Random(int.from_bytes(digest, "little"))
         self.draws = 0
 
     def __repr__(self) -> str:
@@ -119,4 +136,4 @@ class RngStream:
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream; deterministic in (seed, stream, index)."""
-        return RngStream(self.seed, self.stream + (int(index),))
+        return RngStream(self.seed, self.stream + (index,))

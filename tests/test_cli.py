@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,18 +291,18 @@ class TestSample:
 # manifest: version, options and graph path).  A change that alters how
 # CFTP or the conversions use randomness updates these on purpose.
 PINNED_CFTP_STDOUT = {
-    ("grid3x3", "perfect-subs", 7): "1d0cdb67c953744c0f3ff715bdf45be2cb85bb28999d6a4bf4e250363372c3f7",
-    ("grid3x3", "perfect-subs", 2024): "81249953fd39d410794b883a32d974a610c201b3572dd685dd5b902987c941e0",
-    ("grid3x3", "perfect-rc", 7): "4230ef3dc88c469617c90fd13cdfd62af340cf7abe06157af159ed1f6c509e85",
-    ("grid3x3", "perfect-rc", 2024): "aff70595cd6bfdfff0645ef2a620ecbe7cba9e3945458360845ac77d3dacac46",
-    ("grid3x3", "sample-spins", 7): "762aea901cb11b7492551625956027365776f024c34e4d1fde1055ede35a06ad",
-    ("grid3x3", "sample-spins", 2024): "717186392edc6178c8b4976ce7af17167ed8d028c262b6108d42fbb1bab9916f",
-    ("cycle4", "perfect-subs", 7): "2af8d234b2d3c46d8b03532f7761f59c02d6d2ad482e4124ee7884117dd267e4",
-    ("cycle4", "perfect-subs", 2024): "877f7fc0772385a84ec588a007e6c9cbc31e8e9ec0d6948fb8fe1a64a0b336e3",
-    ("cycle4", "perfect-rc", 7): "85f0de8120cbf1ec2a9df307325545e7001332641665fa9c6e6dd6b92a8017e3",
-    ("cycle4", "perfect-rc", 2024): "6dafbec81961c290737e6b13e3f88fe82bb3c310f453f50896fec47bfe7a499f",
-    ("cycle4", "sample-spins", 7): "24989cd8c3a4d5a53e55eae6cbc850bb8dad76533fb55a4ad959d44990aee920",
-    ("cycle4", "sample-spins", 2024): "f350c5fed5c65764229ca3f86404cae22153532a6dcb040a205b1f19db782e57",
+    ("grid3x3", "perfect-subs", 7): "0feca3b39c62b644304cd5b69c8678aff4705cb622621e8d45290c1939469579",
+    ("grid3x3", "perfect-subs", 2024): "a365d0330a735469cd95757b15789ae80ccbf3d2b5e3ae5fa7005311b18bdf32",
+    ("grid3x3", "perfect-rc", 7): "c1b80df107c441661966b8b4aef4a8de49745f7c0fb324d50c01fbd39f65cea2",
+    ("grid3x3", "perfect-rc", 2024): "6c195e24e10d814261699dae40901982de824db3169e2000a768259910aea45a",
+    ("grid3x3", "sample-spins", 7): "93fa81962f98975c71b2379714a0926e27023ac4bf6f33425ad60dd864f7315c",
+    ("grid3x3", "sample-spins", 2024): "81cffab1fe686eba3d3fd058dcb2ebe2586f1397e633a7c75f6f560b16bd8655",
+    ("cycle4", "perfect-subs", 7): "fe200629bc71a8cc238e71851caca9929235a0d080b71abc7665bc1e71dee592",
+    ("cycle4", "perfect-subs", 2024): "1d382ead351cf138933723e75afc14f5a1326a65f8f7012bf7b479c073e6aced",
+    ("cycle4", "perfect-rc", 7): "cb76f94eee8e37cb9e2ecb0c4ad1d3501824bebc5345d97bba49e0812941128b",
+    ("cycle4", "perfect-rc", 2024): "f4bce49f0f6d3a2a6b87c2db998cfdd33ea1f3094c601503b7e105d38859adb9",
+    ("cycle4", "sample-spins", 7): "72e6b8bf6af3eb966eb232d7ef99fd09580675528bb1483d2307cd9fbb6ce7f7",
+    ("cycle4", "sample-spins", 2024): "8167decda0acbd2c138b4a852d35e7dfb45fd000f1419c62ce30a2183335adf7",
 }
 CFTP_COMMANDS = {
     "perfect-subs": ["perfect", "--world", "subs"],
@@ -346,6 +347,23 @@ class TestCounts:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perfect", "--world", "rc", "--samples", "0"],
+            ["perfect", "--world", "rc", "--samples", "1"],
+            ["sample", "--world", "rc", "--method", "enum", "--samples", "0"],
+            ["chain", "--kernel", "sw", "--steps", "1"],
+            ["reduce", "--from", "rc", "--to", "subs", "--config", "z.txt"],
+        ],
+    )
+    def test_negative_seed_is_input_error(self, argv, capsys):
+        # refused by the parser, whether or not a stream is ever built
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--graph", TRIANGLE, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("cpus,workers", [(3, [3]), (None, [])])
     def test_jobs_capped_at_cpu_count(self, cpus, workers, monkeypatch, capsys):
         # records the pool size instead of starting workers; an unknown
@@ -368,7 +386,7 @@ class TestCounts:
         argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--samples", "4", "--seed", "5"]
         assert main([*argv, "--jobs", "1"]) == 0
         expected = capsys.readouterr().out
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert main([*argv, "--jobs", "64"]) == 0
         assert started == workers
@@ -403,7 +421,7 @@ class TestCounts:
         args = [*argv, "--graph", TRIANGLE, "--seed", "5", "--jobs", "64", "--out", out]
         assert main(args) == 0
         expected = capsys.readouterr().out
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert main(args) == 0
         assert capsys.readouterr().out == expected
@@ -500,6 +518,66 @@ def test_exports_resolve():
     import isingworlds
 
     assert [name for name in isingworlds.__all__ if not hasattr(isingworlds, name)] == []
+
+
+def _probe(script, *args):
+    """Run ``script`` in a fresh interpreter; its last stdout line is JSON."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+_COMMANDS_PROBE = """
+import json, sys
+import isingworlds, isingworlds.cli
+from isingworlds.cli import main
+seen = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen[" ".join(argv[:4])] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+_EXPORTS_PROBE = """
+import json, sys
+import isingworlds
+before = "numpy" in sys.modules
+from isingworlds import exact
+from isingworlds import *
+print(json.dumps({
+    "before": before,
+    "attribute": isingworlds.exact_tables is exact.exact_tables,
+    "star": all(globals()[name] is getattr(isingworlds, name) for name in isingworlds.__all__),
+    "dir": sorted(set(isingworlds.__all__) - set(dir(isingworlds))),
+}))
+"""
+
+
+class TestImportGraph:
+    """Only the enumeration oracle loads numpy."""
+
+    def test_samplers_run_without_numpy(self, tmp_path):
+        config = write(tmp_path, "z.txt", "010")
+        common = ["--graph", TRIANGLE, "--seed", "3"]
+        runs = [
+            ["perfect", "--world", "subs", "--samples", "3", *common],
+            ["sample", "--world", "rc", "--method", "chain", "--samples", "3", *common],
+            ["sample", "--world", "spins", "--method", "cftp", "--samples", "3", *common],
+            ["chain", "--kernel", "subs-sw", "--steps", "5", *common],
+            ["reduce", "--from", "rc", "--to", "spins", "--config", config, *common],
+            ["verify", "--graph", TRIANGLE],
+        ]
+        seen = _probe(_COMMANDS_PROBE, json.dumps(runs))
+        assert list(seen) == ["import", *(" ".join(argv[:4]) for argv in runs)]
+        assert list(seen.values()) == [False] * 6 + [True]
+
+    def test_lazy_exports_resolve(self):
+        assert _probe(_EXPORTS_PROBE) == {"before": False, "attribute": True, "star": True, "dir": []}
 
 
 class TestFieldGuard:

@@ -33,7 +33,7 @@ from isingworlds import (
 from isingworlds import exact
 from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
-from isingworlds.worlds import (
+from isingworlds.exact import (
     weight_rc,
     weight_rc_log,
     weight_spins,

@@ -3,6 +3,7 @@
 import math
 import random
 from array import array
+from hashlib import blake2b
 
 import pytest
 
@@ -67,6 +68,52 @@ def test_bernoulli_validates_parameter():
 def test_negative_seed_rejected():
     with pytest.raises(InvalidParameterError):
         RngStream(-1)
+
+
+@pytest.mark.parametrize(
+    "seed,stream",
+    [(1, -1), (1, 1.5), (1.7, 0), (True, 0), (1, False), (1, (2, True)), (1, (2, -3)),
+     ("1", 0), (1, "a")],
+)
+def test_key_needs_nonnegative_integers(seed, stream):
+    with pytest.raises(InvalidParameterError):
+        RngStream(seed, stream)
+
+
+class TestStreamKey:
+    def _head(self, rng, n=8):
+        return [rng.uniform() for _ in range(n)]
+
+    def test_framing_separates_keys(self):
+        # the same digits split differently are different keys
+        keys = ((1, (23,)), (12, (3,)), (1, (2, 3)))
+        assert len({tuple(self._head(RngStream(seed, stream))) for seed, stream in keys}) == 3
+
+    def test_substream_is_the_longer_key(self):
+        for seed, stream, index in ((0, (), 0), (7, (3,), 5), (2024, (1, 2), 9)):
+            assert self._head(RngStream(seed, stream).substream(index)) == self._head(
+                RngStream(seed, stream + (index,))
+            )
+
+    def test_int_stream_is_a_one_id_key(self):
+        assert self._head(RngStream(4, 6)) == self._head(RngStream(4, (6,)))
+
+    def test_large_seed(self):
+        seed = 2**130 + 5
+        assert RngStream(seed).seed == seed
+        assert self._head(RngStream(seed)) == self._head(RngStream(seed))
+        assert self._head(RngStream(seed)) != self._head(RngStream(5))  # not cut to 128 bits
+
+    def test_derivation(self):
+        # the recipe of the module docstring, written out
+        digest = blake2b(b"7,1,2a,", digest_size=16).digest()
+        expected = random.Random(int.from_bytes(digest, "little")).random()
+        assert RngStream(7, (1, 42)).uniform() == expected
+
+    def test_golden_values(self):
+        # any change to the key derivation changes every seeded output
+        assert RngStream(0).uniform() == 0.9090615755421099
+        assert RngStream(2024, 7).substream(3).uniform() == 0.9398117335066679
 
 
 def test_bernoulli_frequency_sane():
