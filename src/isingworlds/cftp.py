@@ -24,20 +24,26 @@ shortcut changes a decision or a draw.  The run loop makes the kernel's
 decision inline, with the low threshold computed once per edge and the
 queries marking visited nodes in one per-run list of stamps.
 
-The run keeps its (edge, uniform) records in two typed arrays, edges
-``array('i')`` and uniforms ``array('d')``, 12 bytes a record, and each
-epoch extends them in one batch of
-:meth:`~isingworlds.rng.RngStream.pick_uniform_pairs`, which makes the
-same draws as a ``randrange`` and a ``uniform`` call per record.
+The chains scan the free edges systematically: step -t updates
+``free[-t % s]`` of the ``s`` free edges in ascending order, so every
+sweep ends with the last free edge and the last sweep ends at time 0.
+Each update preserves the stationary law, and every epoch replays the
+same update at the same step, which is all coupling from the past needs
+(Propp & Wilson, RSA 9, 1996).  So a step's only randomness is its
+uniform: the run keeps them in one ``array('d')``, 8 bytes a record,
+record t - 1 for step -t, and each epoch extends it in one
+:meth:`~isingworlds.rng.RngStream.uniforms` call.  A run of epoch k has
+drawn exactly 2**k uniforms.
 
-Two exact rules stop the epochs that cannot coalesce.  A free edge's
-first record is its last update before time 0, so an epoch whose horizon
-misses some free edge ends with that edge open on top and closed below:
-it is not run, though its records are still drawn.  And an epoch ends as
-soon as an edge's last update leaves the chains apart on it, which only
-happens inside the band when the upper chain opens the edge and the
-lower closes it.  Neither rule changes a sample, an epoch or a draw;
-:attr:`CftpRun.steps` counts the steps actually run.
+Two exact rules skip work that cannot coalesce.  An epoch shorter than a
+sweep leaves some free edge open on top and closed below, so the first
+epoch run is the smallest k with 2**k >= s; lower epochs are neither run
+nor drawn.  And the last sweep updates each free edge for the last time
+before time 0, so an epoch ends as soon as a step of that sweep leaves
+the chains apart on its edge, which only happens inside the band when
+the upper chain opens the edge and the lower closes it.  Neither rule
+changes a sample, an epoch or a draw; :attr:`CftpRun.steps` counts the
+steps actually run.
 """
 
 from __future__ import annotations
@@ -49,11 +55,12 @@ from typing import Sequence
 from .errors import InvalidParameterError, NoCoalescenceError
 from .graph import WeightedGraph, require_field_free
 from .reductions import rc_to_subs
-from .rng import RngStream
+from .rng import RngStream, _nonnegative_int
 from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_config
 
 DEFAULT_MAX_EPOCH = 24
-# the deepest schedule allowed: 2**27 records of 12 bytes, about 1.5 GiB
+# the deepest schedule allowed: 2**27 records of 8 bytes, about 1 GiB
+# (the default 24 holds at most ~134 MB)
 MAX_EPOCH = 27
 
 
@@ -85,8 +92,8 @@ class CftpRun:
     ``epoch`` is the coalescing epoch, whose run started 2**epoch steps in
     the past.  ``steps`` counts the kernel steps actually run over all
     epochs: the coalescing epoch in full, a failed epoch up to the step
-    at which it was seen to fail, and none for an epoch whose horizon
-    misses a free edge.
+    at which it was seen to fail, and none for an epoch shorter than a
+    sweep, which is never run.
     """
 
     config: tuple[int, ...]
@@ -97,12 +104,15 @@ class CftpRun:
 def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH) -> CftpRun:
     """Run monotone coupling from the past until coalescence.
 
-    Epoch k starts the extremal chains 2**k steps in the past.  Raises
+    Epoch k starts the extremal chains 2**k steps in the past, from the
+    smallest k whose horizon covers a sweep of the free edges.  Raises
     :class:`NoCoalescenceError` if they have not met by the time the
-    ``max_epoch`` schedule is exhausted; callers may retry with a larger
-    budget, up to :data:`MAX_EPOCH`.
+    ``max_epoch`` schedule is exhausted, and before any draw if
+    ``max_epoch`` is below that first epoch; callers may retry with a
+    larger budget, up to :data:`MAX_EPOCH`.
     """
-    if not 0 <= max_epoch <= MAX_EPOCH:
+    max_epoch = _nonnegative_int(max_epoch, "max_epoch")
+    if max_epoch > MAX_EPOCH:
         raise InvalidParameterError(f"max_epoch must lie in [0, {MAX_EPOCH}], got {max_epoch}")
     require_field_free(g)
     ps = g.ps
@@ -110,41 +120,31 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     free = [e for e, p in enumerate(ps) if 0.0 < p < 1.0]
     if not free:
         return CftpRun(tuple(base), 0, 0)
+    sweep = len(free)
+    first = (sweep - 1).bit_length()  # the first epoch whose horizon covers a sweep
+    if max_epoch < first:
+        raise NoCoalescenceError(
+            f"no coalescence within 2**{max_epoch} steps: a sweep of the {sweep} free edges "
+            f"takes {sweep} steps, so max_epoch (--max-epoch) must be at least {first}"
+        )
 
-    # record t - 1 is step -t: an updatable edge and the uniform for its
-    # heat-bath threshold, drawn once and replayed by every deeper epoch
-    edges = array("i")
+    # record t - 1 is the uniform of step -t, which updates free[-t % sweep];
+    # drawn once and replayed by every deeper epoch
     uniforms = array("d")
     low = [p / (2.0 - p) for p in ps]  # the band's lower thresholds, as in heat_bath_rc_step
     mark = [0] * g.num_nodes
     stamp = 1
-    sweep = len(free)
-    # last[e]: index of free edge e's first record, which is its last
-    # update before time 0; -1 until the records include e
-    last = [-1] * g.num_edges
-    unseen = sweep
     total_steps = 0
-    for epoch in range(max_epoch + 1):
+    for epoch in range(first, max_epoch + 1):
         horizon = 1 << epoch
-        # exactly horizon records, step -horizon last
-        rng.pick_uniform_pairs(free, horizon - len(edges), edges, uniforms)
-        if unseen:  # scan the records this epoch added
-            for i in range(horizon >> 1, horizon):
-                e = edges[i]
-                if last[e] < 0:
-                    last[e] = i
-                    unseen -= 1
-                    if not unseen:
-                        break
-            if unseen:
-                continue  # an edge never updated keeps the chains apart on it
+        rng.uniforms(horizon - len(uniforms), uniforms)
         top = list(base)
         bot = list(base)
         for e in free:
             top[e] = 1
-        left = sweep
-        offset = horizon - 1 - sweep  # the current record is at offset + left
-        for edge, u in zip(reversed(edges), reversed(uniforms)):
+        i = -horizon % sweep  # free[i] is the edge of the current step -t
+        for t, u in zip(range(horizon, 0, -1), reversed(uniforms)):
+            edge = free[i]
             if u >= ps[edge]:
                 top[edge] = bot[edge] = 0
             elif u < low[edge]:
@@ -161,16 +161,15 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
                             bot[edge] = 1
                         else:
                             bot[edge] = 0
-                            if last[edge] == offset + left:
+                            if t <= sweep:
                                 # edge's last update left the chains apart
-                                total_steps += horizon - offset - left
+                                total_steps += horizon - t + 1
                                 break
                 else:
                     top[edge] = bot[edge] = 0
-            left -= 1
-            if not left:
-                left = sweep
-                offset -= sweep
+            i += 1
+            if i == sweep:
+                i = 0
                 if bot is not top and top == bot:
                     bot = top  # chains evolve identically from here on
         else:

@@ -14,10 +14,12 @@ budgets; degenerate Bernoulli draws (success probability 0 or 1) are
 answered without consuming randomness.
 
 The batch draws, :meth:`RngStream.bernoullis` and
-:meth:`RngStream.pick_uniform_pairs`, are draw for draw equal to the
-scalar calls they replace: the same values, the same ``draws`` count and
-the same state of the stream afterwards.  They only save the per-call
-overhead of a Python-level draw.
+:meth:`RngStream.uniforms`, are draw for draw equal to the scalar calls
+they replace (``bernoulli`` per parameter, ``uniform`` per value): the
+same values, the same ``draws`` count and the same state of the stream
+afterwards.  They only save the per-call overhead of a Python-level
+draw; ``uniforms`` appends straight into a typed array, about 8 bytes a
+value, with no list in between.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ import operator
 import random as _random
 from array import array
 from hashlib import blake2b
-from typing import Iterable, Sequence
+from itertools import repeat, starmap
+from typing import Iterable
 
 from .errors import InvalidParameterError
 
 
-def _key_part(value: object, what: str) -> int:
+def _nonnegative_int(value: object, what: str) -> int:
     """``value`` as an exact nonnegative int; a bool, a float or a negative
     number is an :class:`InvalidParameterError`."""
     try:
@@ -50,9 +53,9 @@ class RngStream:
     """Reproducible uniform/Bernoulli source with draw counting."""
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = 0):
-        self.seed = _key_part(seed, "seed")
+        self.seed = _nonnegative_int(seed, "seed")
         ids = stream if isinstance(stream, (tuple, list)) else (stream,)
-        self.stream: tuple[int, ...] = tuple(_key_part(i, "stream id") for i in ids)
+        self.stream: tuple[int, ...] = tuple(_nonnegative_int(i, "stream id") for i in ids)
         key = (self.seed, *self.stream)
         digest = blake2b(("%x," * len(key) % key).encode(), digest_size=16).digest()
         self._rng = _random.Random(int.from_bytes(digest, "little"))
@@ -98,34 +101,13 @@ class RngStream:
         self.draws += len(out) - fixed
         return out
 
-    def pick_uniform_pairs(
-        self, choices: Sequence[int], count: int, picks: array, uniforms: array
-    ) -> None:
-        """Append ``count`` pairs ``(choices[randrange(len(choices))],
-        uniform())`` to ``picks`` and ``uniforms``; two draws a pair.
-
-        ``random.Random.randrange(n)`` draws ``getrandbits(n.bit_length())``
-        until the value falls below n; this loop makes the same calls
-        without their Python-level layers and builds no object per pair
-        that outlives it.
-        """
-        n = len(choices)
-        if n <= 0:
-            raise InvalidParameterError("randrange needs a positive bound")
+    def uniforms(self, count: int, out: array) -> None:
+        """Append ``count`` values of :meth:`uniform` to the ``array('d')``
+        ``out``, in one call."""
         if count < 0:
-            raise InvalidParameterError("the pair count must be nonnegative")
-        k = n.bit_length()
-        getrandbits = self._rng.getrandbits
-        random = self._rng.random
-        pick = picks.append
-        uniform = uniforms.append
-        for _ in range(count):
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            pick(choices[r])
-            uniform(random())
-        self.draws += 2 * count
+            raise InvalidParameterError(f"the uniform count must be nonnegative, got {count}")
+        out.extend(starmap(self._rng.random, repeat((), count)))
+        self.draws += count
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n); counts as one draw."""

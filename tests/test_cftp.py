@@ -17,8 +17,10 @@ from isingworlds import (
     cftp_rc_sample,
     empirical_distribution,
     enumerate_world,
+    exact_tables,
     heat_bath_rc_step,
     perfect_subs_sample,
+    rc_to_subs,
     tv_distance,
     weight_subs,
 )
@@ -87,19 +89,19 @@ class TestHeatBathKernel:
 
 class TestSchedule:
     def test_memory_per_record(self):
-        # two typed arrays: 12 bytes a record plus their growth slack
+        # one typed array: 8 bytes a record plus its growth slack
         records = 1 << 16
-        rng, free = RngStream(1), tuple(range(480))
+        rng = RngStream(1)
         tracemalloc.start()
         try:
-            edges, uniforms = array("i"), array("d")
-            rng.pick_uniform_pairs(free, records, edges, uniforms)
+            uniforms = array("d")
+            rng.uniforms(records, uniforms)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(edges) == len(uniforms) == records
-        assert held <= 16 * records
-        assert peak <= 16 * records
+        assert len(uniforms) == records
+        assert held <= 10 * records
+        assert peak <= 10 * records
 
     def test_same_seed_same_run(self):
         g = fixture_graph("cycle4", 0.8)
@@ -111,36 +113,33 @@ class TestSchedule:
 def _reference_run(g, rng, max_epoch=24):
     """Monotone CFTP with the unbanded heat-bath rule on both chains at
     every step, connectivity from whole-graph component labels, and the
-    record of step -t drawn by scalar calls as the t-th (edge, uniform).
+    uniform of step -t drawn by a scalar call as the t-th record; step -t
+    updates free edge (-t) mod s of the s free edges.
 
-    Steps are counted under the two stopping rules: an epoch whose records
-    miss a free edge is not run, and a run stops at the step that updates
-    an edge for the last time (its first record) and leaves the chains
-    apart on it.  First records come from a fresh scan of every epoch."""
+    No epoch shorter than a sweep is run or drawn, and a run stops at a
+    step of the last sweep (t <= s, the edge's last update) that leaves
+    the chains apart on its edge; steps are counted under that rule."""
     free = tuple(e for e, p in enumerate(g.ps) if 0.0 < p < 1.0)
     base = [1 if p >= 1.0 else 0 for p in g.ps]
     if not free:
         return CftpRun(tuple(base), 0, 0)
+    s = len(free)
     records = []
     steps = 0
     for epoch in range(max_epoch + 1):
-        while len(records) < 1 << epoch:
-            records.append((free[rng.randrange(len(free))], rng.uniform()))
-        first = {}
-        for t, (edge, _) in enumerate(records):
-            if edge not in first:
-                first[edge] = t
-        if len(first) < len(free):
+        if 1 << epoch < s:
             continue
+        while len(records) < 1 << epoch:
+            records.append(rng.uniform())
         top = [1 if e in free else v for e, v in enumerate(base)]
         bot = list(base)
         for t in range(1 << epoch, 0, -1):
-            edge, u = records[t - 1]
+            edge, u = free[-t % s], records[t - 1]
             p = g.ps[edge]
             for z in (top, bot):
                 z[edge] = 1 if u < (p if joined_without_edge(g, z, edge) else p / (2 - p)) else 0
             steps += 1
-            if first[edge] == t - 1 and top[edge] != bot[edge]:
+            if t <= s and top[edge] != bot[edge]:
                 break
         if top == bot:
             return CftpRun(tuple(top), epoch, steps)
@@ -191,14 +190,22 @@ class TestCftpSampling:
         with pytest.raises(NoCoalescenceError):
             cftp_rc_run(g, RngStream(3), max_epoch=0)
 
-    def test_skipped_epochs_still_draw_their_records(self):
-        # neither epoch of two steps or fewer covers the triangle, so none
-        # is run, but both schedules are drawn: two records, two draws each
+    def test_budget_below_a_sweep_draws_nothing(self):
+        # two steps cannot sweep the triangle's three free edges: the run
+        # fails before any draw and names the smallest budget that can
         g = fixture_graph("triangle", 0.5)
         rng = RngStream(3)
-        with pytest.raises(NoCoalescenceError):
+        with pytest.raises(NoCoalescenceError, match="at least 2"):
             cftp_rc_run(g, rng, max_epoch=1)
-        assert rng.draws == 4
+        assert rng.draws == 0
+
+    def test_one_draw_per_record(self):
+        rnd = random.Random(405)
+        for k in range(20):
+            g = random_graph(rnd, max_nodes=7, max_edges=12, extreme_share=0.3)
+            rng = RngStream(43, k)
+            run = cftp_rc_run(g, rng)
+            assert rng.draws == (2**run.epoch if run.steps else 0)
 
     def test_uncovered_epochs_are_not_run(self):
         # 60 free edges: no horizon below 64 updates them all, so epochs 0-5
@@ -216,6 +223,13 @@ class TestCftpSampling:
             cftp_rc_run(fixture_graph("triangle", 0.5), rng, max_epoch)
         assert rng.draws == 0
 
+    @pytest.mark.parametrize("max_epoch", [True, 2.5, "3", None])
+    def test_epoch_budget_is_an_integer(self, max_epoch):
+        rng = RngStream(0)
+        with pytest.raises(InvalidParameterError):
+            cftp_rc_run(fixture_graph("triangle", 0.5), rng, max_epoch)
+        assert rng.draws == 0
+
     def test_largest_epoch_budget_accepted(self):
         # the triangle coalesces long before the budget is reached
         run = cftp_rc_run(fixture_graph("triangle", 0.5), RngStream(3), MAX_EPOCH)
@@ -227,6 +241,26 @@ class TestCftpSampling:
         opened = sum(cftp_rc_sample(g, RngStream(500, i))[0] for i in range(n))
         se = math.sqrt((1 / 3) * (2 / 3) / n)
         assert abs(opened / n - 1 / 3) < 3.5 * se
+
+    def test_sweeps_cut_by_horizons_are_exact(self):
+        # five free edges next to a pinned-open and a pinned-closed edge:
+        # no horizon is a whole number of sweeps, so every epoch starts
+        # mid-sweep.  Threshold: Weissman et al. (2003) at delta = 0.001
+        # over the two checks, from the count n and each table's support.
+        g = WeightedGraph.from_edges(5, [(0, 1, 0.6), (1, 2, 0.5), (2, 0, 0.7), (2, 3, math.inf),
+                                         (3, 4, 0.4), (4, 2, 0.8), (0, 4, 0.0)])
+        assert sum(0.0 < p < 1.0 for p in g.ps) == 5
+        tables = exact_tables(g)
+        n, delta = 40000, 0.001
+        rc, subs = [], []
+        for i in range(n):
+            rng = RngStream(1212, i)
+            rc.append(cftp_rc_sample(g, rng))
+            subs.append(rc_to_subs(g, rc[-1], rng))
+        for samples, table in ((rc, tables.rc), (subs, tables.subs)):
+            support = int((table.probs > 0.0).sum())
+            threshold = math.sqrt(math.log((2.0**support - 2.0) * 2 / delta) / (2 * n))
+            assert tv_distance(empirical_distribution(samples, table), table.probs) < threshold
 
     def test_triangle_tv_against_table(self):
         g = fixture_graph("triangle", 0.7)

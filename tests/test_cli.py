@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,12 @@ class TestPerfect:
         assert main(["perfect", "--world", "rc", "--graph", TRIANGLE, "--samples", "1",
                      "--seed", "2", "--max-epoch", "0"]) == 4
 
+    def test_budget_below_a_sweep_names_the_smallest(self, capsys):
+        # the triangle's three free edges need a horizon of 4 = 2**2
+        assert main(["sample", "--world", "subs", "--method", "cftp", "--graph", TRIANGLE,
+                     "--samples", "1", "--seed", "2", "--max-epoch", "1"]) == 4
+        assert "--max-epoch) must be at least 2" in capsys.readouterr().err
+
     def test_largest_epoch_budget_accepted(self, capsys):
         assert main(["perfect", "--world", "rc", "--graph", TRIANGLE, "--samples", "2",
                      "--seed", "2", "--max-epoch", str(MAX_EPOCH)]) == 0
@@ -291,18 +298,18 @@ class TestSample:
 # manifest: version, options and graph path).  A change that alters how
 # CFTP or the conversions use randomness updates these on purpose.
 PINNED_CFTP_STDOUT = {
-    ("grid3x3", "perfect-subs", 7): "0feca3b39c62b644304cd5b69c8678aff4705cb622621e8d45290c1939469579",
-    ("grid3x3", "perfect-subs", 2024): "a365d0330a735469cd95757b15789ae80ccbf3d2b5e3ae5fa7005311b18bdf32",
-    ("grid3x3", "perfect-rc", 7): "c1b80df107c441661966b8b4aef4a8de49745f7c0fb324d50c01fbd39f65cea2",
-    ("grid3x3", "perfect-rc", 2024): "6c195e24e10d814261699dae40901982de824db3169e2000a768259910aea45a",
-    ("grid3x3", "sample-spins", 7): "93fa81962f98975c71b2379714a0926e27023ac4bf6f33425ad60dd864f7315c",
-    ("grid3x3", "sample-spins", 2024): "81cffab1fe686eba3d3fd058dcb2ebe2586f1397e633a7c75f6f560b16bd8655",
-    ("cycle4", "perfect-subs", 7): "fe200629bc71a8cc238e71851caca9929235a0d080b71abc7665bc1e71dee592",
-    ("cycle4", "perfect-subs", 2024): "1d382ead351cf138933723e75afc14f5a1326a65f8f7012bf7b479c073e6aced",
-    ("cycle4", "perfect-rc", 7): "cb76f94eee8e37cb9e2ecb0c4ad1d3501824bebc5345d97bba49e0812941128b",
-    ("cycle4", "perfect-rc", 2024): "f4bce49f0f6d3a2a6b87c2db998cfdd33ea1f3094c601503b7e105d38859adb9",
-    ("cycle4", "sample-spins", 7): "72e6b8bf6af3eb966eb232d7ef99fd09580675528bb1483d2307cd9fbb6ce7f7",
-    ("cycle4", "sample-spins", 2024): "8167decda0acbd2c138b4a852d35e7dfb45fd000f1419c62ce30a2183335adf7",
+    ("grid3x3", "perfect-subs", 7): "d093dd31802398f374b6e166dd785d3f5ba27e85dcfba8a17d79dbc2832bd8e1",
+    ("grid3x3", "perfect-subs", 2024): "8472c181134450492eeb8efaa103929554078dfb4be244789a99b85aa495e664",
+    ("grid3x3", "perfect-rc", 7): "57608dd7e169ebe2b07e93649fd2fb00a26d366fc7bdffdf2d6f37d4589fc19e",
+    ("grid3x3", "perfect-rc", 2024): "4cfc864e99b6a958f13b54569b6934d54d49ba2f24ee45cc9d18a85155b0addb",
+    ("grid3x3", "sample-spins", 7): "9e5b1c0b025d592a7c129b00fbe7cf74b2509e8bc6e1d401affc7d08564b108c",
+    ("grid3x3", "sample-spins", 2024): "74633d5be8805901a8ec7ef0e298f66f2b4c4f67dad7e7e4a1848c233e80dc6f",
+    ("cycle4", "perfect-subs", 7): "df2b9a0ae2faf48dcf2496818a0d96efb1ddd026e5b9a104092ec9eb1174e626",
+    ("cycle4", "perfect-subs", 2024): "46e2a40aeb340981fde0a89dfd5576baa146233ebf4099a4b262c08274122ba3",
+    ("cycle4", "perfect-rc", 7): "e70cc23a12f882de5fe9533664fceccb6deadc1fe6530308e77eb4207689957c",
+    ("cycle4", "perfect-rc", 2024): "a1fd22af031327ba8659bc21e609998b5eea2d6c3496b50515fb210f0493624a",
+    ("cycle4", "sample-spins", 7): "c75fc088225bbf83348841f39e2ebfb1798d4c9860c39e3dcdd5e92189fa521d",
+    ("cycle4", "sample-spins", 2024): "5f8a08fdc50fb4716eede8e3c4e1f0520daa3dcb102ec433766a07b90459bb7c",
 }
 CFTP_COMMANDS = {
     "perfect-subs": ["perfect", "--world", "subs"],
@@ -512,6 +519,15 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "isingworlds" in result.stdout
+
+
+def test_version_matches_pyproject():
+    import isingworlds
+
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]*)"$', text, re.MULTILINE)
+    assert declared is not None and declared.group(1) == isingworlds.__version__
 
 
 def test_exports_resolve():

@@ -151,25 +151,19 @@ class TestBernoullis:
         assert batch.uniform() == scalar.uniform()
 
 
-class TestPickUniformPairs:
+class TestUniforms:
     def test_equals_scalar_calls(self):
-        rnd = random.Random(77)
-        for k in range(60):
-            n = rnd.choice((1, 2, 3, 5, 7, 8, 9, 480, 1000, 1 << 20))
-            choices = range(10, 10 + n)
-            count = rnd.randrange(0, 50)
-            batch, scalar = RngStream(11, k), RngStream(11, k)
-            picks, uniforms = array("i"), array("d")
-            batch.pick_uniform_pairs(choices, count, picks, uniforms)
-            expected = [(choices[scalar.randrange(n)], scalar.uniform()) for _ in range(count)]
-            assert list(zip(picks, uniforms)) == expected
-            assert batch.draws == scalar.draws == 2 * count
-            assert batch.uniform() == scalar.uniform()
+        for count in (0, 1, 2, 7, 480, 1000):
+            batch, scalar = RngStream(11, count), RngStream(11, count)
+            out = array("d", [0.5])  # appends after what is there
+            batch.uniforms(count, out)
+            assert list(out) == [0.5] + [scalar.uniform() for _ in range(count)]
+            assert batch.draws == scalar.draws == count
+            assert batch.uniform() == scalar.uniform()  # the streams stay in step
 
-    def test_validates_arguments(self):
-        rng = RngStream(0)
+    def test_negative_count_raises_before_a_draw(self):
+        rng, out = RngStream(0), array("d")
         with pytest.raises(InvalidParameterError):
-            rng.pick_uniform_pairs((), 1, array("i"), array("d"))
-        with pytest.raises(InvalidParameterError):
-            rng.pick_uniform_pairs((1,), -1, array("i"), array("d"))
-        assert rng.draws == 0
+            rng.uniforms(-1, out)
+        assert rng.draws == 0 and len(out) == 0
+        assert rng.uniform() == RngStream(0).uniform()
