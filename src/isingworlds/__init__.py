@@ -13,7 +13,6 @@ __version__ = "0.2.0"
 from .cftp import (
     CftpRun,
     cftp_rc_run,
-    cftp_rc_sample,
     heat_bath_rc_step,
     perfect_subs_sample,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "beta_to_lambda",
     "beta_to_p",
     "cftp_rc_run",
-    "cftp_rc_sample",
     "check_even_subgraph_count",
     "check_rc_normalizer",
     "check_relate_identity",

@@ -182,14 +182,9 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     )
 
 
-def cftp_rc_sample(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH) -> RcConfig:
-    """One exact random-cluster draw."""
-    return cftp_rc_run(g, rng, max_epoch).config
-
-
 def perfect_subs_sample(
     g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH
 ) -> SubgraphConfig:
     """One exact subgraphs-world draw: perfect random-cluster sampling
     followed by the exact conversion."""
-    return rc_to_subs(g, cftp_rc_sample(g, rng, max_epoch), rng)
+    return rc_to_subs(g, cftp_rc_run(g, rng, max_epoch).config, rng)

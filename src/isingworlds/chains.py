@@ -9,6 +9,7 @@ that moves between even subgraphs in a single step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 from .errors import InvalidConfigError
@@ -80,13 +81,15 @@ def run_chain(
     """Apply the world's kernel ``steps`` times, recording statistics.
 
     A row is recorded after every ``thin``-th step; ``steps = 0`` yields
-    an empty trace and leaves the state untouched.  The start state and
-    the statistic names are checked up front, whatever ``steps`` is.
+    an empty trace and leaves the state untouched.  The counts, the start
+    state and the statistic names (each at most once) are checked before
+    any draw, whatever ``steps`` is.
     """
-    if steps < 0:
-        raise InvalidConfigError("steps must be nonnegative")
-    if thin < 1:
-        raise InvalidConfigError("thin must be at least 1")
+    for name, count, least in (("steps", steps, 0), ("thin", thin, 1)):
+        if isinstance(count, bool) or not isinstance(count, Integral) or count < least:
+            raise InvalidConfigError(f"{name} must be an integer of at least {least}, got {count!r}")
+    if len(set(collect)) != len(collect):
+        raise InvalidConfigError(f"each statistic may be collected once, got {list(collect)}")
     kernel = _KERNELS.get(init.world)
     if kernel is None:
         raise InvalidConfigError(f"no chain kernel runs in world {init.world!r}")

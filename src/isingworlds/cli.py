@@ -98,14 +98,17 @@ def _emit(
     """
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
         sidecar = dict(manifest)
         if workers is not None:
             sidecar["workers"] = workers
-        sidecar["timing_seconds"] = time.perf_counter() - started
-        Path(out + ".manifest.json").write_text(
-            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+            sidecar["timing_seconds"] = time.perf_counter() - started
+            Path(out + ".manifest.json").write_text(
+                json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
         if text and not text.endswith("\n"):  # an empty payload writes nothing

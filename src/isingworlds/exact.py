@@ -5,21 +5,22 @@ truth: full weight tables and partition sums per world, the
 partition-function identities linking the worlds, exact one-step
 transition matrices, and the closed-form even-subgraph count.
 
-Each world has one unnormalized weight formula and one log-domain
-companion, written here as a batch pair over an int8 configuration
-matrix (one row per configuration); they agree wherever the linear value
-is positive and representable.  The scalar ``weight_*`` functions
-validate one configuration and evaluate it as a one-row matrix.  The
-spins weight includes the field's node factors when the graph carries
-one; the random-cluster pair takes each row's cluster count from its
-caller.  The weights live here, not in :mod:`worlds`, because the oracle
-is their only production user: the samplers never import numpy.
+Each world states its unnormalized weight once, as the factors its
+factor function yields over an int8 configuration matrix (one row per
+configuration), each factor carrying its value pair in both the linear
+and the log domain; one fold per domain evaluates every world, so the
+two domains cannot drift apart.  The scalar ``weight_*`` functions
+validate one configuration and fold it as a one-row matrix.  The spins
+weight includes the field's node factors when the graph carries one;
+the random-cluster folds take each row's cluster count from their
+caller.  The weights live here, not in :mod:`worlds`, because the
+oracle is their only production user: the samplers never import numpy.
 
 Tables are columnar.  A world's configurations are built once, column by
 column, as an int8 matrix with one row per configuration (in
-``itertools.product`` order), and the world's batch weight pair runs
-over it; the tuples of ``WorldTable.configs`` are built only when a
-caller reads them.  A random-cluster table takes its cluster counts
+``itertools.product`` order), and the linear fold runs over it; the
+tuples of ``WorldTable.configs`` are built only when a caller reads
+them.  A random-cluster table takes its cluster counts
 from min-label propagation over that matrix, on the edge-incident
 nodes only, which is deliberately independent of the
 forest traversal (``worlds._open_forest``) the samplers use: an oracle
@@ -39,9 +40,10 @@ exponential blowup.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,8 +79,9 @@ class WorldTable:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        """The world's batch log weight over the stored matrix."""
-        return _WORLD_SPECS[self.world][2](self.graph, self.matrix)
+        """The world's log weight of every stored row."""
+        g, world, matrix = self.graph, self.world, self.matrix
+        return _log_fold(g, world, matrix, _table_counts(g, world, matrix))
 
     @cached_property
     def log_Z(self) -> float:
@@ -173,46 +176,25 @@ def cluster_counts(
 # Weights
 # ---------------------------------------------------------------------------
 
-# Each world's weight is one batch pair over a configuration matrix: one
-# row per configuration, one column per node (spins) or edge.  Columns
-# are folded in node/edge order with the float operations of the plain
-# loop (a factor of 1.0 or a term of 0.0 stands for a skipped site), and
-# rows ruled out by a hard constraint are set at the end, so a 0 * inf
-# on the way never leaks a NaN into them.
+# Each world states its weight once, as its factors over a configuration
+# matrix (one row per configuration, one column per node for spins or
+# per edge): a factor is a flag column (bool or 0/1 int8) with its
+# (unset, set) value pair in the linear domain and in the log domain.
+# A world's factor function yields them in node/edge order and marks the
+# rows a hard constraint rules out in the mask it is given.  The folds
+# below multiply or add the factors with the float operations of the
+# plain loop, one column at a time, and set ruled-out rows at the end, so
+# a 0 * inf on the way never leaks a NaN into them.
 
-def spins_weights(g: WeightedGraph, xs: np.ndarray) -> np.ndarray:
-    """:func:`weight_spins` of every row of an int8 +1/-1 matrix."""
-    acc = np.ones(len(xs))
-    ruled_out = np.zeros(len(xs), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        for (i, j), beta in zip(g.edges, g.betas):
-            agree = xs[:, i] == xs[:, j]
-            if math.isinf(beta):
-                ruled_out |= ~agree
-            else:
-                acc *= _pick(agree, _exp(-beta), _exp(beta))
-        for v, b in enumerate(g.field or ()):
-            if b == 0.0:
-                continue
-            up = xs[:, v] == 1
-            if math.isinf(b):
-                ruled_out |= up != (b > 0)
-            else:
-                acc *= _pick(up, 1.0, _exp(b))
-    acc[ruled_out] = 0.0
-    return acc
-
-
-def spins_log_weights(g: WeightedGraph, xs: np.ndarray) -> np.ndarray:
-    """:func:`weight_spins_log` of every row of an int8 +1/-1 matrix."""
-    total = np.zeros(len(xs))
-    ruled_out = np.zeros(len(xs), dtype=bool)
+def spins_factors(g: WeightedGraph, xs: np.ndarray, ruled_out: np.ndarray) -> Iterator[tuple]:
+    """Edge factors exp(beta * x_i * x_j), then the field's node factors;
+    an infinite coupling or field rules rows out instead."""
     for (i, j), beta in zip(g.edges, g.betas):
         agree = xs[:, i] == xs[:, j]
         if math.isinf(beta):
             ruled_out |= ~agree
         else:
-            total += _pick(agree, -beta, beta)
+            yield agree, (_exp(-beta), _exp(beta)), (-beta, beta)
     for v, b in enumerate(g.field or ()):
         if b == 0.0:
             continue
@@ -220,9 +202,7 @@ def spins_log_weights(g: WeightedGraph, xs: np.ndarray) -> np.ndarray:
         if math.isinf(b):
             ruled_out |= up != (b > 0)
         else:
-            total += _pick(up, 0.0, b)
-    total[ruled_out] = -math.inf
-    return total
+            yield up, (1.0, _exp(b)), (0.0, b)
 
 
 def odd_rows(edges: Sequence[tuple[int, int]], ys: np.ndarray) -> np.ndarray:
@@ -241,42 +221,40 @@ def odd_rows(edges: Sequence[tuple[int, int]], ys: np.ndarray) -> np.ndarray:
     return odd
 
 
-def subs_weights(g: WeightedGraph, ys: np.ndarray) -> np.ndarray:
-    """:func:`weight_subs` of every row of an int8 0/1 edge matrix."""
-    acc = np.ones(len(ys))
+def subs_factors(g: WeightedGraph, ys: np.ndarray, ruled_out: np.ndarray) -> Iterator[tuple]:
+    """lambda per open edge; rows with an odd-degree node are ruled out."""
+    ruled_out |= odd_rows(g.edges, ys)
     for e, lam in enumerate(g.lambdas):
-        acc *= _pick(ys[:, e], 1.0, lam)
-    acc[odd_rows(g.edges, ys)] = 0.0
+        yield ys[:, e], (1.0, lam), (0.0, _log(lam))
+
+
+def rc_factors(g: WeightedGraph, zs: np.ndarray, ruled_out: np.ndarray) -> Iterator[tuple]:
+    """p per open edge and 1 - p per closed edge; no row is ruled out, and
+    the 2**clusters factor is the fold's, from the caller's cluster counts."""
+    for e, p in enumerate(g.ps):
+        yield zs[:, e], (1.0 - p, p), (math.log1p(-p) if p < 1.0 else -math.inf, _log(p))
+
+
+def _linear_fold(g: WeightedGraph, world: str, matrix: np.ndarray, counts=None) -> np.ndarray:
+    """The world's weight of every row; rc rows are scaled by 2**counts."""
+    ruled_out = np.zeros(len(matrix), dtype=bool)
+    acc = np.ones(len(matrix))
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        for flags, values, _ in _WORLD_SPECS[world][1](g, matrix, ruled_out):
+            acc *= _pick(flags, *values)
+        if counts is not None:
+            acc = np.ldexp(acc, counts)  # inf past float range, as _ldexp
+    acc[ruled_out] = 0.0
     return acc
 
 
-def subs_log_weights(g: WeightedGraph, ys: np.ndarray) -> np.ndarray:
-    """:func:`weight_subs_log` of every row of an int8 0/1 edge matrix."""
-    total = np.zeros(len(ys))
-    for e, lam in enumerate(g.lambdas):
-        total += _pick(ys[:, e], 0.0, math.log(lam) if lam > 0.0 else -math.inf)
-    total[odd_rows(g.edges, ys)] = -math.inf
-    return total
-
-
-def rc_weights(g: WeightedGraph, zs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """:func:`weight_rc` of every row of an int8 0/1 edge matrix, given
-    each row's cluster count."""
-    acc = np.ones(len(zs))
-    for e, p in enumerate(g.ps):
-        acc *= _pick(zs[:, e], 1.0 - p, p)
-    with np.errstate(over="ignore"):
-        return np.ldexp(acc, counts)  # inf past float range, as _ldexp
-
-
-def rc_log_weights(g: WeightedGraph, zs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """:func:`weight_rc_log` of every row of an int8 0/1 edge matrix,
-    given each row's cluster count."""
-    total = counts * math.log(2.0)
-    for e, p in enumerate(g.ps):
-        opened = math.log(p) if p > 0.0 else -math.inf
-        closed = math.log1p(-p) if p < 1.0 else -math.inf
-        total += _pick(zs[:, e], closed, opened)
+def _log_fold(g: WeightedGraph, world: str, matrix: np.ndarray, counts=None) -> np.ndarray:
+    """The world's log weight of every row; rc rows start at counts * log 2."""
+    ruled_out = np.zeros(len(matrix), dtype=bool)
+    total = np.zeros(len(matrix)) if counts is None else counts * math.log(2.0)
+    for flags, _, values in _WORLD_SPECS[world][1](g, matrix, ruled_out):
+        total += _pick(flags, *values)
+    total[ruled_out] = -math.inf
     return total
 
 
@@ -286,8 +264,11 @@ def _pick(flags: np.ndarray, unset: float, set_: float) -> np.ndarray:
     return np.array([unset, set_]).take(flags.view(np.int8))
 
 
-def _row(config: Sequence[int]) -> np.ndarray:
-    return np.array([config], dtype=np.int8)
+def _one_row(fold: Callable[..., np.ndarray], g: WeightedGraph, world: str, config, count=None) -> float:
+    """One configuration folded as a one-row matrix, with its cluster
+    count for rc."""
+    counts = None if count is None else np.array([count])
+    return float(fold(g, world, np.array([config], dtype=np.int8), counts)[0])
 
 
 def weight_spins(g: WeightedGraph, x: Sequence[int]) -> float:
@@ -301,35 +282,35 @@ def weight_spins(g: WeightedGraph, x: Sequence[int]) -> float:
     without a field has no node factors.
     """
     validate_config(g, "spins", x)
-    return float(spins_weights(g, _row(x))[0])
+    return _one_row(_linear_fold, g, "spins", x)
 
 
 def weight_spins_log(g: WeightedGraph, x: Sequence[int]) -> float:
     validate_config(g, "spins", x)
-    return float(spins_log_weights(g, _row(x))[0])
+    return _one_row(_log_fold, g, "spins", x)
 
 
 def weight_subs(g: WeightedGraph, y: Sequence[int]) -> float:
     """Product of lambda over open edges if every node has even open
     degree, else 0."""
     validate_config(g, "subs", y)
-    return float(subs_weights(g, _row(y))[0])
+    return _one_row(_linear_fold, g, "subs", y)
 
 
 def weight_subs_log(g: WeightedGraph, y: Sequence[int]) -> float:
     validate_config(g, "subs", y)
-    return float(subs_log_weights(g, _row(y))[0])
+    return _one_row(_log_fold, g, "subs", y)
 
 
 def weight_rc(g: WeightedGraph, z: Sequence[int]) -> float:
     """Open/closed probability products times 2 to the number of clusters."""
     count = clusters(g, z).count  # validates z
-    return float(rc_weights(g, _row(z), np.array([count]))[0])
+    return _one_row(_linear_fold, g, "rc", z, count)
 
 
 def weight_rc_log(g: WeightedGraph, z: Sequence[int]) -> float:
     count = clusters(g, z).count  # validates z
-    return float(rc_log_weights(g, _row(z), np.array([count]))[0])
+    return _one_row(_log_fold, g, "rc", z, count)
 
 
 def _exp(value: float) -> float:
@@ -339,6 +320,10 @@ def _exp(value: float) -> float:
         return math.inf
 
 
+def _log(value: float) -> float:
+    return math.log(value) if value > 0.0 else -math.inf
+
+
 def _ldexp(value: float, exponent: int) -> float:
     try:
         return math.ldexp(value, exponent)
@@ -346,30 +331,27 @@ def _ldexp(value: float, exponent: int) -> float:
         return math.inf
 
 
-# world -> (site values, batch weight, batch log weight); spins sit on
-# nodes, the edge worlds on edges
+# world -> (site values, factor function); spins sit on nodes, the edge
+# worlds on edges
 _WORLD_SPECS = {
-    "spins": ((1, -1), spins_weights, spins_log_weights),
-    "subs": ((0, 1), subs_weights, subs_log_weights),
-    "rc": (
-        (0, 1),
-        lambda g, zs: rc_weights(g, zs, cluster_counts(g.num_nodes, g.edges, zs)),
-        lambda g, zs: rc_log_weights(g, zs, cluster_counts(g.num_nodes, g.edges, zs)),
-    ),
+    "spins": ((1, -1), spins_factors),
+    "subs": ((0, 1), subs_factors),
+    "rc": ((0, 1), rc_factors),
 }
 
 
-def _world_spec(
-    g: WeightedGraph, world: str
-) -> tuple[np.ndarray, Callable[..., np.ndarray], Callable[..., np.ndarray]]:
-    """Configuration matrix in table order, plus the batch linear and log
-    weight."""
+def _world_spec(g: WeightedGraph, world: str) -> np.ndarray:
+    """Configuration matrix of a world, in table order."""
     _check_caps(g, world)
     if world not in _WORLD_SPECS:
         raise InvalidParameterError(f"unknown world {world!r}")
-    values, weight, weight_log = _WORLD_SPECS[world]
     sites = g.num_nodes if world == "spins" else g.num_edges
-    return _config_matrix(sites, values), weight, weight_log
+    return _config_matrix(sites, _WORLD_SPECS[world][0])
+
+
+def _table_counts(g: WeightedGraph, world: str, matrix: np.ndarray) -> np.ndarray | None:
+    """Each row's cluster count for an rc table, else None."""
+    return cluster_counts(g.num_nodes, g.edges, matrix) if world == "rc" else None
 
 
 def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
@@ -378,8 +360,8 @@ def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
     For the spins world, a graph carrying a field is enumerated with the
     field factors included; the edge worlds ignore the field.
     """
-    matrix, weight, _ = _world_spec(g, world)
-    return WorldTable(world, matrix, weight(g, matrix), g)
+    matrix = _world_spec(g, world)
+    return WorldTable(world, matrix, _linear_fold(g, world, matrix, _table_counts(g, world, matrix)), g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,7 +655,8 @@ def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[i
     if not table.support:
         raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
     cum = np.cumsum(table.support_probs)
-    us = np.array([rng.uniform() for _ in range(n)])
+    us = array("d")
+    rng.uniforms(n, us)
     idx = np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1)
     configs = table.support_configs
     return [configs[i] for i in idx]

@@ -24,7 +24,7 @@ from conftest import (
 from isingworlds import (
     RngStream,
     WeightedGraph,
-    cftp_rc_sample,
+    cftp_rc_run,
     check_even_subgraph_count,
     check_rc_normalizer,
     check_relate_identity,
@@ -204,7 +204,7 @@ def test_criterion_6_cftp_monotone_and_exact():
 
     n = 100_000
     g = WeightedGraph.from_edges(2, [(0, 1, 0.5)], param="p")
-    opened = sum(cftp_rc_sample(g, RngStream(606, i))[0] for i in range(n))
+    opened = sum(cftp_rc_run(g, RngStream(606, i)).config[0] for i in range(n))
     se = math.sqrt((1 / 3) * (2 / 3) / n)
     if abs(opened / n - 1 / 3) >= 3 * se:
         failures.append(f"K2 marginal {opened / n:.5f} not within 3se of 1/3")

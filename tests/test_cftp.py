@@ -14,7 +14,6 @@ from isingworlds import (
     RngStream,
     WeightedGraph,
     cftp_rc_run,
-    cftp_rc_sample,
     empirical_distribution,
     enumerate_world,
     exact_tables,
@@ -181,7 +180,7 @@ class TestCftpSampling:
 
     def test_pinned_edges_respected(self):
         g = WeightedGraph.from_edges(3, [(0, 1, math.inf), (1, 2, 0.0)])
-        z = cftp_rc_sample(g, RngStream(1))
+        z = cftp_rc_run(g, RngStream(1)).config
         assert z == (1, 0)
 
     def test_no_coalescence_error(self):
@@ -238,7 +237,7 @@ class TestCftpSampling:
     def test_k2_half_marginal(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 0.5)], param="p")
         n = 20000
-        opened = sum(cftp_rc_sample(g, RngStream(500, i))[0] for i in range(n))
+        opened = sum(cftp_rc_run(g, RngStream(500, i)).config[0] for i in range(n))
         se = math.sqrt((1 / 3) * (2 / 3) / n)
         assert abs(opened / n - 1 / 3) < 3.5 * se
 
@@ -255,7 +254,7 @@ class TestCftpSampling:
         rc, subs = [], []
         for i in range(n):
             rng = RngStream(1212, i)
-            rc.append(cftp_rc_sample(g, rng))
+            rc.append(cftp_rc_run(g, rng).config)
             subs.append(rc_to_subs(g, rc[-1], rng))
         for samples, table in ((rc, tables.rc), (subs, tables.subs)):
             support = int((table.probs > 0.0).sum())
@@ -265,7 +264,7 @@ class TestCftpSampling:
     def test_triangle_tv_against_table(self):
         g = fixture_graph("triangle", 0.7)
         table = enumerate_world(g, "rc")
-        samples = [cftp_rc_sample(g, RngStream(808, i)) for i in range(20000)]
+        samples = [cftp_rc_run(g, RngStream(808, i)).config for i in range(20000)]
         assert tv_distance(empirical_distribution(samples, table), table.probs) < 0.02
 
 

@@ -168,6 +168,18 @@ class TestRunChain:
         with pytest.raises(InvalidConfigError):
             run_chain(g, initial_state(g, "subs"), -1, RngStream(0))
 
+    @pytest.mark.parametrize(
+        "steps, thin, stats",
+        [(6, 1, ("m", "energy", "m")), (6, 1.5, ()), (True, 1, ()), (2.5, 1, ()), (6, True, ())],
+        ids=["repeated stat", "float thin", "bool steps", "float steps", "bool thin"],
+    )
+    def test_bad_input_rejected_before_any_draw(self, steps, thin, stats):
+        g = fixture_graph("k4", 0.5)
+        rng = RngStream(3)
+        with pytest.raises(InvalidConfigError):
+            run_chain(g, initial_state(g, "spins"), steps, rng, stats, thin)
+        assert rng.draws == 0
+
     def test_triangle_long_run_frequency(self):
         # empirical share of the full triangle vs the exact stationary
         # probability lam^3 / (1 + lam^3), with a batch-means error bar

@@ -159,6 +159,11 @@ class TestChain:
         assert main(["chain", "--kernel", "sw", "--graph", TRIANGLE, "--steps", "1",
                      "--seed", "3", "--stats", "volume"]) == 2
 
+    def test_repeated_stat_is_input_error(self, capsys):
+        assert main(["chain", "--kernel", "sw", "--graph", TRIANGLE, "--steps", "6",
+                     "--seed", "3", "--stats", "m,energy,m"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_seed_determinism(self, tmp_path):
         blobs = []
         for name in ("t1.csv", "t2.csv"):
@@ -509,6 +514,13 @@ class TestErrors:
 
     def test_missing_file_exit_code(self):
         assert main(["verify", "--graph", "/nonexistent/g.graph"]) == 2
+
+    @pytest.mark.parametrize("target", ["missing/trace.csv", "."], ids=["missing dir", "a dir"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        assert main(["chain", "--kernel", "sw", "--graph", TRIANGLE, "--steps", "2",
+                     "--seed", "3", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
 def test_console_entry_point_runs():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 from itertools import product
 
 import numpy as np
@@ -127,7 +128,7 @@ class TestColumnarTables:
                 expected = [reference_weight(g, world, c) for c in configs]
                 assert bit_equal(table.weights, expected), (g, world)
                 expected_log = [reference_log_weight(g, world, c) for c in configs]
-                log_weights = exact._WORLD_SPECS[world][2](g, table.matrix)
+                log_weights = table.log_weights
                 assert bit_equal(log_weights, expected_log), (g, world)
                 # the scalar functions are the table's formula on one row
                 weight, weight_log = SCALAR_WEIGHTS[world]
@@ -385,6 +386,17 @@ class TestTvDistance:
         table = enumerate_world(g, "spins")
         with pytest.raises(InvalidConfigError, match="positive weight"):
             sample_from_table(table, RngStream(0), n)
+
+    def test_sampling_is_inverse_cdf_over_scalar_uniforms(self):
+        table = enumerate_world(fixture_graph("cycle4", 0.7), "subs")
+        cum = np.cumsum(table.support_probs)
+        for n in (0, 1, 500):
+            rng, ref = RngStream(41, n), RngStream(41, n)
+            samples = sample_from_table(table, rng, n)
+            us = [ref.uniform() for _ in range(n)]
+            expected = [table.support_configs[min(bisect_right(cum, u), len(cum) - 1)] for u in us]
+            assert samples == expected and rng.draws == ref.draws == n
+            assert rng.uniform() == ref.uniform()
 
     def test_sampling_round_trip(self):
         table = enumerate_world(fixture_graph("triangle", 0.9), "rc")
