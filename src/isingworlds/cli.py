@@ -12,7 +12,8 @@ is fully deterministic given its inputs.  With ``--out FILE`` the
 payload goes to the file and a run manifest (including timing) is
 written next to it as ``FILE.manifest.json``; without ``--out`` the
 payload goes to stdout with timing omitted so repeated runs are
-byte-identical.
+byte-identical.  An ``--out`` path that cannot be written is an input
+error before any work is done.
 
 Exit codes: 0 success, 1 failed verification, 2 input/parse error,
 3 enumeration cap exceeded, 4 no coalescence.
@@ -113,6 +114,23 @@ def _emit(
         sys.stdout.write(text)
         if text and not text.endswith("\n"):  # an empty payload writes nothing
             sys.stdout.write("\n")
+
+
+def _require_writable(out: str | None) -> None:
+    """Refuse an --out path that cannot be written before any work is done,
+    so a mistyped directory fails at once instead of after a whole run."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        problem = "it is a directory"
+    elif not path.parent.is_dir():
+        problem = f"no directory {path.parent}"
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise InvalidConfigError(f"cannot write {out}: {problem}")
 
 
 def _load_config(path: str, world: str) -> tuple[int, ...]:
@@ -280,8 +298,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     summary_stats = {}
     for name, observable in STATISTICS[world].items():
         values = [observable(g, c) for c in samples]
-        mean = sum(values) / n if n else None  # null in the JSON: undefined, not NaN
-        var = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else None  # one sample: no spread
+        # fsum: exactly rounded, so the summary reads the same on every Python
+        mean = math.fsum(values) / n if n else None  # null in the JSON: undefined, not NaN
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else None  # one sample: no spread
         summary_stats[name] = {"mean": mean, "se": math.sqrt(var / n) if var is not None else None}
     manifest = _manifest("sample", args)
     summary = {
@@ -451,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_writable(args.out)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

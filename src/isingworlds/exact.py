@@ -450,7 +450,7 @@ def check_relate_identity(
         raise InvalidParameterError("relate identities need finite couplings")
     require_field_free(g)
     tables = tables or exact_tables(g)
-    sum_beta = sum(g.betas)
+    sum_beta = math.fsum(g.betas)
     linear_ok = True
     try:
         prod_exp = math.exp(sum_beta)
@@ -471,7 +471,7 @@ def check_relate_identity(
             ),
         ]
     log_zs = tables.spins.log_Z
-    log_cosh_sum = sum(_log_cosh(b) for b in g.betas)
+    log_cosh_sum = math.fsum(_log_cosh(b) for b in g.betas)
     return [
         _report("spins_vs_rc", log_zs, tables.rc.log_Z + sum_beta, tol, True),
         _report(
@@ -502,7 +502,7 @@ def check_rc_normalizer(
     log_rhs = (
         subs.log_Z
         + (g.num_nodes - g.num_edges) * math.log(2.0)
-        + sum(math.log1p(math.exp(-2.0 * b)) if not math.isinf(b) else 0.0 for b in g.betas)
+        + math.fsum(math.log1p(math.exp(-2.0 * b)) if not math.isinf(b) else 0.0 for b in g.betas)
     )
     return _report("rc_normalizer", log_lhs, log_rhs, tol, True)
 

@@ -97,6 +97,16 @@ def beta_to_param(beta: float, param: str) -> float:
     raise InvalidParameterError(f"unknown parameterization {param!r}")
 
 
+def golden_stride(s: int) -> int:
+    """The stride of a golden-ratio scan of ``s`` items: the integer nearest
+    ``s * 0.6180339887``, raised until it is coprime to ``s``, so that the
+    positions ``k * stride % s`` for k in ``range(s)`` visit every item once."""
+    a = max(1, round(s * 0.6180339887))
+    while math.gcd(a, s) != 1:
+        a += 1
+    return a
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Simple undirected graph with per-edge couplings and optional node field.
@@ -197,6 +207,46 @@ class WeightedGraph:
             adj[i].append((j, e))
             adj[j].append((i, e))
         return tuple(tuple(entries) for entries in adj)
+
+    @cached_property
+    def short_cycles(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per edge, up to four triangles and 4-cycles through it, triangles
+        first, each given by the ids of its other edges; a triangle repeats
+        its last id, so that every cycle is a triple.
+
+        If every edge of one of them is open, the edge's endpoints are
+        joined without it, so the connectivity query can answer at once.
+        The scan starts from the endpoint of lower degree and stops at four
+        cycles, which bounds the build on dense graphs.
+        """
+        nbrs = [dict(entries) for entries in self.adjacency]  # neighbour -> edge id
+        cycles = []
+        for i, j in self.edges:
+            u, v = (i, j) if len(nbrs[i]) <= len(nbrs[j]) else (j, i)
+            to_v = nbrs[v]
+            found = [(e_uw, to_v[w], to_v[w]) for w, e_uw in nbrs[u].items() if w in to_v]
+            for w, e_uw in nbrs[u].items():
+                if len(found) >= 4:
+                    break
+                if w != v:  # u - w - x - v closes a 4-cycle
+                    found.extend(
+                        (e_uw, e_wx, to_v[x]) for x, e_wx in nbrs[w].items() if x in to_v and x != u
+                    )
+            cycles.append(tuple(found[:4]))
+        return tuple(cycles)
+
+    @cached_property
+    def sweep_order(self) -> tuple[int, ...]:
+        """The free edges (0 < p < 1) in the order a CFTP sweep updates them.
+
+        Sweep position k holds free edge ``k * a % s`` of the ``s`` free
+        edges in ascending order, with ``a = golden_stride(s)``: consecutive
+        updates land far apart on the graph instead of on neighbours.
+        """
+        free = [e for e, p in enumerate(self.ps) if 0.0 < p < 1.0]
+        s = len(free)
+        a = golden_stride(s)
+        return tuple(free[k * a % s] for k in range(s))
 
     def has_field(self) -> bool:
         return self.field is not None and any(b != 0.0 for b in self.field)

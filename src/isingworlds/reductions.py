@@ -32,6 +32,7 @@ are safe when each owns its own :class:`~isingworlds.rng.RngStream`.
 
 from __future__ import annotations
 
+import operator
 from itertools import compress
 from typing import Sequence
 
@@ -88,7 +89,7 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
             parity[j] ^= 1
 
     assert not any(parity), "leaf peeling must leave every degree even"
-    assert all(ye <= ze for ye, ze in zip(y, z)), "output must stay below the input"
+    assert all(map(operator.le, y, z)), "output must stay below the input"
     return tuple(y)
 
 

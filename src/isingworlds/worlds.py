@@ -143,7 +143,8 @@ def _connected_without_edge(
 ) -> bool:
     """Are e's endpoints joined by open edges other than e itself?
 
-    Breadth-first searches from both endpoints advance in lockstep, one
+    A fully open triangle or 4-cycle of ``g.short_cycles[e]`` answers yes
+    at once.  Otherwise breadth-first searches from both endpoints advance in lockstep, one
     node each (the interleaved search of Elci & Weigel, PRE 88, 033303,
     2013): the answer is yes when they meet and no as soon as either side
     runs out, so the work is bounded by the smaller of the two clusters.
@@ -153,6 +154,9 @@ def _connected_without_edge(
     unvisited.  A caller asking many queries passes one list of zeros and
     a stamp that grows by 2 per query, so no query allocates a map.
     """
+    for a, b, c in g.short_cycles[e]:
+        if z[a] and z[b] and z[c]:
+            return True
     i, j = g.edges[e]
     adj = g.adjacency
     mine, theirs = stamp, stamp + 1

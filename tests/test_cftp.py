@@ -113,7 +113,8 @@ def _reference_run(g, rng, max_epoch=24):
     """Monotone CFTP with the unbanded heat-bath rule on both chains at
     every step, connectivity from whole-graph component labels, and the
     uniform of step -t drawn by a scalar call as the t-th record; step -t
-    updates free edge (-t) mod s of the s free edges.
+    is sweep position k = (-t) mod s, which updates free edge k * a mod s
+    of the s free edges, a the integer nearest 0.618 s made coprime to s.
 
     No epoch shorter than a sweep is run or drawn, and a run stops at a
     step of the last sweep (t <= s, the edge's last update) that leaves
@@ -123,6 +124,9 @@ def _reference_run(g, rng, max_epoch=24):
     if not free:
         return CftpRun(tuple(base), 0, 0)
     s = len(free)
+    a = max(1, round(s * 0.6180339887))
+    while math.gcd(a, s) > 1:
+        a += 1
     records = []
     steps = 0
     for epoch in range(max_epoch + 1):
@@ -133,7 +137,7 @@ def _reference_run(g, rng, max_epoch=24):
         top = [1 if e in free else v for e, v in enumerate(base)]
         bot = list(base)
         for t in range(1 << epoch, 0, -1):
-            edge, u = free[-t % s], records[t - 1]
+            edge, u = free[-t % s * a % s], records[t - 1]
             p = g.ps[edge]
             for z in (top, bot):
                 z[edge] = 1 if u < (p if joined_without_edge(g, z, edge) else p / (2 - p)) else 0

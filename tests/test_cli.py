@@ -300,21 +300,21 @@ class TestSample:
 
 # sha256 of the stdout of 200 samples with --jobs 1, the graph named
 # relative to the fixture directory (sample's summary line carries the
-# manifest: version, options and graph path).  A change that alters how
+# manifest: version, options and graph path), the same on Python 3.10-3.13.  A change that alters how
 # CFTP or the conversions use randomness updates these on purpose.
 PINNED_CFTP_STDOUT = {
-    ("grid3x3", "perfect-subs", 7): "d093dd31802398f374b6e166dd785d3f5ba27e85dcfba8a17d79dbc2832bd8e1",
-    ("grid3x3", "perfect-subs", 2024): "8472c181134450492eeb8efaa103929554078dfb4be244789a99b85aa495e664",
-    ("grid3x3", "perfect-rc", 7): "57608dd7e169ebe2b07e93649fd2fb00a26d366fc7bdffdf2d6f37d4589fc19e",
-    ("grid3x3", "perfect-rc", 2024): "4cfc864e99b6a958f13b54569b6934d54d49ba2f24ee45cc9d18a85155b0addb",
-    ("grid3x3", "sample-spins", 7): "9e5b1c0b025d592a7c129b00fbe7cf74b2509e8bc6e1d401affc7d08564b108c",
-    ("grid3x3", "sample-spins", 2024): "74633d5be8805901a8ec7ef0e298f66f2b4c4f67dad7e7e4a1848c233e80dc6f",
+    ("grid3x3", "perfect-subs", 7): "c292b6411123ca3157fa393587fed2d2913b0fec112d89c9c2c48fe8f4ad2fb2",
+    ("grid3x3", "perfect-subs", 2024): "f40ce57f3202c1d6589aa1ec5527d9ba4415516e60c4e6a8d57e2f29f90137ad",
+    ("grid3x3", "perfect-rc", 7): "1e12571d30c618048248b89497075917334cd1ede68d02e0d41780e5a3aebacd",
+    ("grid3x3", "perfect-rc", 2024): "3952089ace00e399d4e638116bc93dd2799a51323fac8e87c0c6a580ca3dc18c",
+    ("grid3x3", "sample-spins", 7): "0ba345734bae43a86847f7d29ee4dfb2deb9d399d083b5bcc15a808a21b90040",
+    ("grid3x3", "sample-spins", 2024): "7f398ec3c1c5f06eb341035901dada9c368a230907307d2cb7d03dd823d44ed6",
     ("cycle4", "perfect-subs", 7): "df2b9a0ae2faf48dcf2496818a0d96efb1ddd026e5b9a104092ec9eb1174e626",
     ("cycle4", "perfect-subs", 2024): "46e2a40aeb340981fde0a89dfd5576baa146233ebf4099a4b262c08274122ba3",
-    ("cycle4", "perfect-rc", 7): "e70cc23a12f882de5fe9533664fceccb6deadc1fe6530308e77eb4207689957c",
-    ("cycle4", "perfect-rc", 2024): "a1fd22af031327ba8659bc21e609998b5eea2d6c3496b50515fb210f0493624a",
-    ("cycle4", "sample-spins", 7): "c75fc088225bbf83348841f39e2ebfb1798d4c9860c39e3dcdd5e92189fa521d",
-    ("cycle4", "sample-spins", 2024): "5f8a08fdc50fb4716eede8e3c4e1f0520daa3dcb102ec433766a07b90459bb7c",
+    ("cycle4", "perfect-rc", 7): "f4deebb3ea79768bbd0f93ffaec6890d6edad9eead2ff617d64ccef1e9b8e480",
+    ("cycle4", "perfect-rc", 2024): "23095683c8f3f735259f1d7cb470a1a6e970039757f6ee7dcf3b0be7d2bd1a57",
+    ("cycle4", "sample-spins", 7): "db72f172025a16f9255edb1cb8b6533e10af464a33b0ff164902283f1a4294e1",
+    ("cycle4", "sample-spins", 2024): "b27113fecb25f3409ca5a3e896ddce887afe11ff6cfa5613ae8f964a02aed559",
 }
 CFTP_COMMANDS = {
     "perfect-subs": ["perfect", "--world", "subs"],
@@ -520,6 +520,18 @@ class TestErrors:
         out = str(tmp_path / target)
         assert main(["chain", "--kernel", "sw", "--graph", TRIANGLE, "--steps", "2",
                      "--seed", "3", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+    @pytest.mark.parametrize("target", ["missing/o.txt", "."], ids=["missing dir", "a dir"])
+    def test_unwritable_out_fails_before_sampling(self, tmp_path, capsys, monkeypatch, target):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(cli, "_cftp_samples", no_sampling)
+        out = str(tmp_path / target)
+        graph = str(fixture_path("grid3x3", "beta"))
+        assert main(["perfect", "--world", "subs", "--graph", graph, "--samples", "20000",
+                     "--seed", "1", "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 

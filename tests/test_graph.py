@@ -1,10 +1,12 @@
 """Coupling conversions, graph construction, and field elimination."""
 
 import math
+import random
+from itertools import permutations
 
 import pytest
 
-from conftest import field_model_distribution, max_pointwise_gap, reduced_conditioned_distribution
+from conftest import field_model_distribution, max_pointwise_gap, random_graph, reduced_conditioned_distribution
 from isingworlds import (
     InvalidConfigError,
     InvalidParameterError,
@@ -26,7 +28,8 @@ from isingworlds import (
     spins_to_rc,
     subs_to_rc,
 )
-from isingworlds.fixtures import fixture_graph
+from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
+from isingworlds.graph import golden_stride
 
 BETA_GRID = [0.0, 1e-6, 0.01, 0.25, 0.5, 1.0, 2.0, 5.0, 20.0]
 
@@ -114,6 +117,68 @@ class TestWeightedGraph:
     def test_disconnected_graphs_allowed(self):
         g = WeightedGraph.from_edges(5, [(0, 1, 0.5)])
         assert g.num_nodes == 5 and g.num_edges == 1
+
+
+def _cycles_through(g, e):
+    """Every triangle and 4-cycle through e, by brute force over node
+    sequences: (length, frozenset of the other edges)."""
+    index = {pair: k for k, pair in enumerate(g.edges)}
+
+    def edge(a, b):
+        return index.get((min(a, b), max(a, b)))
+
+    i, j = g.edges[e]
+    found = set()
+    others = [v for v in range(g.num_nodes) if v not in (i, j)]
+    for length in (3, 4):
+        for middle in permutations(others, length - 2):
+            path = (j, *middle, i)  # j -> ... -> i, closed by e
+            steps = [edge(a, b) for a, b in zip(path, path[1:])]
+            if None not in steps:
+                found.add((length, frozenset(steps)))
+    return found
+
+
+class TestShortCycles:
+    def test_lists_only_cycles_through_the_edge(self):
+        rnd = random.Random(3131)
+        graphs = [random_graph(rnd, max_nodes=7, max_edges=15) for _ in range(150)]
+        for g in graphs + [complete_graph(4), complete_graph(6), grid_graph(4, 5)]:
+            for e, cycles in enumerate(g.short_cycles):
+                true = _cycles_through(g, e)
+                listed = [(3 if len(set(c)) == 2 else 4, frozenset(c)) for c in cycles]
+                assert len(listed) == len(set(listed)) == min(4, len(true))
+                assert set(listed) <= true
+                lengths = [length for length, _ in listed]
+                assert lengths == sorted(lengths)  # triangles first
+                if any(length == 3 for length, _ in true):
+                    assert lengths[0] == 3
+
+    def test_k4_edges_have_triangles_and_4_cycles(self):
+        g = complete_graph(4)
+        for cycles in g.short_cycles:
+            assert [len(set(c)) for c in cycles] == [2, 2, 3, 3]
+
+    def test_star_and_tree_have_none(self):
+        star = WeightedGraph.from_edges(6, [(0, k, 0.5) for k in range(1, 6)])
+        assert star.short_cycles == ((),) * 5
+        assert fixture_graph("path3").short_cycles == ((), ())
+
+
+class TestSweepOrder:
+    def test_golden_stride_gives_a_permutation(self):
+        for s in range(1, 201):
+            a = golden_stride(s)
+            assert math.gcd(a, s) == 1 and abs(a - s * 0.6180339887) < s / 2
+            assert sorted(k * a % s for k in range(s)) == list(range(s))
+
+    def test_free_edges_in_stride_order(self):
+        g = WeightedGraph.from_edges(6, [(0, 1, 0.5), (1, 2, math.inf), (2, 3, 0.3), (3, 4, 0.0),
+                                         (4, 5, 0.7), (0, 5, 0.9), (1, 4, 0.2)])
+        free = [0, 2, 4, 5, 6]
+        assert golden_stride(5) == 3
+        assert g.sweep_order == tuple(free[k * 3 % 5] for k in range(5)) == (0, 5, 2, 6, 4)
+        assert complete_graph(3, 0.0).sweep_order == ()
 
 
 class TestFieldReduction:

@@ -216,6 +216,24 @@ class TestConnectedWithoutEdge:
             stamp += 2
             assert _connected_without_edge(g, z, e, mark, stamp) == joined_without_edge(g, z, e)
 
+    def test_open_short_cycle_means_joined(self):
+        # the fast path answers yes when one listed cycle is fully open;
+        # dense configurations make it fire often
+        rnd = random.Random(1515)
+        graphs = [random_graph(rnd, max_nodes=8, max_edges=20) for _ in range(240)]
+        graphs += [grid_graph(5, 5), complete_graph(4), complete_graph(6)]
+        fired = 0
+        for g in graphs:
+            for _ in range(3):
+                density = rnd.choice((0.5, 0.7, 0.9))
+                z = [1 if rnd.random() < density else 0 for _ in range(g.num_edges)]
+                for e in range(g.num_edges):
+                    if any(z[a] and z[b] and z[c] for a, b, c in g.short_cycles[e]):
+                        fired += 1
+                        assert joined_without_edge(g, z, e)
+                    assert _connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
+        assert fired > 1000
+
 
 def rejects(g, world, config) -> bool:
     try:
