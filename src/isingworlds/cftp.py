@@ -9,9 +9,11 @@ coalesce at time zero.  Composing with the subgraphs conversion gives
 exact subgraphs-world samples.
 
 Edges with open probability 1 are pinned open (and probability-0 edges
-pinned closed) and excluded from random updates; connectivity queries
-still see them, which realizes the usual contraction of forced edges
-without rebuilding the graph.
+pinned closed) because their update needs no draw, not because a state
+is ruled out: p also rounds to 1 at finite beta past ~18.7 (see
+:mod:`isingworlds.graph`).  They are excluded from random updates;
+connectivity queries still see them, which realizes the usual
+contraction of forced edges without rebuilding the graph.
 
 The two heat-bath thresholds, p when the edge's endpoints are connected
 elsewhere and p / (2 - p) when they are not, bound a band: a uniform

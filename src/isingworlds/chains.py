@@ -16,7 +16,7 @@ from .errors import InvalidConfigError
 from .graph import WeightedGraph
 from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
 from .rng import RngStream
-from .worlds import SpinConfig, SubgraphConfig, require_statistic, require_support, statistic
+from .worlds import SpinConfig, SubgraphConfig, require_statistic, require_support
 
 
 def sw_classic_step(g: WeightedGraph, x: Sequence[int], rng: RngStream) -> SpinConfig:
@@ -97,8 +97,8 @@ def run_chain(
 
     trace = ChainTrace(stats=tuple(collect))
     config = init.config
-    for name in collect:  # fail fast on unknown statistic names
-        require_statistic(init.world, name)
+    # looked up once, which also fails fast on unknown names
+    recorded = [(trace.values[name], require_statistic(init.world, name)) for name in collect]
 
     step = init.step
     for _ in range(steps):
@@ -106,7 +106,7 @@ def run_chain(
         step += 1
         if (step - init.step) % thin == 0:
             trace.steps.append(step)
-            for name in trace.stats:
-                trace.values[name].append(statistic(g, init.world, config, name))
+            for column, stat in recorded:
+                column.append(stat(g, config))
     trace.final = ChainState(init.world, config, step)
     return trace

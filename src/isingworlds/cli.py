@@ -59,12 +59,13 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NO_COALESCENCE = 4
 
-_INPUT_ERRORS = (
-    GraphFormatError,
-    InvalidParameterError,
-    InvalidConfigError,
-    UnsupportedFieldError,
-    UnknownStatisticError,
+# an error exits with the code of the first entry it is an instance of
+_EXIT_CODES = (
+    ((GraphFormatError, InvalidParameterError, InvalidConfigError, UnsupportedFieldError,
+      UnknownStatisticError), EXIT_INPUT),
+    (CapExceededError, EXIT_CAP),
+    (NoCoalescenceError, EXIT_NO_COALESCENCE),
+    (IsingError, EXIT_FAILED),
 )
 
 
@@ -472,18 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _require_writable(args.out)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NoCoalescenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_COALESCENCE
     except IsingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

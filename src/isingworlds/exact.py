@@ -98,7 +98,8 @@ class WorldTable:
 
     @cached_property
     def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.weights > 0.0))
+        """Rows of finite log weight, also where the linear weight underflows."""
+        return tuple(int(i) for i in np.flatnonzero(self.log_weights > -math.inf))
 
     @cached_property
     def support_configs(self) -> tuple[tuple[int, ...], ...]:
@@ -229,10 +230,11 @@ def subs_factors(g: WeightedGraph, ys: np.ndarray, ruled_out: np.ndarray) -> Ite
 
 
 def rc_factors(g: WeightedGraph, zs: np.ndarray, ruled_out: np.ndarray) -> Iterator[tuple]:
-    """p per open edge and 1 - p per closed edge; no row is ruled out, and
-    the 2**clusters factor is the fold's, from the caller's cluster counts."""
-    for e, p in enumerate(g.ps):
-        yield zs[:, e], (1.0 - p, p), (math.log1p(-p) if p < 1.0 else -math.inf, _log(p))
+    """p per open edge and exp(-2 beta) = 1 - p per closed edge, which no
+    rounding of p zeroes; no row is ruled out, and the 2**clusters factor
+    is the fold's, from the caller's cluster counts."""
+    for e, (p, beta) in enumerate(zip(g.ps, g.betas)):
+        yield zs[:, e], (math.exp(-2.0 * beta), p), (-2.0 * beta, _log(p))
 
 
 def _linear_fold(g: WeightedGraph, world: str, matrix: np.ndarray, counts=None) -> np.ndarray:
@@ -494,7 +496,7 @@ def check_rc_normalizer(
     require_field_free(g)
     rc = tables.rc if tables else enumerate_world(g, "rc")
     subs = tables.subs if tables else enumerate_world(g, "subs")
-    factor = math.prod(1.0 + math.exp(-2.0 * b) if not math.isinf(b) else 1.0 for b in g.betas)
+    factor = math.prod(1.0 + math.exp(-2.0 * b) for b in g.betas)
     rhs = subs.Z * _ldexp(factor, g.num_nodes - g.num_edges)
     if math.isfinite(rc.Z) and math.isfinite(rhs):
         return _report("rc_normalizer", rc.Z, rhs, tol, False)
@@ -502,7 +504,7 @@ def check_rc_normalizer(
     log_rhs = (
         subs.log_Z
         + (g.num_nodes - g.num_edges) * math.log(2.0)
-        + math.fsum(math.log1p(math.exp(-2.0 * b)) if not math.isinf(b) else 0.0 for b in g.betas)
+        + math.fsum(math.log1p(math.exp(-2.0 * b)) for b in g.betas)
     )
     return _report("rc_normalizer", log_lhs, log_rhs, tol, True)
 
@@ -532,9 +534,7 @@ class KernelMatrix:
     """Exact transition matrix of a kernel, over positive-weight configs.
 
     Rows index the source world's support, columns the target world's
-    support.  An output of zero target weight has no column, so each row
-    sums to one except where a conversion can reach such an output:
-    ``spins_to_rc`` at finite beta past ~18.7, where p rounds to 1.
+    support; each row sums to one.
     """
 
     kernel: str
@@ -657,7 +657,8 @@ def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[i
     cum = np.cumsum(table.support_probs)
     us = array("d")
     rng.uniforms(n, us)
-    idx = np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1)
+    # a u past the rounded total takes the last row that adds probability
+    idx = np.minimum(np.searchsorted(cum, us, side="right"), np.searchsorted(cum, cum[-1]))
     configs = table.support_configs
     return [configs[i] for i in idx]
 

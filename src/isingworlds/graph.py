@@ -8,6 +8,12 @@ Every edge carries one canonical ferromagnetic coupling ``beta`` in
 * ``p = 1 - exp(-2 * beta)`` with ``exp(-inf) = 0`` (open-edge
   probability in the random-cluster formulation).
 
+Zero weight is decided from beta alone (:attr:`WeightedGraph.extreme_edges`):
+only beta = 0 and beta = inf rule a state out.  The samplers draw from p
+and lambda, resolved to 2**-53, so a finite-beta edge whose p or lambda
+rounds to 1.0 (from beta ~ 18.715 and ~ 19.06) always opens: it is pinned
+for the samplers although both of its states have positive weight.
+
 An optional per-node external field ``B`` is supported as long as it is
 sign-uniform; :func:`reduce_unidirectional_field` rewrites such a model
 as a field-free model on a slightly larger graph.
@@ -32,24 +38,21 @@ def _require_number(value: float, what: str) -> float:
     return value
 
 
-def beta_to_lambda(beta: float) -> float:
-    """Map a coupling to its subgraphs-world edge weight tanh(beta)."""
+def _require_beta(beta: float) -> float:
     beta = _require_number(beta, "beta")
     if beta < 0:
         raise InvalidParameterError(f"beta must be nonnegative, got {beta}")
-    if math.isinf(beta):
-        return 1.0
-    return math.tanh(beta)
+    return beta
+
+
+def beta_to_lambda(beta: float) -> float:
+    """Map a coupling to its subgraphs-world edge weight tanh(beta)."""
+    return math.tanh(_require_beta(beta))  # tanh(inf) is 1.0
 
 
 def beta_to_p(beta: float) -> float:
     """Map a coupling to its random-cluster open probability 1 - exp(-2*beta)."""
-    beta = _require_number(beta, "beta")
-    if beta < 0:
-        raise InvalidParameterError(f"beta must be nonnegative, got {beta}")
-    if math.isinf(beta):
-        return 1.0
-    return -math.expm1(-2.0 * beta)
+    return -math.expm1(-2.0 * _require_beta(beta))  # expm1(-inf) is -1.0
 
 
 def lambda_to_beta(lam: float) -> float:
@@ -75,10 +78,7 @@ def p_to_beta(p: float) -> float:
 def coupling_to_beta(value: float, param: str) -> float:
     """Convert an edge value given in any supported parameterization to beta."""
     if param == "beta":
-        beta = _require_number(value, "beta")
-        if beta < 0:
-            raise InvalidParameterError(f"beta must be nonnegative, got {beta}")
-        return beta
+        return _require_beta(value)
     if param == "lambda":
         return lambda_to_beta(value)
     if param == "p":
@@ -136,9 +136,7 @@ class WeightedGraph:
             if (i, j) in seen:
                 raise InvalidParameterError(f"parallel edge ({i}, {j}); pre-merge couplings by beta addition")
             seen.add((i, j))
-            beta = _require_number(beta, "beta")
-            if beta < 0:
-                raise InvalidParameterError(f"beta must be nonnegative, got {beta}")
+            _require_beta(beta)
         if self.field is not None:
             if len(self.field) != self.num_nodes:
                 raise InvalidParameterError("field must assign a value to every node")
@@ -195,9 +193,9 @@ class WeightedGraph:
 
     @cached_property
     def extreme_edges(self) -> tuple[int, ...]:
-        """Edges with p of 0 (where lambda is 0) or 1, ascending: the only
-        edges on which a coupling can rule a configuration out."""
-        return tuple(e for e, p in enumerate(self.ps) if p == 0.0 or p == 1.0)
+        """Edges with beta of 0 or inf, ascending: the only edges on which
+        a coupling can rule a configuration out."""
+        return tuple(e for e, b in enumerate(self.betas) if b == 0.0 or b == math.inf)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -237,7 +235,8 @@ class WeightedGraph:
 
     @cached_property
     def sweep_order(self) -> tuple[int, ...]:
-        """The free edges (0 < p < 1) in the order a CFTP sweep updates them.
+        """The edges whose update needs a draw (0 < p < 1) in the order a
+        CFTP sweep updates them.
 
         Sweep position k holds free edge ``k * a % s`` of the ``s`` free
         edges in ascending order, with ``a = golden_stride(s)``: consecutive

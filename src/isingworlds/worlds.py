@@ -78,21 +78,23 @@ def require_support(g: WeightedGraph, world: str, config: Sequence[int]) -> None
     """Reject a graph with a field, then a malformed ``config``, then one
     that the world's log weight (:mod:`exact`) gives -inf: spins disagreeing
     across an infinite coupling, an open zero-coupling edge, an odd
-    degree (subs) or a closed p = 1 edge (rc)."""
+    degree (subs) or a closed infinite-coupling edge (rc).  Only beta
+    decides: a finite coupling rules nothing out, however close to 1 its
+    p or lambda rounds."""
     require_field_free(g)
     validate_config(g, world, config)
     for e in g.extreme_edges:
-        if world == "spins":
-            i, j = g.edges[e]
-            if config[i] != config[j] and math.isinf(g.betas[e]):
-                raise InvalidConfigError(
-                    f"edge {e} has infinite coupling but disagreeing endpoints (zero weight)"
-                )
-        elif config[e]:
-            if g.ps[e] == 0.0:  # lambda is 0 too
-                raise InvalidConfigError(f"edge {e} is open but has zero coupling (zero weight)")
-        elif world == "rc" and g.ps[e] == 1.0:
-            raise InvalidConfigError(f"edge {e} is closed but has p = 1 (zero weight)")
+        if g.betas[e]:  # inf
+            if world == "spins":
+                i, j = g.edges[e]
+                if config[i] != config[j]:
+                    raise InvalidConfigError(
+                        f"edge {e} has infinite coupling but disagreeing endpoints (zero weight)"
+                    )
+            elif world == "rc" and not config[e]:
+                raise InvalidConfigError(f"edge {e} is closed but has p = 1 (zero weight)")
+        elif world != "spins" and config[e]:
+            raise InvalidConfigError(f"edge {e} is open but has zero coupling (zero weight)")
     if world == "subs":
         parity = [0] * g.num_nodes
         for i, j in compress(g.edges, config):
@@ -248,11 +250,6 @@ def require_statistic(world: str, name: str) -> _Statistic:
         return STATISTICS[world][name]
     except KeyError:
         raise UnknownStatisticError(f"statistic {name!r} is not defined for world {world!r}") from None
-
-
-def statistic(g: WeightedGraph, world: str, config: Sequence[int], name: str) -> float:
-    """Evaluate a named observable of a configuration in its world."""
-    return require_statistic(world, name)(g, config)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def reference_weight(g: WeightedGraph, world: str, config) -> float:
                 acc *= g.lambdas[e]
         return 0.0 if any(d % 2 for d in brute_degrees(g, config)) else acc
     for e, ze in enumerate(config):
-        acc *= g.ps[e] if ze else 1.0 - g.ps[e]
+        acc *= g.ps[e] if ze else math.exp(-2.0 * g.betas[e])  # 1 - p, exactly
     try:
         return math.ldexp(acc, dfs_component_labels(g, config)[1])
     except OverflowError:
@@ -143,17 +143,13 @@ def reference_log_weight(g: WeightedGraph, world: str, config) -> float:
     else:
         total = dfs_component_labels(g, config)[1] * math.log(2.0)
     for e, ze in enumerate(config):
-        if world == "subs" and not ze:
-            continue
-        p = g.lambdas[e] if world == "subs" else g.ps[e]
         if ze:
+            p = g.lambdas[e] if world == "subs" else g.ps[e]
             if p == 0.0:
                 return -math.inf
             total += math.log(p)
-        else:
-            if p == 1.0:
-                return -math.inf
-            total += math.log1p(-p)
+        elif world == "rc":
+            total += -2.0 * g.betas[e]  # log(1 - p), exactly
     return total
 
 

@@ -17,10 +17,9 @@ from isingworlds import (
     weight_spins,
     weight_subs,
 )
-from isingworlds import chains
 from isingworlds.chains import ChainState, initial_state, run_chain
 from isingworlds.fixtures import complete_graph, fixture_graph, path_graph
-from isingworlds.worlds import statistic
+from isingworlds.worlds import STATISTICS
 
 
 class TestClassicKernel:
@@ -137,13 +136,13 @@ class TestRunChain:
     def test_statistics_evaluated_only_on_recorded_rows(self, monkeypatch):
         calls = []
 
-        def counting(g, world, config, name):
-            calls.append(name)
-            return statistic(g, world, config, name)
+        def counting(name, stat):
+            return lambda g, config: calls.append(name) or stat(g, config)
 
-        monkeypatch.setattr(chains, "statistic", counting)
-        g = fixture_graph("cycle4", 0.5)
         stats = ("m", "energy", "clusters")
+        for name in stats:
+            monkeypatch.setitem(STATISTICS["spins"], name, counting(name, STATISTICS["spins"][name]))
+        g = fixture_graph("cycle4", 0.5)
         trace = run_chain(g, initial_state(g, "spins"), 12, RngStream(8), stats, thin=3)
         assert len(trace) == 12 // 3
         assert len(calls) == 12 // 3 * len(stats)

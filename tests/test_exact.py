@@ -4,6 +4,7 @@ import math
 import random
 from bisect import bisect_right
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from isingworlds import (
 from isingworlds import exact
 from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
+from isingworlds.worlds import require_support
 from isingworlds.exact import (
     weight_rc,
     weight_rc_log,
@@ -69,6 +71,17 @@ def adversarial_graphs(seed: int, count: int):
         elif k % 3 == 2:
             field = tuple(rnd.choice((0.0, 0.8, -1.5, math.inf, -math.inf)) for _ in range(g.num_nodes))
         yield WeightedGraph(g.num_nodes, g.edges, tuple(b * scale for b in g.betas), field)
+
+
+def band_graphs(seed: int, count: int):
+    """Field-free random graphs with couplings of 0 and inf, some forced
+    into 18.7 < beta < 19.1 (where p rounds to 1 before lambda does) and
+    some scaled up to ~400."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        g = random_graph(rnd, max_nodes=5, max_edges=7, extreme_share=0.3)
+        betas = tuple(rnd.choice((b, rnd.uniform(18.7, 19.1), b * 250.0)) for b in g.betas)
+        yield WeightedGraph(g.num_nodes, g.edges, betas)
 
 
 class TestEnumeration:
@@ -272,12 +285,38 @@ class TestLogDomainFallback:
 
 class TestKernelMatrices:
     def test_rows_stochastic(self):
-        g = fixture_graph("cycle4", [0.0, 0.4, 1.0, math.inf])
-        tables = exact_tables(g)
-        for kernel in ("subs_to_rc", "rc_to_subs", "spins_to_rc", "rc_to_spins",
-                       "sw_classic", "sw_subgraphs"):
-            km = exact_kernel_matrix(g, kernel, tables)
-            assert np.max(np.abs(km.matrix.sum(axis=1) - 1.0)) < 1e-12
+        # p rounds to 1 at 18.8 and 19.0, where lambda does not yet
+        for betas in ([0.0, 0.4, 1.0, math.inf], [0.0, 18.8, 19.0, math.inf],
+                      [20.0, 300.0, 0.4, math.inf]):
+            g = fixture_graph("cycle4", betas)
+            tables = exact_tables(g)
+            for kernel in ("subs_to_rc", "rc_to_subs", "spins_to_rc", "rc_to_spins",
+                           "sw_classic", "sw_subgraphs"):
+                km = exact_kernel_matrix(g, kernel, tables)
+                assert np.max(np.abs(km.matrix.sum(axis=1) - 1.0)) < 1e-12, (betas, kernel)
+
+    def test_guards_and_oracle_agree_at_large_beta(self):
+        # the guard rejects exactly the rows of log weight -inf, and every
+        # conversion, over all of its draws, lands on rows of finite log weight
+        rejected = dict.fromkeys(("spins", "subs", "rc"), 0)
+        band_edges = 0
+        for g in band_graphs(1607, 80):
+            band_edges += sum(p == 1.0 and b < math.inf for p, b in zip(g.ps, g.betas))
+            tables = exact_tables(g)
+            for world in rejected:
+                table = getattr(tables, world)
+                for config, log_weight in zip(table.configs, table.log_weights):
+                    try:
+                        require_support(g, world, config)
+                    except InvalidConfigError:
+                        assert log_weight == -math.inf, (g, world, config)
+                        rejected[world] += 1
+                    else:
+                        assert log_weight > -math.inf, (g, world, config)
+            for kernel in ("subs_to_rc", "rc_to_subs", "spins_to_rc", "rc_to_spins"):
+                km = exact_kernel_matrix(g, kernel, tables)
+                assert np.max(np.abs(km.matrix.sum(axis=1) - 1.0), initial=0.0) < 1e-12, (g, kernel)
+        assert min(rejected.values()) > 0 and band_edges > 0
 
     def test_k2_subs_to_rc_row(self):
         lam = math.tanh(0.5)
@@ -386,6 +425,17 @@ class TestTvDistance:
         table = enumerate_world(g, "spins")
         with pytest.raises(InvalidConfigError, match="positive weight"):
             sample_from_table(table, RngStream(0), n)
+
+    def test_uniform_past_the_rounded_total_takes_a_positive_row(self):
+        # a support row of finite log weight can have probability 0 (its
+        # linear weight underflows) and sit last; cum[-1] < u must not pick it
+        class Top:
+            def uniforms(self, n, out):
+                out.extend([0.9] * n)
+
+        table = SimpleNamespace(world="rc", support=(0, 1, 2), support_probs=np.array([0.25, 0.5, 0.0]),
+                                support_configs=((0, 0), (1, 0), (1, 1)))
+        assert sample_from_table(table, Top(), 2) == [(1, 0), (1, 0)]
 
     def test_sampling_is_inverse_cdf_over_scalar_uniforms(self):
         table = enumerate_world(fixture_graph("cycle4", 0.7), "subs")

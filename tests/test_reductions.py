@@ -25,10 +25,12 @@ from isingworlds import (
     spins_to_subs,
     subs_to_rc,
     subs_to_spins,
+    sw_classic_step,
     tv_distance,
 )
 from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
+from isingworlds.worlds import require_support
 
 
 class TestSubsToRc:
@@ -209,6 +211,15 @@ class TestZeroWeightInputs:
             else:
                 convert(g, config, rng)
         assert rejected > 0
+
+    def test_large_finite_beta_rules_nothing_out(self):
+        # p rounds to 1 at beta = 20, but (1, -1) keeps weight exp(-20) and
+        # the closed rc edge weight exp(-40)
+        g = complete_graph(2, 20.0)
+        assert g.ps == (1.0,)
+        assert spins_to_subs(g, (1, -1), RngStream(5)) == (0,)
+        assert sw_classic_step(g, (1, -1), RngStream(5)) in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        require_support(g, "rc", (0,))
 
 
 class TestCompositions:

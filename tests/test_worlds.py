@@ -25,8 +25,8 @@ from isingworlds.worlds import (
     _connected_without_edge,
     config_from_string,
     config_to_string,
+    require_statistic,
     require_support,
-    statistic,
     validate_config,
 )
 
@@ -119,6 +119,12 @@ class TestWeightRc:
         assert weight_rc(g, (0,)) == 0.0  # closing a p = 1 edge kills the weight
         g0 = WeightedGraph.from_edges(2, [(0, 1, 0.0)])
         assert weight_rc(g0, (1,)) == 0.0  # opening a p = 0 edge kills the weight
+
+    @pytest.mark.parametrize("beta", [10.0, 15.0, 18.0])
+    def test_closed_log_weight_is_exact_at_large_beta(self, beta):
+        # log(1 - p) through the rounded p is off by 0.044 at beta = 18
+        expected = -2.0 * beta + 2.0 * math.log(2.0)  # two singletons
+        assert weight_rc_log(complete_graph(2, beta), (0,)) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestLogDomainAgreement:
@@ -343,14 +349,14 @@ class TestStatistics:
     def test_spins_statistics(self):
         g = fixture_graph("triangle", 0.5)
         x = (1, 1, -1)
-        assert statistic(g, "spins", x, "m") == 1.0
-        assert statistic(g, "spins", x, "energy") == pytest.approx(-0.5 * (1 - 1 - 1))
-        assert statistic(g, "spins", x, "clusters") == 2.0  # {0,1} agree, {2}
+        assert require_statistic("spins", "m")(g, x) == 1.0
+        assert require_statistic("spins", "energy")(g, x) == pytest.approx(-0.5 * (1 - 1 - 1))
+        assert require_statistic("spins", "clusters")(g, x) == 2.0  # {0,1} agree, {2}
 
     def test_edge_statistics(self):
         g = fixture_graph("triangle", 0.5)
-        assert statistic(g, "rc", (1, 0, 0), "edges") == 1.0
-        assert statistic(g, "subs", (1, 1, 1), "clusters") == 1.0
+        assert require_statistic("rc", "edges")(g, (1, 0, 0)) == 1.0
+        assert require_statistic("subs", "clusters")(g, (1, 1, 1)) == 1.0
 
     def test_table_matches_plain_references(self):
         rnd = random.Random(515)
@@ -360,12 +366,12 @@ class TestStatistics:
             z = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
             agree = [1 if x[i] == x[j] else 0 for i, j in g.edges]
             energy = sum(-b * x[i] * x[j] for (i, j), b in zip(g.edges, g.betas) if b != math.inf)
-            assert statistic(g, "spins", x, "m") == sum(x)
-            assert statistic(g, "spins", x, "energy") == pytest.approx(energy)
-            assert statistic(g, "spins", x, "clusters") == dfs_component_labels(g, agree)[1]
+            assert require_statistic("spins", "m")(g, x) == sum(x)
+            assert require_statistic("spins", "energy")(g, x) == pytest.approx(energy)
+            assert require_statistic("spins", "clusters")(g, x) == dfs_component_labels(g, agree)[1]
             for world in ("subs", "rc"):
-                assert statistic(g, world, z, "edges") == sum(z)
-                assert statistic(g, world, z, "clusters") == dfs_component_labels(g, z)[1]
+                assert require_statistic(world, "edges")(g, z) == sum(z)
+                assert require_statistic(world, "clusters")(g, z) == dfs_component_labels(g, z)[1]
 
     def test_table_order(self):
         # the CLI summary lists each world's statistics in this order
@@ -378,8 +384,7 @@ class TestStatistics:
     def test_unknown_statistic(self):
         from isingworlds import UnknownStatisticError
 
-        g = fixture_graph("k2")
         with pytest.raises(UnknownStatisticError):
-            statistic(g, "subs", (0,), "m")
+            require_statistic("subs", "m")
         with pytest.raises(UnknownStatisticError):
-            statistic(g, "spins", (1, 1), "nope")
+            require_statistic("spins", "nope")
