@@ -14,6 +14,7 @@ from .cftp import (
     CftpRun,
     cftp_rc_run,
     heat_bath_rc_step,
+    perfect_sample,
     perfect_subs_sample,
 )
 from .chains import ChainState, ChainTrace, initial_state, run_chain, sw_classic_step, sw_subgraphs_step
@@ -95,6 +96,7 @@ __all__ = [
     "lambda_to_beta",
     "load_graph",
     "p_to_beta",
+    "perfect_sample",
     "perfect_subs_sample",
     "rc_to_spins",
     "rc_to_subs",

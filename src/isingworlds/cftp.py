@@ -5,8 +5,8 @@ random-cluster model: under a shared (edge, uniform) update, a pointwise
 larger configuration stays larger.  Running the all-open and all-closed
 extremal chains from epochs doubling into the past with shared,
 cached randomness therefore yields an exactly stationary draw once they
-coalesce at time zero.  Composing with the subgraphs conversion gives
-exact subgraphs-world samples.
+coalesce at time zero.  :func:`perfect_sample` converts that draw
+exactly into any world.
 
 Edges with open probability 1 are pinned open (and probability-0 edges
 pinned closed) because their update needs no draw, not because a state
@@ -62,7 +62,7 @@ from typing import Sequence
 
 from .errors import InvalidParameterError, NoCoalescenceError
 from .graph import WeightedGraph, require_field_free
-from .reductions import rc_to_subs
+from .reductions import REDUCTIONS
 from .rng import RngStream, _nonnegative_int
 from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_config
 
@@ -190,9 +190,18 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     )
 
 
-def perfect_subs_sample(
-    g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH
-) -> SubgraphConfig:
-    """One exact subgraphs-world draw: perfect random-cluster sampling
-    followed by the exact conversion."""
-    return rc_to_subs(g, cftp_rc_run(g, rng, max_epoch).config, rng)
+def perfect_sample(
+    g: WeightedGraph, world: str, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH
+) -> tuple[tuple[int, ...], CftpRun]:
+    """One exact draw in ``world``, and its run: :func:`cftp_rc_run`, then
+    the exact conversion on the same stream.  An unknown world raises first."""
+    if world != "rc" and ("rc", world) not in REDUCTIONS:
+        raise InvalidParameterError(f"unknown world {world!r}")
+    run = cftp_rc_run(g, rng, max_epoch)
+    config = run.config if world == "rc" else REDUCTIONS[("rc", world)](g, run.config, rng)
+    return config, run
+
+
+def perfect_subs_sample(g: WeightedGraph, rng: RngStream) -> SubgraphConfig:
+    """One exact subgraphs-world draw: :func:`perfect_sample` in ``"subs"``."""
+    return perfect_sample(g, "subs", rng)[0]

@@ -2,9 +2,10 @@
 
 Subcommands: ``convert`` rewrites a graph file in another edge
 parameterization, ``reduce`` applies one exact world-to-world
-conversion, ``chain`` runs a cluster-update Markov chain, ``perfect``
-draws exact samples by coupling from the past, ``sample`` unifies the
-sampling backends, and ``verify`` checks the partition-function
+conversion, ``chain`` runs a cluster-update Markov chain, ``sample``
+draws by enumeration, coupling from the past or a chain and adds a
+summary line, ``perfect`` prints exactly the lines of ``sample --method
+cftp`` without it, and ``verify`` checks the partition-function
 identities and kernel exactness on a small graph.
 
 Every sampling command requires ``--seed``, a nonnegative integer, and
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from . import __version__
 from .caps import CAPS, KERNEL_EDGE_CAP, KERNEL_NODE_CAP
-from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, cftp_rc_run
+from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, perfect_sample
 from .chains import initial_state, run_chain
 from .errors import (
     CapExceededError,
@@ -73,11 +74,11 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(command: str, args: argparse.Namespace) -> dict:
+def _manifest(args: argparse.Namespace) -> dict:
     manifest = {
         "tool": "isingworlds",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "options": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "caps": dict(CAPS),
     }
@@ -163,7 +164,7 @@ def _load_config(path: str, world: str) -> tuple[int, ...]:
 def cmd_convert(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = load_graph(args.graph)
-    _emit(graph_to_text(g, args.to), args, _manifest("convert", args), started)
+    _emit(graph_to_text(g, args.to), args, _manifest(args), started)
     return EXIT_OK
 
 
@@ -182,7 +183,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "config": list(result),
         "draws": rng.draws,
     }
-    manifest = _manifest("reduce", args)
+    manifest = _manifest(args)
     if not args.out:
         payload["manifest"] = manifest
     _emit(json.dumps(payload, indent=2), args, manifest, started)
@@ -204,26 +205,14 @@ def cmd_chain(args: argparse.Namespace) -> int:
     writer.writerow(["step", *stats])
     for row, step in enumerate(trace.steps):
         writer.writerow([step, *(trace.values[name][row] for name in stats)])
-    _emit(buffer.getvalue(), args, _manifest("chain", args), started)
+    _emit(buffer.getvalue(), args, _manifest(args), started)
     return EXIT_OK
 
 
-def _cftp_one(
-    g: WeightedGraph, seed: int, index: int, world: str, max_epoch: int
-) -> tuple[tuple[int, ...], int]:
+def _cftp_one(g: WeightedGraph, seed: int, index: int, world: str, max_epoch: int) -> tuple:
     """One perfect sample from its own stream; returns (config, epoch)."""
-    rng = RngStream(seed, index)
-    run = cftp_rc_run(g, rng, max_epoch)
-    config = run.config
-    if world != "rc":
-        config = REDUCTIONS[("rc", world)](g, config, rng)
+    config, run = perfect_sample(g, world, RngStream(seed, index), max_epoch)
     return config, run.epoch
-
-
-def _workers(jobs: int, samples: int) -> int:
-    """Processes that draw the samples: ``--jobs`` capped at the cpu count,
-    and one (this process, no pool) for fewer than two samples."""
-    return min(jobs, os.cpu_count() or 1) if samples >= 2 else 1
 
 
 def _cftp_samples(
@@ -240,26 +229,11 @@ def _cftp_samples(
         return list(pool.map(one, range(samples), chunksize=math.ceil(samples / workers)))
 
 
-def cmd_perfect(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g = load_graph(args.graph)
-    workers = _workers(args.jobs, args.samples)
-    rows = _cftp_samples(g, args.seed, args.world, args.max_epoch, args.samples, workers)
-    lines = [
-        json.dumps({"config": list(config), "epoch": epoch}, separators=(", ", ": "))
-        for config, epoch in rows
-    ]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    _emit(text, args, _manifest("perfect", args), started, workers=workers)
-    return EXIT_OK
-
-
 def _chain_samples(
     g: WeightedGraph, world: str, seed: int, n: int, burnin: int, thin: int
 ) -> list[tuple[int, ...]]:
-    chain_world = "subs" if world == "rc" else world
     rng = RngStream(seed)
-    state = initial_state(g, chain_world)
+    state = initial_state(g, "subs" if world == "rc" else world)
     state = run_chain(g, state, burnin, rng).final
     samples = []
     for _ in range(n):
@@ -271,31 +245,44 @@ def _chain_samples(
     return samples
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def _draw(args: argparse.Namespace, method: str) -> tuple[WeightedGraph, list, dict]:
+    """Draw ``args.samples`` samples by ``method`` and write them as JSON
+    lines; returns the graph, the samples and the manifest."""
     started = time.perf_counter()
     g = load_graph(args.graph)
     world, n = args.world, args.samples
-    workers = _workers(args.jobs, n) if args.method == "cftp" else 1
-    if args.method == "enum":
+    workers = min(args.jobs, os.cpu_count() or 1) if method == "cftp" and n >= 2 else 1
+    extra = [{}] * n
+    if method == "enum":
         from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
 
         if world != "spins":
             require_field_free(g)  # the edge-world tables would drop the field
-        table = enumerate_world(g, world)
-        samples = sample_from_table(table, RngStream(args.seed), n)
-        extra = [{} for _ in samples]
-    elif args.method == "cftp":
+        samples = sample_from_table(enumerate_world(g, world), RngStream(args.seed), n)
+    elif method == "cftp":
         rows = _cftp_samples(g, args.seed, world, args.max_epoch, n, workers)
         samples = [config for config, _ in rows]
         extra = [{"epoch": epoch} for _, epoch in rows]
     else:  # chain
         samples = _chain_samples(g, world, args.seed, n, args.burnin, args.thin)
-        extra = [{} for _ in samples]
 
     lines = [
         json.dumps({"config": list(c), **info}, separators=(", ", ": "))
         for c, info in zip(samples, extra)
     ]
+    manifest = _manifest(args)
+    _emit("\n".join(lines) + ("\n" if lines else ""), args, manifest, started, workers=workers)
+    return g, samples, manifest
+
+
+def cmd_perfect(args: argparse.Namespace) -> int:
+    _draw(args, "cftp")
+    return EXIT_OK
+
+
+def cmd_sample(args: argparse.Namespace) -> int:
+    g, samples, manifest = _draw(args, args.method)
+    world, n = args.world, args.samples
     summary_stats = {}
     for name, observable in STATISTICS[world].items():
         values = [observable(g, c) for c in samples]
@@ -303,7 +290,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         mean = math.fsum(values) / n if n else None  # null in the JSON: undefined, not NaN
         var = math.fsum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else None  # one sample: no spread
         summary_stats[name] = {"mean": mean, "se": math.sqrt(var / n) if var is not None else None}
-    manifest = _manifest("sample", args)
     summary = {
         "world": world,
         "method": args.method,
@@ -311,7 +297,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "stats": summary_stats,
         "manifest": manifest,
     }
-    _emit("\n".join(lines) + ("\n" if lines else ""), args, manifest, started, workers=workers)
     # summary goes to stdout either way; without --out it is the final line
     print(json.dumps(summary) if not args.out else json.dumps(summary, indent=2))
     return EXIT_OK
@@ -369,7 +354,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     passed = all(c.get("passed", True) for c in checks)
     payload = {"graph": args.graph, "passed": passed, "checks": checks}
-    manifest = _manifest("verify", args)
+    manifest = _manifest(args)
     if not args.out:
         payload["manifest"] = manifest
     _emit(json.dumps(payload, indent=2), args, manifest, started)

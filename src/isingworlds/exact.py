@@ -51,7 +51,7 @@ from .caps import CAPS, EDGE_ENUM_CAP, KERNEL_EDGE_CAP, KERNEL_NODE_CAP, SPINS_E
 from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, require_field_free
 from .reductions import REDUCTIONS
-from .rng import RngStream
+from .rng import RngStream, _nonnegative_int
 from .worlds import clusters, validate_config
 
 
@@ -399,6 +399,13 @@ def exact_tables(g: WeightedGraph) -> ExactTables:
     )
 
 
+def _own_tables(g: WeightedGraph, tables: ExactTables | None) -> ExactTables | None:
+    """``tables`` once checked to belong to ``g``; None stays None."""
+    if tables is not None and tables.graph != g:
+        raise InvalidParameterError("the tables passed belong to another graph")
+    return tables
+
+
 def world_table_for(tables: ExactTables, world: str) -> WorldTable:
     table = getattr(tables, world, None)
     if not isinstance(table, WorldTable):
@@ -451,7 +458,7 @@ def check_relate_identity(
     if any(math.isinf(b) for b in g.betas):
         raise InvalidParameterError("relate identities need finite couplings")
     require_field_free(g)
-    tables = tables or exact_tables(g)
+    tables = _own_tables(g, tables) or exact_tables(g)
     sum_beta = math.fsum(g.betas)
     linear_ok = True
     try:
@@ -494,7 +501,7 @@ def check_rc_normalizer(
     Infinite couplings are fine here: their factor is exactly 1.
     """
     require_field_free(g)
-    rc = tables.rc if tables else enumerate_world(g, "rc")
+    rc = tables.rc if _own_tables(g, tables) else enumerate_world(g, "rc")
     subs = tables.subs if tables else enumerate_world(g, "subs")
     factor = math.prod(1.0 + math.exp(-2.0 * b) for b in g.betas)
     rhs = subs.Z * _ldexp(factor, g.num_nodes - g.num_edges)
@@ -615,9 +622,7 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
         raise CapExceededError(f"kernel matrices need num_edges <= {KERNEL_EDGE_CAP}")
     if g.num_nodes > KERNEL_NODE_CAP:
         raise CapExceededError(f"kernel matrices need num_nodes <= {KERNEL_NODE_CAP}")
-    tables = tables or exact_tables(g)
-    if tables.graph != g:
-        raise InvalidParameterError("the tables passed belong to another graph")
+    tables = _own_tables(g, tables) or exact_tables(g)
     if kernel in KERNEL_LEGS:
         k1, k2 = (exact_kernel_matrix(g, leg, tables) for leg in KERNEL_LEGS[kernel])
         return KernelMatrix(
@@ -635,7 +640,7 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
     Zero (up to rounding) certifies that the kernel maps its source
     distribution onto the target distribution exactly.
     """
-    tables = tables or exact_tables(g)
+    tables = _own_tables(g, tables) or exact_tables(g)
     km = exact_kernel_matrix(g, kernel, tables)
     source = world_table_for(tables, km.source_world)
     target = world_table_for(tables, km.target_world)
@@ -650,8 +655,7 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
 def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[int, ...]]:
     """n i.i.d. draws from an exact table by inverse CDF; a table with no
     positive-weight configuration is an error, whatever n is."""
-    if n < 0:
-        raise InvalidParameterError(f"the sample count must be nonnegative, got {n}")
+    n = _nonnegative_int(n, "the sample count")
     if not table.support:
         raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
     cum = np.cumsum(table.support_probs)

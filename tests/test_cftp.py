@@ -18,6 +18,7 @@ from isingworlds import (
     enumerate_world,
     exact_tables,
     heat_bath_rc_step,
+    perfect_sample,
     perfect_subs_sample,
     rc_to_subs,
     tv_distance,
@@ -26,6 +27,7 @@ from isingworlds import (
 from conftest import joined_without_edge, random_graph
 from isingworlds.cftp import MAX_EPOCH, CftpRun
 from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph, path_graph
+from isingworlds.reductions import REDUCTIONS
 
 
 def _opens_below(g, z, e, threshold):
@@ -298,3 +300,45 @@ class TestPerfectSubs:
         )
         se = math.sqrt(target * (1 - target) / n)
         assert abs(hits / n - target) < 3.5 * se
+
+
+PERFECT_GRAPHS = {
+    "grid3x3": fixture_graph("grid3x3"),
+    "cycle4 with 0 and inf": fixture_graph("cycle4", [0.0, 0.4, 1.0, math.inf]),
+    "triangle and 3 isolated nodes": WeightedGraph(6, ((0, 1), (0, 2), (1, 2)), (0.5, 0.7, 0.9)),
+}
+
+
+class TestPerfectSample:
+    """A perfect sample is a coalesced run followed by the conversion out
+    of the random-cluster world, on the same stream."""
+
+    @pytest.mark.parametrize("world", ["rc", "subs", "spins"])
+    @pytest.mark.parametrize("name", sorted(PERFECT_GRAPHS))
+    def test_run_then_conversion(self, name, world):
+        g = PERFECT_GRAPHS[name]
+        for i in range(10):
+            rng, twin = RngStream(53, i), RngStream(53, i)
+            config, run = perfect_sample(g, world, rng)
+            expected = cftp_rc_run(g, twin)
+            converted = expected.config
+            if world != "rc":
+                converted = REDUCTIONS[("rc", world)](g, converted, twin)
+            assert (config, run, rng.draws) == (converted, expected, twin.draws)
+
+    def test_subs_sample_is_the_subs_world_case(self):
+        g = fixture_graph("cycle4", 0.9)
+        for i in range(20):
+            assert perfect_subs_sample(g, RngStream(61, i)) == perfect_sample(g, "subs", RngStream(61, i))[0]
+
+    def test_budget_reaches_the_run(self):
+        rng = RngStream(3)
+        with pytest.raises(NoCoalescenceError, match="must be at least 2"):
+            perfect_sample(fixture_graph("triangle"), "spins", rng, 1)
+        assert rng.draws == 0
+
+    def test_unknown_world_fails_before_any_draw(self):
+        rng = RngStream(3)
+        with pytest.raises(InvalidParameterError, match="unknown world"):
+            perfect_sample(fixture_graph("triangle"), "sub", rng)
+        assert rng.draws == 0

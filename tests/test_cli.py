@@ -210,6 +210,21 @@ class TestPerfect:
         assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("samples", ["0", "1", "50"])
+@pytest.mark.parametrize("world", ["rc", "subs"])
+def test_perfect_prints_the_lines_of_sample_cftp(world, samples, jobs, capsys):
+    # one draw and print path: perfect is sample --method cftp without the summary
+    tail = ["--world", world, "--graph", str(fixture_path("grid3x3", "beta")),
+            "--samples", samples, "--seed", "19", "--jobs", jobs]
+    assert main(["perfect", *tail]) == 0
+    perfect = capsys.readouterr().out
+    assert main(["sample", "--method", "cftp", *tail]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines(keepends=True)
+    assert perfect == "".join(lines)
+    assert json.loads(summary)["samples"] == int(samples)
+
+
 class TestSample:
     def test_enum_deterministic(self, tmp_path):
         blobs = []

@@ -29,6 +29,8 @@ from isingworlds import (
     enumerate_world,
     exact_kernel_matrix,
     exact_tables,
+    kernel_stationarity_error,
+    reduce_unidirectional_field,
     sample_from_table,
     tv_distance,
 )
@@ -82,6 +84,17 @@ def band_graphs(seed: int, count: int):
         g = random_graph(rnd, max_nodes=5, max_edges=7, extreme_share=0.3)
         betas = tuple(rnd.choice((b, rnd.uniform(18.7, 19.1), b * 250.0)) for b in g.betas)
         yield WeightedGraph(g.num_nodes, g.edges, betas)
+
+
+def field_graphs(seed: int, count: int):
+    """Random graphs with couplings of 0 and inf and a sign-uniform field
+    whose values are 0, finite or infinite, the sign alternating."""
+    rnd = random.Random(seed)
+    for k in range(count):
+        g = random_graph(rnd, max_nodes=5, max_edges=7, extreme_share=0.3)
+        sign = 1.0 if k % 2 else -1.0
+        field = tuple(sign * rnd.choice((0.0, rnd.uniform(0.1, 3.0), math.inf)) for _ in range(g.num_nodes))
+        yield WeightedGraph(g.num_nodes, g.edges, g.betas, field)
 
 
 class TestEnumeration:
@@ -239,6 +252,21 @@ class TestIdentities:
         report = check_rc_normalizer(g)
         assert report.passed and report.relative_error < 1e-12
 
+    def test_oracle_entries_refuse_another_graphs_tables(self):
+        # the tables of the triangle at beta = 0.9 would make the beta = 0.5
+        # identities fail instead of saying what went wrong
+        g = fixture_graph("triangle", 0.5)
+        other = exact_tables(fixture_graph("triangle", 0.9))
+        entries = (
+            check_relate_identity,
+            check_rc_normalizer,
+            lambda g, tables: exact_kernel_matrix(g, "rc_to_subs", tables),
+            lambda g, tables: kernel_stationarity_error(g, "sw_classic", tables),
+        )
+        for entry in entries:
+            with pytest.raises(InvalidParameterError, match="belong to another graph"):
+                entry(g, tables=other)
+
 
 class TestLogDomainFallback:
     """Past float range the identities fall back to the log weights of the
@@ -317,6 +345,28 @@ class TestKernelMatrices:
                 km = exact_kernel_matrix(g, kernel, tables)
                 assert np.max(np.abs(km.matrix.sum(axis=1) - 1.0), initial=0.0) < 1e-12, (g, kernel)
         assert min(rejected.values()) > 0 and band_edges > 0
+
+    def test_guards_and_oracle_agree_after_the_field_reduction(self):
+        # +-inf field values merge their nodes into the anchor, where infinite
+        # couplings can add up; the guard still rejects exactly the rows of
+        # log weight -inf of the reduced graph
+        rejected = dict.fromkeys(("spins", "subs", "rc"), 0)
+        forced = 0
+        for g in field_graphs(4177, 120):
+            forced += sum(math.isinf(v) for v in g.field)
+            reduced = reduce_unidirectional_field(g).graph
+            tables = exact_tables(reduced)
+            for world in rejected:
+                table = getattr(tables, world)
+                for config, log_weight in zip(table.configs, table.log_weights):
+                    try:
+                        require_support(reduced, world, config)
+                    except InvalidConfigError:
+                        assert log_weight == -math.inf, (g, world, config)
+                        rejected[world] += 1
+                    else:
+                        assert log_weight > -math.inf, (g, world, config)
+        assert min(rejected.values()) > 0 and forced > 0
 
     def test_k2_subs_to_rc_row(self):
         lam = math.tanh(0.5)
@@ -414,8 +464,10 @@ class TestTvDistance:
     def test_sample_count_nonnegative(self):
         table = enumerate_world(fixture_graph("k2", 0.5), "rc")
         rng = RngStream(0)
-        with pytest.raises(InvalidParameterError, match="nonnegative"):
-            sample_from_table(table, rng, -3)
+        # a bool, a float, a string or None is not a count either
+        for n in (-3, True, 2.5, "3", None):
+            with pytest.raises(InvalidParameterError, match="nonnegative"):
+                sample_from_table(table, rng, n)
         assert rng.draws == 0
         assert sample_from_table(table, rng, 0) == []
 
