@@ -22,9 +22,10 @@ column, as an int8 matrix with one row per configuration (in
 tuples of ``WorldTable.configs`` are built only when a caller reads
 them.  A random-cluster table takes its cluster counts
 from min-label propagation over that matrix, on the edge-incident
-nodes only, which is deliberately independent of the
-forest traversal (``worlds._open_forest``) the samplers use: an oracle
-sharing that code would share its faults.  Parity work likewise covers
+nodes only, which is deliberately independent of the traversals the
+samplers use (the union-find labels of ``worlds._labels`` and the
+forest of ``worlds._open_forest``): an oracle sharing that code would
+share its faults.  Parity work likewise covers
 only edge-incident nodes, so a graph with a few edges and many isolated
 nodes costs no more than its edges.
 
@@ -608,6 +609,17 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
     )
 
 
+def _require_kernel(g: WeightedGraph, kernel: str) -> None:
+    """Reject an unknown kernel or a graph past the kernel caps, before
+    any enumeration."""
+    if kernel not in KERNEL_SPECS and kernel not in KERNEL_LEGS:
+        raise InvalidParameterError(f"unknown kernel {kernel!r}")
+    if g.num_edges > KERNEL_EDGE_CAP:
+        raise CapExceededError(f"kernel matrices need num_edges <= {KERNEL_EDGE_CAP}")
+    if g.num_nodes > KERNEL_NODE_CAP:
+        raise CapExceededError(f"kernel matrices need num_nodes <= {KERNEL_NODE_CAP}")
+
+
 def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | None = None) -> KernelMatrix:
     """Exact one-step transition probabilities of a conversion or chain kernel.
 
@@ -616,12 +628,7 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
     ``tables`` (which must belong to ``g``) and kept there, read-only.
     A composite is the product of its two legs' matrices.
     """
-    if kernel not in KERNEL_SPECS and kernel not in KERNEL_LEGS:
-        raise InvalidParameterError(f"unknown kernel {kernel!r}")
-    if g.num_edges > KERNEL_EDGE_CAP:
-        raise CapExceededError(f"kernel matrices need num_edges <= {KERNEL_EDGE_CAP}")
-    if g.num_nodes > KERNEL_NODE_CAP:
-        raise CapExceededError(f"kernel matrices need num_nodes <= {KERNEL_NODE_CAP}")
+    _require_kernel(g, kernel)
     tables = _own_tables(g, tables) or exact_tables(g)
     if kernel in KERNEL_LEGS:
         k1, k2 = (exact_kernel_matrix(g, leg, tables) for leg in KERNEL_LEGS[kernel])
@@ -640,6 +647,7 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
     Zero (up to rounding) certifies that the kernel maps its source
     distribution onto the target distribution exactly.
     """
+    _require_kernel(g, kernel)
     tables = _own_tables(g, tables) or exact_tables(g)
     km = exact_kernel_matrix(g, kernel, tables)
     source = world_table_for(tables, km.source_world)

@@ -7,9 +7,9 @@ spins world through the random-cluster world and vice versa, never
 consuming more than one Bernoulli per edge plus one per cluster.
 
 The two conversions out of the random-cluster world read the open
-subgraph through the traversal in :mod:`isingworlds.worlds`: the spins
-conversion flips its clusters and the subgraphs conversion peels its
-spanning forest.
+subgraph through the traversals in :mod:`isingworlds.worlds`: the spins
+conversion flips its clusters, labelled by union-find, and the subgraphs
+conversion peels its spanning forest.
 
 Each conversion first collects the success probabilities of its
 Bernoullis, in ascending edge (or cluster) order, and draws them in one
@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .graph import WeightedGraph
 from .rng import RngStream
-from .worlds import RcConfig, SpinConfig, SubgraphConfig, _open_forest, require_support
+from .worlds import RcConfig, SpinConfig, SubgraphConfig, _labels, _open_forest, require_support
 
 
 def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
@@ -63,7 +63,7 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
     degree even.  The output is dominated by the input pointwise.
     """
     require_support(g, "rc", z)
-    parent_edge, order, _ = _open_forest(g, z)
+    parent_edge, order = _open_forest(g, z)
     coin = list(z)  # closed edges stay closed and cost no randomness
     for e in parent_edge:
         if e >= 0:
@@ -94,12 +94,14 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
 
 
 def rc_to_spins(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SpinConfig:
-    """Assign one fair +/-1 spin per cluster; one Bernoulli per cluster."""
+    """Assign one fair +/-1 spin per cluster; one Bernoulli per cluster.
+
+    The clusters come from union-find labels, each the cluster's smallest
+    node, and take their coins in ascending order of those nodes.
+    """
     require_support(g, "rc", z)
-    parent_edge, _, root = _open_forest(g, z)
-    bits = rng.bernoullis([0.5] * parent_edge.count(-1))  # one root per cluster
-    # a cluster's root is its smallest member, which draws for it: the
-    # clusters take the bits in ascending order of their smallest members
+    root, count = _labels(g, z)
+    bits = rng.bernoullis([0.5] * count)
     x: list[int] = []
     k = 0
     for v, c in enumerate(root):

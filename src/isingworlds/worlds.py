@@ -16,9 +16,11 @@ conversion and chain applies to its input, adds a field-free graph and
 positive weight.
 
 All three worlds meet at the clusters of an open edge set, and this
-module holds the one traversal of that open subgraph: cluster labels,
-the maximal spanning forest peeled by the subgraphs conversion, and the
-single-edge connectivity query of the heat-bath kernel.
+module holds every traversal of that open subgraph: cluster labels by
+union-find over the open edges (:func:`clusters`, the spins conversion
+and the ``clusters`` statistic), the maximal spanning forest that the
+subgraphs conversion peels, and the single-edge connectivity query of
+the heat-bath kernel.
 """
 
 from __future__ import annotations
@@ -108,36 +110,68 @@ def require_support(g: WeightedGraph, world: str, config: Sequence[int]) -> None
 # Open-subgraph traversal
 # ---------------------------------------------------------------------------
 
-def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+def _labels(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
+    """Cluster labels of the open subgraph by union-find.
+
+    Returns ``(root, count)`` where ``root[v]`` is the smallest node of
+    ``v``'s cluster and ``count`` is the number of clusters.  Each open
+    edge costs one find per endpoint, with path halving (Tarjan & van
+    Leeuwen, JACM 31, 1984), and a union hangs the larger root under the
+    smaller, so ``root[v] <= v`` throughout and every root is its
+    cluster's minimum.  One ascending pass then points each node at its
+    root: ``root[v]``'s own entry is final before ``v`` is reached.
+    """
+    n = g.num_nodes
+    root = list(range(n))
+    count = n
+    for i, j in compress(g.edges, z):
+        # targets bind left to right: the old node's entry skips to its
+        # grandparent, then the walk moves there
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i < j:
+            root[j] = i
+            count -= 1
+        elif j < i:
+            root[i] = j
+            count -= 1
+    for v in range(n):
+        root[v] = root[root[v]]
+    return root, count
+
+
+def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[int]]:
     """Maximal spanning forest of the open subgraph via iterative DFS.
 
-    Returns ``(parent_edge, order, root)`` where ``parent_edge[v]`` is the
-    forest edge joining ``v`` to its parent (-1 for roots), ``order`` is
-    node-discovery order and ``root[v]`` is the root of ``v``'s tree.
-    Roots are taken in ascending order, so ``root[v]`` is the smallest
-    node of ``v``'s component.  Scanning ``order`` backwards retires each
-    non-root node's unique parent edge while it is a leaf of what remains.
+    Returns ``(parent_edge, order)`` where ``parent_edge[v]`` is the
+    forest edge joining ``v`` to its parent (-1 for roots) and ``order``
+    is node-discovery order, roots taken in ascending order.  Scanning
+    ``order`` backwards retires each non-root node's unique parent edge
+    while it is a leaf of what remains, which is how the subgraphs
+    conversion peels it; cluster labels alone come from :func:`_labels`.
     """
     n = g.num_nodes
     adj = g.adjacency
     parent_edge = [-1] * n
     order: list[int] = []
-    root = [-1] * n
+    seen = [False] * n
     for r in range(n):
-        if root[r] >= 0:
+        if seen[r]:
             continue
-        root[r] = r
+        seen[r] = True
         order.append(r)
         stack = [r]
         while stack:
             v = stack.pop()
             for w, e in adj[v]:
-                if z[e] and root[w] < 0:
-                    root[w] = r
+                if z[e] and not seen[w]:
+                    seen[w] = True
                     parent_edge[w] = e
                     order.append(w)
                     stack.append(w)
-    return parent_edge, order, root
+    return parent_edge, order
 
 
 def _connected_without_edge(
@@ -197,10 +231,11 @@ def _connected_without_edge(
 
 
 def clusters(g: WeightedGraph, z: Sequence[int]) -> ClusterPartition:
-    """Connected components induced by the open edges of ``z``."""
+    """Connected components induced by the open edges of ``z``, labelled
+    by union-find (:func:`_labels`)."""
     validate_config(g, "rc", z)
-    parent_edge, _, root = _open_forest(g, z)
-    return ClusterPartition(tuple(root), parent_edge.count(-1))  # one root per component
+    root, count = _labels(g, z)
+    return ClusterPartition(tuple(root), count)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +249,7 @@ def spins_energy(g: WeightedGraph, x: Sequence[int]) -> float:
     """
     total = 0.0
     for (i, j), beta in zip(g.edges, g.betas):
-        if not math.isinf(beta):
+        if beta != math.inf:  # betas are never NaN or negative
             total -= beta * x[i] * x[j]
     return total
 
@@ -225,7 +260,8 @@ def _total(g: WeightedGraph, config: Sequence[int]) -> float:
 
 
 def _cluster_count(g: WeightedGraph, z: Sequence[int]) -> float:
-    return float(clusters(g, z).count)
+    validate_config(g, "rc", z)
+    return float(_labels(g, z)[1])
 
 
 _Statistic = Callable[[WeightedGraph, Sequence[int]], float]

@@ -60,6 +60,31 @@ def dfs_component_labels(g: WeightedGraph, z) -> tuple[tuple[int, ...], int]:
     return tuple(label), count
 
 
+def bfs_component_labels(g: WeightedGraph, z) -> tuple[int, ...]:
+    """Brute-force component labels: a breadth-first search over the open
+    edges (neighbour lists built here, not ``g.adjacency``) collects each
+    component, which is then labelled with its smallest member."""
+    neighbours: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for (i, j), ze in zip(g.edges, z):
+        if ze:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    label: list[int | None] = [None] * g.num_nodes
+    for start in range(g.num_nodes):
+        if label[start] is not None:
+            continue
+        members, seen = [start], {start}
+        for v in members:  # the list grows while it is read: breadth first
+            for w in neighbours[v]:
+                if w not in seen:
+                    seen.add(w)
+                    members.append(w)
+        smallest = min(members)
+        for v in members:
+            label[v] = smallest
+    return tuple(label)
+
+
 def joined_without_edge(g: WeightedGraph, z, e: int) -> bool:
     """Are e's endpoints in one component once e is closed?  By labels."""
     closed = list(z)

@@ -348,6 +348,58 @@ def test_cftp_stdout_pinned(name, command, seed, monkeypatch, capsys):
     assert hashlib.sha256(out).hexdigest() == PINNED_CFTP_STDOUT[(name, command, seed)]
 
 
+# sha256 of the stdout of the chain commands at seed 18: every step of
+# sw and of a spins chain labels clusters (rc_to_spins and the clusters
+# statistic), every step of subs-sw peels a spanning forest (rc_to_subs).
+# How the labels and the forest are computed may change, what they return
+# may not.  grid12 is a 12x12 grid at beta 0.44, written next to the run.
+PINNED_CHAIN_STDOUT = {
+    ("grid3x3", "chain-sw"): "baa999e0bbf56614993a8565f2933d8ddec87933fc5360558cb386492efd15d5",
+    ("grid3x3", "chain-subs-sw"): "947ecb7fe70539f9a98931028f2dfe3560462ae33043d74f95028935ae1b0854",
+    ("grid3x3", "sample-spins"): "11d6121fb323a3101cae11cdfd202e57f7b3a86ac3a6de59ca4ba30d4523f7d6",
+    ("grid3x3", "sample-subs"): "a3842d34a6b08b90585635bd5ed25bf66a81ccc7b9ab018181d925493cc3a56f",
+    ("grid3x3", "sample-rc"): "b6b5aeebb3e210728a5b6a4bce9ba06458ca926544f42201c1b64f61e7794292",
+    ("grid12", "chain-sw"): "ef82052487a987e27c73ea6df3b24f5be68bcffffaf0ffe36c78f44416fd9221",
+    ("grid12", "chain-subs-sw"): "5a7a1e976bc59e7089e7d15f9dd2196abb36e65a8b1735b025c52aa59bcf218e",
+    ("grid12", "sample-spins"): "188fb6d26b678b9fcc31c548454ff835d3e41981c1b86f1c636406955626997c",
+    ("grid12", "sample-subs"): "668ac618cb7bfde1e6f3b2ec98d13140f2f031b4945397a4e9c0459144e924ec",
+    ("grid12", "sample-rc"): "462e7c1a3c8ad38b0b79a0d8088ffe97ec8bebb0abcc71a2bac20fdd0de4831f",
+}
+CHAIN_COMMANDS = {
+    "chain-sw": ["chain", "--kernel", "sw", "--steps", "60"],
+    "chain-subs-sw": ["chain", "--kernel", "subs-sw", "--steps", "60"],
+    **{
+        f"sample-{world}": ["sample", "--method", "chain", "--world", world,
+                            "--samples", "30", "--burnin", "5"]
+        for world in ("spins", "subs", "rc")
+    },
+}
+
+
+def grid_text(side, beta):
+    lines = ["param beta"]
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                lines.append(f"{v} {v + 1} {beta}")
+            if r + 1 < side:
+                lines.append(f"{v} {v + side} {beta}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,command", sorted(PINNED_CHAIN_STDOUT))
+def test_chain_stdout_pinned(name, command, tmp_path, monkeypatch, capsys):
+    if name == "grid12":
+        (tmp_path / "grid12.beta.graph").write_text(grid_text(12, 0.44))
+        monkeypatch.chdir(tmp_path)
+    else:
+        monkeypatch.chdir(fixture_path(name, "beta").parent)
+    assert main([*CHAIN_COMMANDS[command], "--graph", f"{name}.beta.graph", "--seed", "18"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_CHAIN_STDOUT[(name, command)]
+
+
 class TestCounts:
     @pytest.mark.parametrize(
         "argv",

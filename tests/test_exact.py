@@ -436,6 +436,20 @@ class TestKernelMatrices:
         with pytest.raises(CapExceededError):
             exact_kernel_matrix(fixture_graph("grid3x3", 0.5), "subs_to_rc")
 
+    def test_kernel_and_caps_checked_before_any_enumeration(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("enumerated before the kernel checks")
+
+        monkeypatch.setattr(exact, "exact_tables", refuse)
+        over_edges = fixture_graph("grid3x3", 0.5)  # 12 edges
+        over_nodes = WeightedGraph(13, ((0, 1),), (0.5,))
+        for entry in (exact_kernel_matrix, kernel_stationarity_error):
+            with pytest.raises(InvalidParameterError):
+                entry(fixture_graph("k2", 0.5), "teleport")
+            for g in (over_edges, over_nodes):
+                with pytest.raises(CapExceededError):
+                    entry(g, "sw_classic")
+
 
 class TestTvDistance:
     def test_identical(self):

@@ -28,7 +28,7 @@ from isingworlds import (
     sw_classic_step,
     tv_distance,
 )
-from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
+from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import require_support
 
@@ -142,6 +142,53 @@ class TestRcToSpins:
             assert rng.draws == part.count
             for v in range(g.num_nodes):  # constant on clusters
                 assert x[v] == x[part.component_id[v]]
+
+
+def _reference_rc_to_spins(g, z, rng):
+    """rc_to_spins with clusters labelled by a depth-first forest whose
+    roots are taken in ascending order, so each root is its cluster's
+    smallest node; one fair coin per root, drawn in one batch in root
+    order."""
+    root = [-1] * g.num_nodes
+    roots = []
+    for r in range(g.num_nodes):
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for w, e in g.adjacency[v]:
+                if z[e] and root[w] < 0:
+                    root[w] = r
+                    stack.append(w)
+    coin = dict(zip(roots, rng.bernoullis([0.5] * len(roots))))
+    return tuple(2 * coin[root[v]] - 1 for v in range(g.num_nodes))
+
+
+class TestRcToSpinsBitIdentity:
+    """Union-find labels change no spin and no draw of the forest labels."""
+
+    def _assert_same(self, g, z, seed):
+        rng, ref_rng = RngStream(seed), RngStream(seed)
+        assert rc_to_spins(g, z, rng) == _reference_rc_to_spins(g, z, ref_rng)
+        assert rng.draws == ref_rng.draws
+
+    def test_random_graphs_with_extremes(self):
+        rnd = random.Random(1812)
+        for k in range(200):
+            g = random_graph(rnd, max_nodes=12, max_edges=16, extreme_share=0.3)
+            # beta = inf must be open and beta = 0 closed
+            z = tuple(1 if b == math.inf else 0 if b == 0.0 else rnd.randint(0, 1) for b in g.betas)
+            self._assert_same(g, z, k)
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_grid(self, density):
+        g = grid_graph(20, 20, 0.44)
+        rnd = random.Random(int(density * 10))
+        for k in range(5):
+            self._assert_same(g, tuple(int(rnd.random() < density) for _ in range(g.num_edges)), k)
 
 
 class TestSpinsToRc:

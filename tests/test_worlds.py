@@ -6,7 +6,15 @@ import re
 
 import pytest
 
-from conftest import brute_degrees, dfs_component_labels, joined_without_edge, random_graph
+import numpy as np
+
+from conftest import (
+    bfs_component_labels,
+    brute_degrees,
+    dfs_component_labels,
+    joined_without_edge,
+    random_graph,
+)
 from isingworlds import (
     InvalidConfigError,
     WeightedGraph,
@@ -19,6 +27,7 @@ from isingworlds import (
     weight_subs,
     weight_subs_log,
 )
+from isingworlds.exact import cluster_counts
 from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
 from isingworlds.worlds import (
     STATISTICS,
@@ -188,6 +197,41 @@ class TestClusters:
             # i.e. nodes minus the size of any maximal spanning forest
             forest_size = g.num_nodes - count
             assert forest_size <= open_count
+
+    def test_labels_match_independent_oracles(self):
+        # the count against the oracle's min-label propagation, the labels
+        # against a brute-force search, on graphs with isolated nodes
+        rnd = random.Random(1811)
+        isolated = 0
+        for _ in range(150):
+            g = random_graph(rnd, max_nodes=12, max_edges=10, extreme_share=0.3)
+            isolated += sum(not neighbours for neighbours in g.adjacency)
+            zs = [tuple(rnd.randint(0, 1) for _ in range(g.num_edges)) for _ in range(4)]
+            counts = cluster_counts(g.num_nodes, g.edges, np.array(zs, dtype=np.int8).reshape(4, -1))
+            for z, count in zip(zs, counts.tolist()):
+                part = clusters(g, z)
+                assert part.component_id == bfs_component_labels(g, z), (g, z)
+                assert part.count == count, (g, z)
+                assert require_statistic("rc", "clusters")(g, z) == count
+        assert isolated > 0
+
+    def test_labels_on_adversarial_edge_orders(self):
+        # a long path listed from its far end, open but for every 1000th
+        # edge, and a star centred on its highest node
+        n = 20_000
+        path = WeightedGraph(n, tuple((v, v + 1) for v in reversed(range(n - 1))), (0.5,) * (n - 1))
+        z = tuple(0 if i % 1000 == 999 else 1 for i in range(n - 1))
+        part = clusters(path, z)
+        assert part.component_id == bfs_component_labels(path, z)
+        assert part.count == 1 + z.count(0)
+        assert part.component_id[0] == 0 and part.component_id[-1] == n - 1000
+        for z in ((1,) * (n - 1), (0,) * (n - 1)):
+            assert clusters(path, z).component_id == bfs_component_labels(path, z)
+        star = WeightedGraph(60, tuple((v, 59) for v in range(59)), (0.5,) * 59)
+        for z in ((1,) * 59, tuple(int(v % 3 == 0) for v in range(59))):
+            part = clusters(star, z)
+            assert part.component_id == bfs_component_labels(star, z)
+            assert part.count == 60 - sum(map(bool, z))
 
 
 class TestConnectedWithoutEdge:
