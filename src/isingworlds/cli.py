@@ -16,6 +16,11 @@ payload goes to stdout with timing omitted so repeated runs are
 byte-identical.  An ``--out`` path that cannot be written is an input
 error before any work is done.
 
+The enumeration oracle (``verify`` and ``sample --method enum``) runs on
+one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is already set, in
+which case the user's value wins; the sidecar records it as
+``blas_threads``.
+
 Exit codes: 0 success, 1 failed verification, 2 input/parse error,
 3 enumeration cap exceeded, 4 no coalescence.
 """
@@ -92,18 +97,17 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 
 def _emit(
-    text: str, args: argparse.Namespace, manifest: dict, started: float, workers: int | None = None
+    text: str, args: argparse.Namespace, manifest: dict, started: float, machine: dict | None = None
 ) -> None:
     """Write the payload to --out plus a manifest sidecar, or to stdout.
 
-    Only the sidecar records what depends on the machine: the timing and,
-    for the sampling commands, the number of worker processes used.
+    Only the sidecar records what depends on the machine: the timing and
+    the ``machine`` entries (worker processes for the sampling commands,
+    BLAS threads for the enumeration oracle).
     """
     out = getattr(args, "out", None)
     if out:
-        sidecar = dict(manifest)
-        if workers is not None:
-            sidecar["workers"] = workers
+        sidecar = {**manifest, **(machine or {})}
         try:
             Path(out).write_text(text, encoding="utf-8")
             sidecar["timing_seconds"] = time.perf_counter() - started
@@ -252,10 +256,12 @@ def _draw(args: argparse.Namespace, method: str) -> tuple[WeightedGraph, list, d
     g = load_graph(args.graph)
     world, n = args.world, args.samples
     workers = min(args.jobs, os.cpu_count() or 1) if method == "cftp" and n >= 2 else 1
+    machine = {"workers": workers}
     extra = [{}] * n
     if method == "enum":
         from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
 
+        machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
         if world != "spins":
             require_field_free(g)  # the edge-world tables would drop the field
         samples = sample_from_table(enumerate_world(g, world), RngStream(args.seed), n)
@@ -271,7 +277,7 @@ def _draw(args: argparse.Namespace, method: str) -> tuple[WeightedGraph, list, d
         for c, info in zip(samples, extra)
     ]
     manifest = _manifest(args)
-    _emit("\n".join(lines) + ("\n" if lines else ""), args, manifest, started, workers=workers)
+    _emit("\n".join(lines) + ("\n" if lines else ""), args, manifest, started, machine)
     return g, samples, manifest
 
 
@@ -357,7 +363,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     manifest = _manifest(args)
     if not args.out:
         payload["manifest"] = manifest
-    _emit(json.dumps(payload, indent=2), args, manifest, started)
+    machine = {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    _emit(json.dumps(payload, indent=2), args, manifest, started, machine)
     return EXIT_OK if passed else EXIT_FAILED
 
 
@@ -454,6 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before the oracle's lazy numpy import: OpenBLAS otherwise starts a
+    # worker per core that spins after every call and takes CPU from the
+    # single-threaded oracle, whose products are at most 4096 x 1024
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         _require_writable(args.out)

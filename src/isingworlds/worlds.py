@@ -272,7 +272,8 @@ STATISTICS: dict[str, dict[str, _Statistic]] = {
     "spins": {
         "m": _total,
         "energy": spins_energy,
-        "clusters": lambda g, x: _cluster_count(g, tuple(1 if x[i] == x[j] else 0 for i, j in g.edges)),
+        # the agreement list is 0/1 of length m by construction: no guard
+        "clusters": lambda g, x: float(_labels(g, [x[i] == x[j] for i, j in g.edges])[1]),
     },
     "subs": {"edges": _total, "clusters": _cluster_count},
     "rc": {"edges": _total, "clusters": _cluster_count},

@@ -8,7 +8,12 @@ distributions) so they can serve as oracles for the production code.
 from __future__ import annotations
 
 import math
+import os
 import random
+
+# as the CLI does: numpy is first loaded below, and the in-process oracle
+# runs faster on one OpenBLAS thread than with a spinning worker per core
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from isingworlds import WeightedGraph, enumerate_world, reduce_unidirectional_field
 

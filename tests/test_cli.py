@@ -627,11 +627,13 @@ def test_exports_resolve():
     assert [name for name in isingworlds.__all__ if not hasattr(isingworlds, name)] == []
 
 
-def _probe(script, *args):
-    """Run ``script`` in a fresh interpreter; its last stdout line is JSON."""
+def _probe(script, *args, environ=None):
+    """Run ``script`` in a fresh interpreter, with ``environ`` (default
+    ``os.environ``) plus the source path; its last stdout line is JSON."""
+    environ = os.environ if environ is None else environ
     src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    env = {**environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
     )
@@ -651,13 +653,15 @@ print(json.dumps(seen))
 """
 
 _EXPORTS_PROBE = """
-import json, sys
+import json, os, sys
+environ = dict(os.environ)
 import isingworlds
 before = "numpy" in sys.modules
 from isingworlds import exact
 from isingworlds import *
 print(json.dumps({
     "before": before,
+    "environ": dict(os.environ) == environ,
     "attribute": isingworlds.exact_tables is exact.exact_tables,
     "star": all(globals()[name] is getattr(isingworlds, name) for name in isingworlds.__all__),
     "dir": sorted(set(isingworlds.__all__) - set(dir(isingworlds))),
@@ -684,7 +688,63 @@ class TestImportGraph:
         assert list(seen.values()) == [False] * 6 + [True]
 
     def test_lazy_exports_resolve(self):
-        assert _probe(_EXPORTS_PROBE) == {"before": False, "attribute": True, "star": True, "dir": []}
+        assert _probe(_EXPORTS_PROBE) == {
+            "before": False, "environ": True, "attribute": True, "star": True, "dir": []
+        }
+
+
+_BLAS_PROBE = """
+import contextlib, io, json, os, sys
+from isingworlds.cli import main
+imported = os.environ.get("OPENBLAS_NUM_THREADS")
+stdout = io.StringIO()
+with contextlib.redirect_stdout(stdout):
+    code = main(["verify", "--all-identities", "--graph", sys.argv[1]])
+payload = json.loads(stdout.getvalue())
+del payload["manifest"]
+print(json.dumps({
+    "code": code,
+    "imported": imported,
+    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "numpy": "numpy" in sys.modules,
+    "payload": payload,
+}))
+"""
+
+
+class TestBlasThreads:
+    """The CLI runs the oracle on one OpenBLAS thread unless the user says
+    otherwise; the library itself leaves the environment alone."""
+
+    def test_cli_defaults_to_one_thread_and_keeps_a_preset(self, tmp_path):
+        # K5: 10 edges, at the kernel caps, so every stationarity check runs
+        edges = "".join(f"{i} {j} 0.44\n" for i in range(5) for j in range(i + 1, 5))
+        graph = write(tmp_path, "k5.graph", f"param beta\n{edges}")
+        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        default = _probe(_BLAS_PROBE, graph, environ=unset)
+        preset = _probe(_BLAS_PROBE, graph, environ={**unset, "OPENBLAS_NUM_THREADS": "2"})
+        assert {k: default[k] for k in ("code", "imported", "blas_threads", "numpy")} == {
+            "code": 0, "imported": None, "blas_threads": "1", "numpy": True
+        }
+        assert {k: preset[k] for k in ("code", "imported", "blas_threads", "numpy")} == {
+            "code": 0, "imported": "2", "blas_threads": "2", "numpy": True
+        }
+        assert any(c["name"].startswith("stationarity[") for c in default["payload"]["checks"])
+        assert default["payload"] == preset["payload"]
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--graph", TRIANGLE],
+        ["sample", "--world", "rc", "--method", "enum", "--graph", TRIANGLE,
+         "--samples", "3", "--seed", "1"],
+    ], ids=["verify", "sample enum"])
+    def test_sidecar_records_the_oracle_threads(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        out = str(tmp_path / "payload.txt")
+        assert main([*command, "--out", out]) == 0
+        with open(out + ".manifest.json", encoding="utf-8") as handle:
+            assert json.load(handle)["blas_threads"] == "3"
+        assert "blas_threads" not in capsys.readouterr().out
+        assert "blas_threads" not in Path(out).read_text(encoding="utf-8")
 
 
 class TestFieldGuard:

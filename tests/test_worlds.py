@@ -200,19 +200,23 @@ class TestClusters:
 
     def test_labels_match_independent_oracles(self):
         # the count against the oracle's min-label propagation, the labels
-        # against a brute-force search, on graphs with isolated nodes
-        rnd = random.Random(1811)
+        # against a brute-force search, on graphs with isolated nodes; the
+        # spins statistic counts the clusters of the agreeing edges
+        rnd, spins_rnd = random.Random(1811), random.Random(1911)
         isolated = 0
         for _ in range(150):
             g = random_graph(rnd, max_nodes=12, max_edges=10, extreme_share=0.3)
             isolated += sum(not neighbours for neighbours in g.adjacency)
             zs = [tuple(rnd.randint(0, 1) for _ in range(g.num_edges)) for _ in range(4)]
-            counts = cluster_counts(g.num_nodes, g.edges, np.array(zs, dtype=np.int8).reshape(4, -1))
+            x = tuple(spins_rnd.choice((-1, 1)) for _ in range(g.num_nodes))
+            agree = tuple(int(x[i] == x[j]) for i, j in g.edges)
+            counts = cluster_counts(g.num_nodes, g.edges, np.array([*zs, agree], dtype=np.int8).reshape(5, -1))
             for z, count in zip(zs, counts.tolist()):
                 part = clusters(g, z)
                 assert part.component_id == bfs_component_labels(g, z), (g, z)
                 assert part.count == count, (g, z)
                 assert require_statistic("rc", "clusters")(g, z) == count
+            assert require_statistic("spins", "clusters")(g, x) == counts[-1], (g, x)
         assert isolated > 0
 
     def test_labels_on_adversarial_edge_orders(self):
