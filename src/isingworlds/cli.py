@@ -2,8 +2,10 @@
 
 Subcommands: ``convert`` rewrites a graph file in another edge
 parameterization, ``reduce`` applies one exact world-to-world
-conversion, ``chain`` runs a cluster-update Markov chain, ``sample``
-draws by enumeration, coupling from the past or a chain and adds a
+conversion, ``chain`` traces a cluster-update Markov chain from a fixed
+state (a relaxation diagnostic), ``sample`` draws by enumeration,
+coupling from the past or that chain started from a perfect draw (which
+``--max-epoch`` bounds), so every draw is exact in law, and adds a
 summary line, ``perfect`` prints exactly the lines of ``sample --method
 cftp`` without it, and ``verify`` checks the partition-function
 identities and kernel exactness on a small graph.
@@ -42,7 +44,7 @@ from pathlib import Path
 from . import __version__
 from .caps import CAPS, KERNEL_EDGE_CAP, KERNEL_NODE_CAP
 from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, perfect_sample
-from .chains import initial_state, run_chain
+from .chains import ChainState, initial_state, run_chain
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -234,11 +236,16 @@ def _cftp_samples(
 
 
 def _chain_samples(
-    g: WeightedGraph, world: str, seed: int, n: int, burnin: int, thin: int
+    g: WeightedGraph, world: str, seed: int, n: int, thin: int, max_epoch: int
 ) -> list[tuple[int, ...]]:
+    """``n`` chain states ``thin`` steps apart, from a perfect start on its
+    own key ``(seed, 0, 0)``: the kernels keep the law, so each is exact."""
+    if not n:
+        return []  # no sample, no start
+    chain_world = "subs" if world == "rc" else world
+    start, _ = perfect_sample(g, chain_world, RngStream(seed).substream(0), max_epoch)
+    state = ChainState(chain_world, start)
     rng = RngStream(seed)
-    state = initial_state(g, "subs" if world == "rc" else world)
-    state = run_chain(g, state, burnin, rng).final
     samples = []
     for _ in range(n):
         state = run_chain(g, state, thin, rng).final
@@ -258,19 +265,19 @@ def _draw(args: argparse.Namespace, method: str) -> tuple[WeightedGraph, list, d
     workers = min(args.jobs, os.cpu_count() or 1) if method == "cftp" and n >= 2 else 1
     machine = {"workers": workers}
     extra = [{}] * n
+    if method != "enum" or world != "spins":
+        require_field_free(g)  # only the spins table keeps a field; refused at any n
     if method == "enum":
         from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
 
         machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
-        if world != "spins":
-            require_field_free(g)  # the edge-world tables would drop the field
         samples = sample_from_table(enumerate_world(g, world), RngStream(args.seed), n)
     elif method == "cftp":
         rows = _cftp_samples(g, args.seed, world, args.max_epoch, n, workers)
         samples = [config for config, _ in rows]
         extra = [{"epoch": epoch} for _, epoch in rows]
     else:  # chain
-        samples = _chain_samples(g, world, args.seed, n, args.burnin, args.thin)
+        samples = _chain_samples(g, world, args.seed, n, args.thin, args.max_epoch)
 
     lines = [
         json.dumps({"config": list(c), **info}, separators=(", ", ": "))
@@ -444,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=_nonnegative, required=True)
     p.add_argument("--seed", type=_nonnegative, required=True)
-    p.add_argument("--burnin", type=_nonnegative, default=0)
     p.add_argument("--thin", type=_positive, default=1)
     p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)
     p.add_argument("--jobs", type=_positive, default=1)

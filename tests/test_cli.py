@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from isingworlds import cli
-from isingworlds.cftp import MAX_EPOCH
+from isingworlds import cli, empirical_distribution, exact_tables, tv_distance
+from isingworlds.cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH
 from isingworlds.cli import main
-from isingworlds.fixtures import fixture_path
+from isingworlds.fixtures import fixture_graph, fixture_path
 from isingworlds.graphio import load_graph
 
 TRIANGLE = str(fixture_path("triangle", "beta"))
@@ -24,6 +24,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and the infinities."""
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestConvert:
@@ -254,9 +263,9 @@ class TestSample:
         for line in lines[:-1]:
             assert json.loads(line)["config"] == [0, 0, 0]
 
-    def test_chain_method_with_burnin(self, capsys):
+    def test_chain_method_thinned(self, capsys):
         code = main(["sample", "--world", "spins", "--method", "chain", "--graph", TRIANGLE,
-                     "--samples", "4", "--seed", "8", "--burnin", "10", "--thin", "3"])
+                     "--samples", "4", "--seed", "8", "--thin", "3"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5  # 4 configs + summary
@@ -276,12 +285,7 @@ class TestSample:
         # an undefined mean or se is null (never NaN), and an empty
         # payload adds no blank line
         assert main([*argv, "--graph", TRIANGLE, "--samples", "0", "--seed", "1"]) == 0
-
-        def reject(constant):
-            raise ValueError(f"non-JSON constant {constant}")
-
-        lines = capsys.readouterr().out.splitlines()
-        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        rows = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
         if argv[0] == "perfect":
             assert rows == []
         else:
@@ -322,14 +326,14 @@ PINNED_CFTP_STDOUT = {
     ("grid3x3", "perfect-subs", 2024): "f40ce57f3202c1d6589aa1ec5527d9ba4415516e60c4e6a8d57e2f29f90137ad",
     ("grid3x3", "perfect-rc", 7): "1e12571d30c618048248b89497075917334cd1ede68d02e0d41780e5a3aebacd",
     ("grid3x3", "perfect-rc", 2024): "3952089ace00e399d4e638116bc93dd2799a51323fac8e87c0c6a580ca3dc18c",
-    ("grid3x3", "sample-spins", 7): "0ba345734bae43a86847f7d29ee4dfb2deb9d399d083b5bcc15a808a21b90040",
-    ("grid3x3", "sample-spins", 2024): "7f398ec3c1c5f06eb341035901dada9c368a230907307d2cb7d03dd823d44ed6",
+    ("grid3x3", "sample-spins", 7): "20da2794a49102ffcfa26fd7c6c154393b89619c4cd58e94accf513b43e0b9a7",
+    ("grid3x3", "sample-spins", 2024): "026b86c1286672c3a90aea8418ed0d29d88d56d44cc70ceabc3adfe084afce71",
     ("cycle4", "perfect-subs", 7): "df2b9a0ae2faf48dcf2496818a0d96efb1ddd026e5b9a104092ec9eb1174e626",
     ("cycle4", "perfect-subs", 2024): "46e2a40aeb340981fde0a89dfd5576baa146233ebf4099a4b262c08274122ba3",
     ("cycle4", "perfect-rc", 7): "f4deebb3ea79768bbd0f93ffaec6890d6edad9eead2ff617d64ccef1e9b8e480",
     ("cycle4", "perfect-rc", 2024): "23095683c8f3f735259f1d7cb470a1a6e970039757f6ee7dcf3b0be7d2bd1a57",
-    ("cycle4", "sample-spins", 7): "db72f172025a16f9255edb1cb8b6533e10af464a33b0ff164902283f1a4294e1",
-    ("cycle4", "sample-spins", 2024): "b27113fecb25f3409ca5a3e896ddce887afe11ff6cfa5613ae8f964a02aed559",
+    ("cycle4", "sample-spins", 7): "26eff77472477d235b621cb255424a3b878372de5638d7c95b67c6b4b7a6e912",
+    ("cycle4", "sample-spins", 2024): "ff3f375d3cf0dc70e4a9f1dff0bebe39949f18fc63a90bf7329b24eb187d188e",
 }
 CFTP_COMMANDS = {
     "perfect-subs": ["perfect", "--world", "subs"],
@@ -351,26 +355,27 @@ def test_cftp_stdout_pinned(name, command, seed, monkeypatch, capsys):
 # sha256 of the stdout of the chain commands at seed 18: every step of
 # sw and of a spins chain labels clusters (rc_to_spins and the clusters
 # statistic), every step of subs-sw peels a spanning forest (rc_to_subs).
+# The chain command starts from a fixed state, sample from a perfect draw.
 # How the labels and the forest are computed may change, what they return
 # may not.  grid12 is a 12x12 grid at beta 0.44, written next to the run.
 PINNED_CHAIN_STDOUT = {
     ("grid3x3", "chain-sw"): "baa999e0bbf56614993a8565f2933d8ddec87933fc5360558cb386492efd15d5",
     ("grid3x3", "chain-subs-sw"): "947ecb7fe70539f9a98931028f2dfe3560462ae33043d74f95028935ae1b0854",
-    ("grid3x3", "sample-spins"): "11d6121fb323a3101cae11cdfd202e57f7b3a86ac3a6de59ca4ba30d4523f7d6",
-    ("grid3x3", "sample-subs"): "a3842d34a6b08b90585635bd5ed25bf66a81ccc7b9ab018181d925493cc3a56f",
-    ("grid3x3", "sample-rc"): "b6b5aeebb3e210728a5b6a4bce9ba06458ca926544f42201c1b64f61e7794292",
+    ("grid3x3", "sample-spins"): "aaaacee700f466c3fdd8ee85bfd57df7a31ad6878b161ffdad3eb997794f6f77",
+    ("grid3x3", "sample-subs"): "ee0faf23fd2ac20ceb0b1546e2a2cd57e1da25bbcc263cc3e803645118a58f6f",
+    ("grid3x3", "sample-rc"): "07a0295eb6ec2c9c38c0b48befe729cea19c6876ae674f976ffcb5dbcf8619b0",
     ("grid12", "chain-sw"): "ef82052487a987e27c73ea6df3b24f5be68bcffffaf0ffe36c78f44416fd9221",
     ("grid12", "chain-subs-sw"): "5a7a1e976bc59e7089e7d15f9dd2196abb36e65a8b1735b025c52aa59bcf218e",
-    ("grid12", "sample-spins"): "188fb6d26b678b9fcc31c548454ff835d3e41981c1b86f1c636406955626997c",
-    ("grid12", "sample-subs"): "668ac618cb7bfde1e6f3b2ec98d13140f2f031b4945397a4e9c0459144e924ec",
-    ("grid12", "sample-rc"): "462e7c1a3c8ad38b0b79a0d8088ffe97ec8bebb0abcc71a2bac20fdd0de4831f",
+    ("grid12", "sample-spins"): "e8ee8260f5d2812e783290e4f77c563adc9cc96a2313bd98ec4a13f338197675",
+    ("grid12", "sample-subs"): "d9d7f5a179f8d128faf31386c6f68090e45ca8a68f9fdc9340fcc1e6027300c8",
+    ("grid12", "sample-rc"): "531af75a84fee07c7302ebc41b1e4a9bcf96b907194907fcaf88edc5cfc329da",
 }
 CHAIN_COMMANDS = {
     "chain-sw": ["chain", "--kernel", "sw", "--steps", "60"],
     "chain-subs-sw": ["chain", "--kernel", "subs-sw", "--steps", "60"],
     **{
         f"sample-{world}": ["sample", "--method", "chain", "--world", world,
-                            "--samples", "30", "--burnin", "5"]
+                            "--samples", "30"]
         for world in ("spins", "subs", "rc")
     },
 }
@@ -400,12 +405,43 @@ def test_chain_stdout_pinned(name, command, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out).hexdigest() == PINNED_CHAIN_STDOUT[(name, command)]
 
 
+class TestChainStart:
+    """``sample --method chain`` starts from a perfect draw, so its first
+    draw is already exact in law."""
+
+    @pytest.mark.parametrize("name,beta", [("grid3x3", 0.5), ("cycle4", math.atanh(0.6))], ids=["grid3x3", "cycle4"])
+    @pytest.mark.parametrize("world", ["subs", "spins"])
+    def test_first_draw_matches_the_table(self, name, beta, world):
+        # one draw from each of n seeds.  Threshold: Weissman et al. (2003)
+        # at delta = 0.001 over these four cases, from n and the support
+        n, delta = 10_000, 0.001
+        g = fixture_graph(name, beta)
+        table = getattr(exact_tables(g), world)
+        draws = [cli._chain_samples(g, world, seed, 1, 1, DEFAULT_MAX_EPOCH)[0]
+                 for seed in range(21_000, 21_000 + n)]
+        support = int((table.probs > 0.0).sum())
+        threshold = math.sqrt(math.log((2.0**support - 2.0) * 4 / delta) / (2 * n))
+        assert tv_distance(empirical_distribution(draws, table), table.probs) < threshold
+
+    def test_start_budget_and_zero_samples(self, capsys):
+        # the start honours --max-epoch as perfect does; no sample, no start
+        argv = ["sample", "--world", "subs", "--method", "chain", "--graph",
+                str(fixture_path("grid3x3", "beta")), "--seed", "3", "--max-epoch", "0"]
+        assert main([*argv, "--samples", "1"]) == 4
+        assert capsys.readouterr().out == ""
+        assert main([*argv, "--samples", "0"]) == 0
+        (summary,) = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
+        assert summary["samples"] == 0
+        assert all(s == {"mean": None, "se": None} for s in summary["stats"].values())
+
+
 class TestCounts:
     @pytest.mark.parametrize(
         "argv",
         [
             ["sample", "--world", "spins", "--method", "chain", "--samples", "3", "--thin", "0"],
-            ["sample", "--world", "spins", "--method", "chain", "--samples", "3", "--burnin", "-1"],
+            # no --burnin, whatever its value: a chain starts from a perfect draw
+            ["sample", "--world", "spins", "--method", "chain", "--samples", "3", "--burnin", "5"],
             ["sample", "--world", "rc", "--method", "enum", "--samples", "-2"],
             ["sample", "--world", "rc", "--method", "cftp", "--samples", "1", "--jobs", "0"],
             ["sample", "--world", "rc", "--method", "cftp", "--samples", "1", "--max-epoch", "-1"],
@@ -561,11 +597,7 @@ class TestVerify:
         )
         assert result.returncode == 0
         assert result.stderr == ""
-
-        def reject(constant):
-            raise ValueError(f"non-JSON constant {constant}")
-
-        report = json.loads(result.stdout, parse_constant=reject)
+        report = strict_json(result.stdout)
         assert report["passed"] is True
         assert any(c["name"].startswith("stationarity[") for c in report["checks"])
 
@@ -750,8 +782,13 @@ class TestBlasThreads:
 class TestFieldGuard:
     def test_sampling_rejects_field_graphs(self, tmp_path):
         graph = write(tmp_path, "field.graph", "param beta\nfield 0 1.0\n0 1 0.5\n")
-        assert main(["perfect", "--world", "rc", "--graph", graph,
-                     "--samples", "1", "--seed", "0"]) == 2
+        # refused whatever the sample count, before any draw
+        for samples in ("0", "1"):
+            assert main(["perfect", "--world", "rc", "--graph", graph,
+                         "--samples", samples, "--seed", "0"]) == 2
+            for method in ("cftp", "chain"):
+                assert main(["sample", "--world", "spins", "--method", method, "--graph", graph,
+                             "--samples", samples, "--seed", "0"]) == 2
         assert main(["chain", "--kernel", "sw", "--graph", graph,
                      "--steps", "1", "--seed", "0"]) == 2
         assert main(["verify", "--graph", graph]) == 2

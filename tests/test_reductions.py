@@ -28,7 +28,8 @@ from isingworlds import (
     sw_classic_step,
     tv_distance,
 )
-from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
+from isingworlds.caps import KERNEL_EDGE_CAP, KERNEL_NODE_CAP
+from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import require_support
 
@@ -92,13 +93,21 @@ class TestRcToSubs:
             assert rc_to_subs(g, (1,) * 4, rng) == (0, 0, 0, 0)
             assert rng.draws == 0  # no non-forest edges, no coins
 
-    def test_triangle_all_open_uniform_on_even_set(self):
-        g = fixture_graph("triangle", 0.5)
-        km = exact_kernel_matrix(g, "rc_to_subs")
-        row = km.matrix[list(km.source_configs).index((1, 1, 1))]
-        expected = {(0, 0, 0): 0.5, (1, 1, 1): 0.5}
-        for config, prob in zip(km.target_configs, row):
-            assert prob == pytest.approx(expected.get(config, 0.0), abs=1e-15)
+    def test_every_row_uniform_on_its_even_subgraphs(self):
+        # row z puts 2**-c on each of the 2**c even subgraphs y <= z, where
+        # c = open - n + clusters, and 0 elsewhere; the columns are the even
+        # subgraphs of positive weight, and each y <= z has positive weight
+        rnd = random.Random(2121)
+        graphs = [fixture_graph(name, 0.5) for name in FIXTURE_NAMES]
+        graphs = [g for g in graphs if g.num_edges <= KERNEL_EDGE_CAP and g.num_nodes <= KERNEL_NODE_CAP]
+        graphs += [complete_graph(5, 0.5), *(random_graph(rnd, extreme_share=0.3) for _ in range(40))]
+        for g in graphs:
+            km = exact_kernel_matrix(g, "rc_to_subs")
+            for z, row in zip(km.source_configs, km.matrix):
+                c = sum(z) - g.num_nodes + clusters(g, z).count
+                below = [all(ze >= ye for ze, ye in zip(z, y)) for y in km.target_configs]
+                assert sum(below) == 2**c
+                assert row == pytest.approx(np.where(below, 2.0**-c, 0.0), rel=0, abs=1e-15)
 
     def test_rejects_open_zero_coupling(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 0.0)])
