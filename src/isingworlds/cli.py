@@ -317,10 +317,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .exact import (  # the oracle loads numpy
+        ExactTables,
         check_even_subgraph_count,
         check_rc_normalizer,
         check_relate_identity,
-        exact_tables,
         kernel_stationarity_error,
     )
 
@@ -329,10 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     require_field_free(g)  # an input error before any enumeration, at any size
     finite = not any(math.isinf(b) for b in g.betas)
     within_kernel_caps = g.num_edges <= KERNEL_EDGE_CAP and g.num_nodes <= KERNEL_NODE_CAP
-    # each world is enumerated once; with neither the spins bridges nor the
-    # kernel checks, check_rc_normalizer enumerates only the edge worlds,
-    # so graphs past the spins cap with infinite couplings still verify
-    tables = exact_tables(g) if finite or (args.all_identities and within_kernel_caps) else None
+    tables = ExactTables(g)
     checks: list[dict] = []
     if finite:
         checks.extend(report.as_dict() for report in check_relate_identity(g, tables=tables))

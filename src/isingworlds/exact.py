@@ -27,7 +27,15 @@ samplers use (the union-find labels of ``worlds._labels`` and the
 forest of ``worlds._open_forest``): an oracle sharing that code would
 share its faults.  Parity work likewise covers
 only edge-incident nodes, so a graph with a few edges and many isolated
-nodes costs no more than its edges.
+nodes costs no more than its edges.  An rc table keeps its cluster
+counts for its log weights.
+
+``ExactTables`` enumerates each world the first time it is read, so an
+identity check or kernel matrix enumerates only the worlds it reads,
+each once; ``exact_tables`` reads all three at once.  The three
+partition-sum identities are one statement, ``Z_A = Z_B * factor``,
+checked by one routine in the linear domain, or in the log domain once
+a side leaves float range.
 
 Kernel matrices, by contrast, run the production code on purpose: each
 conversion in ``reductions.REDUCTIONS`` runs once per outcome of its
@@ -62,13 +70,15 @@ class WorldTable:
 
     Configurations are listed in lexicographic order of their serialized
     bit/sign strings, which keeps golden outputs stable.  ``matrix`` holds
-    them as int8 rows; ``configs`` is the same list as tuples.
+    them as int8 rows; ``configs`` is the same list as tuples.  An rc
+    table keeps each row's cluster count in ``counts`` for its log fold.
     """
 
     world: str
     matrix: np.ndarray
     weights: np.ndarray
     graph: WeightedGraph
+    counts: np.ndarray | None = None
 
     @cached_property
     def configs(self) -> tuple[tuple[int, ...], ...]:
@@ -81,8 +91,7 @@ class WorldTable:
     @cached_property
     def log_weights(self) -> np.ndarray:
         """The world's log weight of every stored row."""
-        g, world, matrix = self.graph, self.world, self.matrix
-        return _log_fold(g, world, matrix, _table_counts(g, world, matrix))
+        return _log_fold(self.graph, self.world, self.matrix, self.counts)
 
     @cached_property
     def log_Z(self) -> float:
@@ -196,7 +205,7 @@ def spins_factors(g: WeightedGraph, xs: np.ndarray, ruled_out: np.ndarray) -> It
         if math.isinf(beta):
             ruled_out |= ~agree
         else:
-            yield agree, (_exp(-beta), _exp(beta)), (-beta, beta)
+            yield agree, (_or_inf(math.exp, -beta), _or_inf(math.exp, beta)), (-beta, beta)
     for v, b in enumerate(g.field or ()):
         if b == 0.0:
             continue
@@ -204,7 +213,7 @@ def spins_factors(g: WeightedGraph, xs: np.ndarray, ruled_out: np.ndarray) -> It
         if math.isinf(b):
             ruled_out |= up != (b > 0)
         else:
-            yield up, (1.0, _exp(b)), (0.0, b)
+            yield up, (1.0, _or_inf(math.exp, b)), (0.0, b)
 
 
 def odd_rows(edges: Sequence[tuple[int, int]], ys: np.ndarray) -> np.ndarray:
@@ -246,7 +255,7 @@ def _linear_fold(g: WeightedGraph, world: str, matrix: np.ndarray, counts=None) 
         for flags, values, _ in _WORLD_SPECS[world][1](g, matrix, ruled_out):
             acc *= _pick(flags, *values)
         if counts is not None:
-            acc = np.ldexp(acc, counts)  # inf past float range, as _ldexp
+            acc = np.ldexp(acc, counts)  # inf past float range, like _or_inf(math.ldexp, ...)
     acc[ruled_out] = 0.0
     return acc
 
@@ -316,22 +325,16 @@ def weight_rc_log(g: WeightedGraph, z: Sequence[int]) -> float:
     return _one_row(_log_fold, g, "rc", z, count)
 
 
-def _exp(value: float) -> float:
+def _or_inf(fn: Callable[..., float], *args: float) -> float:
+    """``fn(*args)``, or inf where it overflows float range."""
     try:
-        return math.exp(value)
+        return fn(*args)
     except OverflowError:
         return math.inf
 
 
 def _log(value: float) -> float:
     return math.log(value) if value > 0.0 else -math.inf
-
-
-def _ldexp(value: float, exponent: int) -> float:
-    try:
-        return math.ldexp(value, exponent)
-    except OverflowError:
-        return math.inf
 
 
 # world -> (site values, factor function); spins sit on nodes, the edge
@@ -352,11 +355,6 @@ def _world_spec(g: WeightedGraph, world: str) -> np.ndarray:
     return _config_matrix(sites, _WORLD_SPECS[world][0])
 
 
-def _table_counts(g: WeightedGraph, world: str, matrix: np.ndarray) -> np.ndarray | None:
-    """Each row's cluster count for an rc table, else None."""
-    return cluster_counts(g.num_nodes, g.edges, matrix) if world == "rc" else None
-
-
 def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
     """Exhaustive weight table of one world.
 
@@ -364,19 +362,34 @@ def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
     field factors included; the edge worlds ignore the field.
     """
     matrix = _world_spec(g, world)
-    return WorldTable(world, matrix, _linear_fold(g, world, matrix, _table_counts(g, world, matrix)), g)
+    counts = cluster_counts(g.num_nodes, g.edges, matrix) if world == "rc" else None
+    return WorldTable(world, matrix, _linear_fold(g, world, matrix, counts), g, counts)
 
 
 @dataclass(frozen=True, eq=False)
 class ExactTables:
-    """All three world tables of one graph, plus the partition sums."""
+    """The three world tables of one graph, plus the partition sums.
+
+    Each world is enumerated the first time it is read and kept, so a
+    check enumerates exactly the worlds it reads, each once, and a cap
+    error comes with that first read.
+    """
 
     graph: WeightedGraph
-    spins: WorldTable
-    subs: WorldTable
-    rc: WorldTable
     # conversion name -> its KernelMatrix, filled by exact_kernel_matrix
     kernels: dict[str, KernelMatrix] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def spins(self) -> WorldTable:
+        return enumerate_world(self.graph, "spins")
+
+    @cached_property
+    def subs(self) -> WorldTable:
+        return enumerate_world(self.graph, "subs")
+
+    @cached_property
+    def rc(self) -> WorldTable:
+        return enumerate_world(self.graph, "rc")
 
     @property
     def Z_spins(self) -> float:
@@ -392,26 +405,20 @@ class ExactTables:
 
 
 def exact_tables(g: WeightedGraph) -> ExactTables:
-    return ExactTables(
-        g,
-        enumerate_world(g, "spins"),
-        enumerate_world(g, "subs"),
-        enumerate_world(g, "rc"),
-    )
-
-
-def _own_tables(g: WeightedGraph, tables: ExactTables | None) -> ExactTables | None:
-    """``tables`` once checked to belong to ``g``; None stays None."""
-    if tables is not None and tables.graph != g:
-        raise InvalidParameterError("the tables passed belong to another graph")
+    """The tables of all three worlds, enumerated now."""
+    tables = ExactTables(g)
+    tables.spins, tables.subs, tables.rc  # each first read enumerates its world
     return tables
 
 
-def world_table_for(tables: ExactTables, world: str) -> WorldTable:
-    table = getattr(tables, world, None)
-    if not isinstance(table, WorldTable):
-        raise InvalidParameterError(f"unknown world {world!r}")
-    return table
+def _own_tables(g: WeightedGraph, tables: ExactTables | None) -> ExactTables:
+    """``tables`` once checked to belong to ``g``; None gives fresh
+    tables, which enumerate only what is read."""
+    if tables is None:
+        return ExactTables(g)
+    if tables.graph != g:
+        raise InvalidParameterError("the tables passed belong to another graph")
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +452,21 @@ def _report(name: str, lhs: float, rhs: float, tol: float, log_domain: bool) -> 
     return IdentityReport(name, lhs, rhs, rel, tol, rel < tol, log_domain)
 
 
+def _identity(
+    name: str, lhs: WorldTable, rhs: WorldTable, factor: float, log_terms: Sequence[float], tol: float
+) -> IdentityReport:
+    """Check ``Z_lhs = Z_rhs * factor``: in the linear domain while both
+    sides are finite floats, else as ``log Z_lhs = log Z_rhs + a + b ...``
+    over the ``log_terms`` of the factor, added left to right."""
+    scaled = rhs.Z * factor
+    if math.isfinite(lhs.Z) and math.isfinite(scaled):
+        return _report(name, lhs.Z, scaled, tol, False)
+    log_rhs = rhs.log_Z
+    for term in log_terms:
+        log_rhs += term
+    return _report(name, lhs.log_Z, log_rhs, tol, True)
+
+
 def check_relate_identity(
     g: WeightedGraph, tol: float = 1e-10, tables: ExactTables | None = None
 ) -> list[IdentityReport]:
@@ -453,43 +475,24 @@ def check_relate_identity(
     ``Z_spins = Z_rc * prod(exp(beta))`` and
     ``Z_spins = Z_subs * 2**num_nodes * prod(cosh(beta))``.
     Requires finite couplings (the agreement-indicator convention for
-    infinite couplings rescales Z_spins).  Switches to log-domain sums
-    when the linear products overflow.
+    infinite couplings rescales Z_spins).  Each switches to log-domain
+    sums when its linear products overflow.
     """
     if any(math.isinf(b) for b in g.betas):
         raise InvalidParameterError("relate identities need finite couplings")
     require_field_free(g)
-    tables = _own_tables(g, tables) or exact_tables(g)
+    tables = _own_tables(g, tables)
     sum_beta = math.fsum(g.betas)
-    linear_ok = True
-    try:
-        prod_exp = math.exp(sum_beta)
-        prod_cosh = math.prod(math.cosh(b) for b in g.betas)
-    except OverflowError:
-        linear_ok = False
-        prod_exp = prod_cosh = math.inf
-    values = (tables.Z_spins, tables.Z_rc, tables.Z_subs, prod_exp, prod_cosh)
-    if linear_ok and all(math.isfinite(v) for v in values):
-        return [
-            _report("spins_vs_rc", tables.Z_spins, tables.Z_rc * prod_exp, tol, False),
-            _report(
-                "spins_vs_subs",
-                tables.Z_spins,
-                tables.Z_subs * math.ldexp(prod_cosh, g.num_nodes),
-                tol,
-                False,
-            ),
-        ]
-    log_zs = tables.spins.log_Z
-    log_cosh_sum = math.fsum(_log_cosh(b) for b in g.betas)
+    prod_cosh = math.prod(_or_inf(math.cosh, b) for b in g.betas)
     return [
-        _report("spins_vs_rc", log_zs, tables.rc.log_Z + sum_beta, tol, True),
-        _report(
+        _identity("spins_vs_rc", tables.spins, tables.rc, _or_inf(math.exp, sum_beta), (sum_beta,), tol),
+        _identity(
             "spins_vs_subs",
-            log_zs,
-            tables.subs.log_Z + g.num_nodes * math.log(2.0) + log_cosh_sum,
+            tables.spins,
+            tables.subs,
+            _or_inf(math.ldexp, prod_cosh, g.num_nodes),
+            (g.num_nodes * math.log(2.0), math.fsum(_log_cosh(b) for b in g.betas)),
             tol,
-            True,
         ),
     ]
 
@@ -502,19 +505,17 @@ def check_rc_normalizer(
     Infinite couplings are fine here: their factor is exactly 1.
     """
     require_field_free(g)
-    rc = tables.rc if _own_tables(g, tables) else enumerate_world(g, "rc")
-    subs = tables.subs if tables else enumerate_world(g, "subs")
+    tables = _own_tables(g, tables)
+    shift = g.num_nodes - g.num_edges
     factor = math.prod(1.0 + math.exp(-2.0 * b) for b in g.betas)
-    rhs = subs.Z * _ldexp(factor, g.num_nodes - g.num_edges)
-    if math.isfinite(rc.Z) and math.isfinite(rhs):
-        return _report("rc_normalizer", rc.Z, rhs, tol, False)
-    log_lhs = rc.log_Z
-    log_rhs = (
-        subs.log_Z
-        + (g.num_nodes - g.num_edges) * math.log(2.0)
-        + math.fsum(math.log1p(math.exp(-2.0 * b)) for b in g.betas)
+    return _identity(
+        "rc_normalizer",
+        tables.rc,
+        tables.subs,
+        _or_inf(math.ldexp, factor, shift),
+        (shift * math.log(2.0), math.fsum(math.log1p(math.exp(-2.0 * b)) for b in g.betas)),
+        tol,
     )
-    return _report("rc_normalizer", log_lhs, log_rhs, tol, True)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +585,7 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
     branch; each such 0 starts a branch that presets it to 1.
     """
     source_world, target_world = KERNEL_SPECS[kernel]
-    source = world_table_for(tables, source_world)
-    target = world_table_for(tables, target_world)
+    source, target = getattr(tables, source_world), getattr(tables, target_world)
     convert = REDUCTIONS[(source_world, target_world)]
     column = {config: c for c, config in enumerate(target.support_configs)}
     matrix = np.zeros((len(source.support), len(column)))
@@ -629,7 +629,7 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
     A composite is the product of its two legs' matrices.
     """
     _require_kernel(g, kernel)
-    tables = _own_tables(g, tables) or exact_tables(g)
+    tables = _own_tables(g, tables)
     if kernel in KERNEL_LEGS:
         k1, k2 = (exact_kernel_matrix(g, leg, tables) for leg in KERNEL_LEGS[kernel])
         return KernelMatrix(
@@ -648,10 +648,9 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
     distribution onto the target distribution exactly.
     """
     _require_kernel(g, kernel)
-    tables = _own_tables(g, tables) or exact_tables(g)
+    tables = _own_tables(g, tables)
     km = exact_kernel_matrix(g, kernel, tables)
-    source = world_table_for(tables, km.source_world)
-    target = world_table_for(tables, km.target_world)
+    source, target = getattr(tables, km.source_world), getattr(tables, km.target_world)
     pushed = source.support_probs @ km.matrix
     return float(np.max(np.abs(pushed - target.support_probs)))
 
@@ -694,7 +693,7 @@ def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
-        raise ValueError(f"mismatched support: {p.shape} vs {q.shape}")
+        raise InvalidParameterError(f"mismatched support: {p.shape} vs {q.shape}")
     return 0.5 * float(np.abs(p - q).sum())
 
 

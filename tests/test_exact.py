@@ -34,8 +34,8 @@ from isingworlds import (
     sample_from_table,
     tv_distance,
 )
-from isingworlds import exact
-from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, path_graph
+from isingworlds import cli, exact
+from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, fixture_path, path_graph
 from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import require_support
 from isingworlds.exact import (
@@ -268,21 +268,23 @@ class TestIdentities:
                 entry(g, tables=other)
 
 
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The worlds enumerated during a test, in order."""
+    worlds = []
+    world_spec = exact._world_spec
+
+    def counting(g, world):
+        worlds.append(world)
+        return world_spec(g, world)
+
+    monkeypatch.setattr(exact, "_world_spec", counting)
+    return worlds
+
+
 class TestLogDomainFallback:
     """Past float range the identities fall back to the log weights of the
     stored configurations, without enumerating any world again."""
-
-    @pytest.fixture
-    def enumerated(self, monkeypatch):
-        worlds = []
-        world_spec = exact._world_spec
-
-        def counting(g, world):
-            worlds.append(world)
-            return world_spec(g, world)
-
-        monkeypatch.setattr(exact, "_world_spec", counting)
-        return worlds
 
     def test_rc_weight_overflow_is_inf(self):
         assert weight_rc(WeightedGraph(1100, (), ()), ()) == math.inf
@@ -309,6 +311,89 @@ class TestLogDomainFallback:
         reports = check_relate_identity(fixture_graph("k2", 800.0))
         assert all(r.used_log_domain and r.passed for r in reports)
         assert sorted(enumerated) == ["rc", "spins", "subs"]
+
+
+class TestEnumeratesWhatItReads:
+    """An oracle entry without tables, and ``verify``, enumerate the worlds
+    they read, each once."""
+
+    def test_kernel_matrix(self, enumerated):
+        exact_kernel_matrix(fixture_graph("triangle", 0.5), "subs_to_rc")
+        assert enumerated == ["subs", "rc"]
+
+    def test_stationarity(self, enumerated):
+        kernel_stationarity_error(fixture_graph("triangle", 0.5), "sw_classic")
+        assert enumerated == ["spins", "rc"]
+
+    def test_verify_all_identities(self, enumerated, capsys):
+        assert cli.main(["verify", "--graph", str(fixture_path("triangle", "beta")), "--all-identities"]) == 0
+        assert sorted(enumerated) == ["rc", "spins", "subs"]
+
+    def test_verify_sparse_huge_graph_enumerates_only_the_edge_worlds(self, enumerated, tmp_path, capsys):
+        edges = "".join(f"{i} {i + 1 + k} inf\n" for k, i in enumerate(range(0, 200_000, 25_000)))
+        graph = tmp_path / "sparse.graph"
+        graph.write_text(f"param beta\nnodes 200000\n{edges}", encoding="utf-8")
+        assert cli.main(["verify", "--graph", str(graph), "--all-identities"]) == 0
+        assert sorted(enumerated) == ["rc", "subs"]
+
+
+class TestIdentityGatesCatchAPlantedDefect:
+    """Edge 0's lambda scaled by 1 + 1e-8 in the subgraphs weights: every
+    identity through Z_subs fails, in whichever domain it runs, while
+    spins_vs_rc, which does not read Z_subs, still passes."""
+
+    # graph -> {check: (passes once planted, runs in the log domain)}
+    CASES = {
+        "triangle": (fixture_graph("triangle", 0.5), {
+            "spins_vs_rc": (True, False), "spins_vs_subs": (False, False),
+            "rc_normalizer": (False, False),
+        }),
+        "triangle-beta-800": (fixture_graph("triangle", 800.0), {
+            "spins_vs_rc": (True, True), "spins_vs_subs": (False, True),
+            "rc_normalizer": (False, False),
+        }),
+        "triangle-1100-nodes": (WeightedGraph(1100, ((0, 1), (1, 2), (0, 2)), (0.5,) * 3), {
+            "rc_normalizer": (False, True),
+        }),
+    }
+
+    @staticmethod
+    def reports(g):
+        reports = [check_rc_normalizer(g)]
+        if g.num_nodes <= exact.SPINS_ENUM_NODE_CAP:
+            reports += check_relate_identity(g)
+        return {r.name: r for r in reports}
+
+    @staticmethod
+    def plant(monkeypatch):
+        values, subs_factors = exact._WORLD_SPECS["subs"]
+
+        def planted(g, ys, ruled_out):
+            factors = subs_factors(g, ys, ruled_out)
+            flags, (unset, lam), (log_unset, log_lam) = next(factors)
+            yield flags, (unset, lam * (1 + 1e-8)), (log_unset, log_lam + math.log1p(1e-8))
+            yield from factors
+
+        monkeypatch.setitem(exact._WORLD_SPECS, "subs", (values, planted))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_unplanted_checks_pass(self, case):
+        g, expected = self.CASES[case]
+        reports = self.reports(g)
+        assert reports.keys() == expected.keys()
+        for name, (_, log_domain) in expected.items():
+            assert reports[name].passed and reports[name].used_log_domain == log_domain, name
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_planted_defect_fails_the_checks_that_read_it(self, case, monkeypatch):
+        g, expected = self.CASES[case]
+        self.plant(monkeypatch)
+        reports = self.reports(g)
+        for name, (passed, log_domain) in expected.items():
+            report = reports[name]
+            assert (report.passed, report.used_log_domain) == (passed, log_domain), name
+            if not passed:  # the plant's own size, not a blowup
+                assert 1e-10 < report.relative_error < 1e-7, (name, report.relative_error)
 
 
 class TestKernelMatrices:
@@ -437,10 +522,10 @@ class TestKernelMatrices:
             exact_kernel_matrix(fixture_graph("grid3x3", 0.5), "subs_to_rc")
 
     def test_kernel_and_caps_checked_before_any_enumeration(self, monkeypatch):
-        def refuse(g):
+        def refuse(g, world):
             raise AssertionError("enumerated before the kernel checks")
 
-        monkeypatch.setattr(exact, "exact_tables", refuse)
+        monkeypatch.setattr(exact, "_world_spec", refuse)
         over_edges = fixture_graph("grid3x3", 0.5)  # 12 edges
         over_nodes = WeightedGraph(13, ((0, 1),), (0.5,))
         for entry in (exact_kernel_matrix, kernel_stationarity_error):
@@ -462,7 +547,7 @@ class TestTvDistance:
         assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_mismatched_support(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             tv_distance([1.0], [0.5, 0.5])
 
     def test_empirical_distribution_checks_membership(self):
