@@ -6,7 +6,7 @@ partition-function identities linking the worlds, exact one-step
 transition matrices, and the closed-form even-subgraph count.
 
 Each world states its unnormalized weight once, as the factors its
-factor function yields over an int8 configuration matrix (one row per
+factor function yields over an int8 block of configurations (one row per
 configuration), each factor carrying its value pair in both the linear
 and the log domain; one fold per domain evaluates every world, so the
 two domains cannot drift apart.  The scalar ``weight_*`` functions
@@ -16,19 +16,22 @@ the random-cluster folds take each row's cluster count from their
 caller.  The weights live here, not in :mod:`worlds`, because the
 oracle is their only production user: the samplers never import numpy.
 
-Tables are columnar.  A world's configurations are built once, column by
-column, as an int8 matrix with one row per configuration (in
-``itertools.product`` order), and the linear fold runs over it; the
-tuples of ``WorldTable.configs`` are built only when a caller reads
-them.  A random-cluster table takes its cluster counts
-from min-label propagation over that matrix, on the edge-incident
-nodes only, which is deliberately independent of the traversals the
-samplers use (the union-find labels of ``worlds._labels`` and the
-forest of ``worlds._open_forest``): an oracle sharing that code would
-share its faults.  Parity work likewise covers
-only edge-incident nodes, so a graph with a few edges and many isolated
-nodes costs no more than its edges.  An rc table keeps its cluster
-counts for its log weights.
+Tables store weights, not configurations.  Row r of a table is the
+binary expansion of r over the world's sites (``itertools.product``
+order), so a table keeps only its weights, 8 bytes a row, and an rc
+table its cluster counts in the smallest unsigned dtype that holds
+``num_nodes``, for its log weights.  Rows are rebuilt from their indices
+in blocks of ``BLOCK_ROWS``, column by column, both to fold the weights
+at enumeration and whenever a reader asks for configurations, log
+weights or support rows; every per-row float operation is the same
+whatever the block size, so the values are too.  A random-cluster table
+takes its cluster counts from min-label propagation over each block, on
+the edge-incident nodes only, which is deliberately independent of the
+traversals the samplers use (the union-find labels of ``worlds._labels``
+and the forest of ``worlds._open_forest``): an oracle sharing that code
+would share its faults.  Parity work likewise covers only edge-incident
+nodes, so a graph with a few edges and many isolated nodes costs no
+more than its edges.
 
 ``ExactTables`` enumerates each world the first time it is read, so an
 identity check or kernel matrix enumerates only the worlds it reads,
@@ -69,20 +72,33 @@ class WorldTable:
     """Exhaustive (configuration, weight) table for one world.
 
     Configurations are listed in lexicographic order of their serialized
-    bit/sign strings, which keeps golden outputs stable.  ``matrix`` holds
-    them as int8 rows; ``configs`` is the same list as tuples.  An rc
-    table keeps each row's cluster count in ``counts`` for its log fold.
+    bit/sign strings, which keeps golden outputs stable; row r is the
+    binary expansion of r, so only the weights are stored and ``rows``
+    rebuilds the configurations of any rows.  ``configs`` is every row as
+    a tuple.  An rc table keeps each row's cluster count in ``counts`` for
+    its log fold.
     """
 
     world: str
-    matrix: np.ndarray
     weights: np.ndarray
     graph: WeightedGraph
     counts: np.ndarray | None = None
 
+    @property
+    def _layout(self) -> tuple[int, tuple[int, int]]:
+        return _sites(self.graph, self.world), _WORLD_SPECS[self.world][0]
+
+    def rows(self, indices: np.ndarray) -> np.ndarray:
+        """The configurations at the given row indices, one int8 row each."""
+        return _config_rows(*self._layout, indices)
+
+    def _tuples(self, indices: np.ndarray | None = None) -> tuple[tuple[int, ...], ...]:
+        """The rows at ``indices`` (every row when None) as tuples."""
+        return tuple(c for _, block in _row_blocks(*self._layout, indices) for c in map(tuple, block.tolist()))
+
     @cached_property
     def configs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.matrix.tolist()))
+        return self._tuples()
 
     @cached_property
     def Z(self) -> float:
@@ -90,8 +106,11 @@ class WorldTable:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        """The world's log weight of every stored row."""
-        return _log_fold(self.graph, self.world, self.matrix, self.counts)
+        """The world's log weight of every row."""
+        out, counts = np.empty(len(self.weights)), self.counts
+        for part, block in _row_blocks(*self._layout):
+            out[part] = _log_fold(self.graph, self.world, block, None if counts is None else counts[part])
+        return out
 
     @cached_property
     def log_Z(self) -> float:
@@ -107,17 +126,18 @@ class WorldTable:
         return np.exp(self.log_weights - self.log_Z)
 
     @cached_property
-    def support(self) -> tuple[int, ...]:
-        """Rows of finite log weight, also where the linear weight underflows."""
-        return tuple(int(i) for i in np.flatnonzero(self.log_weights > -math.inf))
+    def support(self) -> np.ndarray:
+        """Indices of the rows of finite log weight, also where the linear
+        weight underflows."""
+        return np.flatnonzero(self.log_weights > -math.inf)
 
     @cached_property
     def support_configs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.matrix[list(self.support)].tolist()))
+        return self._tuples(self.support)
 
     @cached_property
     def support_probs(self) -> np.ndarray:
-        return self.probs[list(self.support)]
+        return self.probs[self.support]
 
     @cached_property
     def config_index(self) -> dict[tuple[int, ...], int]:
@@ -136,15 +156,37 @@ def _check_caps(g: WeightedGraph, world: str) -> None:
         )
 
 
-def _config_matrix(sites: int, values: tuple[int, int]) -> np.ndarray:
-    """Every assignment of ``values`` to ``sites`` sites, one int8 row each,
-    in ``product(values, repeat=sites)`` order; built column by column, so
-    each column is contiguous."""
-    rows = np.arange(1 << sites, dtype=np.int32)
-    columns = np.empty((sites, 1 << sites), dtype=np.int8)
+# rows a table builds and folds at a time: enumeration and every reader
+# hold one block of configurations at once, never the whole table
+BLOCK_ROWS = 1 << 14
+
+
+def _config_rows(sites: int, values: tuple[int, int], indices: np.ndarray) -> np.ndarray:
+    """The rows at ``indices`` of every assignment of ``values`` to
+    ``sites`` sites in ``product(values, repeat=sites)`` order, one int8
+    row each: row r is the binary expansion of r, first site first.
+    Built column by column, so each column is contiguous."""
+    rows = indices.astype(np.uint32, copy=False)  # the caps keep sites far below 32
+    shifted = np.empty(len(rows), np.uint32)
+    columns = np.empty((sites, len(rows)), dtype=np.int8)
     for k in range(sites):
-        columns[k] = np.where((rows >> (sites - 1 - k)) & 1, values[1], values[0])
+        np.right_shift(rows, sites - 1 - k, out=shifted)
+        np.bitwise_and(shifted, 1, out=columns[k], casting="unsafe")
+    if values != (0, 1):
+        columns = values[0] + (values[1] - values[0]) * columns  # spins: 1 - 2 * bit
     return columns.T
+
+
+def _row_blocks(
+    sites: int, values: tuple[int, int], indices: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows at ``indices`` (every row when None) in blocks of
+    ``BLOCK_ROWS``, each with its slice of ``indices``."""
+    total = 1 << sites if indices is None else len(indices)
+    for start in range(0, total, BLOCK_ROWS):
+        part = slice(start, min(start + BLOCK_ROWS, total))
+        block = np.arange(part.start, part.stop, dtype=np.uint32) if indices is None else indices[part]
+        yield part, _config_rows(sites, values, block)
 
 
 def cluster_counts(
@@ -346,24 +388,34 @@ _WORLD_SPECS = {
 }
 
 
-def _world_spec(g: WeightedGraph, world: str) -> np.ndarray:
-    """Configuration matrix of a world, in table order."""
+def _sites(g: WeightedGraph, world: str) -> int:
+    return g.num_nodes if world == "spins" else g.num_edges
+
+
+def _world_spec(g: WeightedGraph, world: str) -> tuple[int, tuple[int, int]]:
+    """A world's sites and site values, once the world and its cap are
+    checked."""
     _check_caps(g, world)
     if world not in _WORLD_SPECS:
         raise InvalidParameterError(f"unknown world {world!r}")
-    sites = g.num_nodes if world == "spins" else g.num_edges
-    return _config_matrix(sites, _WORLD_SPECS[world][0])
+    return _sites(g, world), _WORLD_SPECS[world][0]
 
 
 def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
-    """Exhaustive weight table of one world.
+    """Exhaustive weight table of one world, folded block by block into
+    preallocated arrays.
 
     For the spins world, a graph carrying a field is enumerated with the
     field factors included; the edge worlds ignore the field.
     """
-    matrix = _world_spec(g, world)
-    counts = cluster_counts(g.num_nodes, g.edges, matrix) if world == "rc" else None
-    return WorldTable(world, matrix, _linear_fold(g, world, matrix, counts), g, counts)
+    sites, values = _world_spec(g, world)
+    weights = np.empty(1 << sites)
+    counts = np.empty(1 << sites, np.min_scalar_type(g.num_nodes)) if world == "rc" else None
+    for part, block in _row_blocks(sites, values):
+        if counts is not None:
+            counts[part] = cluster_counts(g.num_nodes, g.edges, block)
+        weights[part] = _linear_fold(g, world, block, None if counts is None else counts[part])
+    return WorldTable(world, weights, g, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -663,15 +715,17 @@ def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[i
     """n i.i.d. draws from an exact table by inverse CDF; a table with no
     positive-weight configuration is an error, whatever n is."""
     n = _nonnegative_int(n, "the sample count")
-    if not table.support:
+    if len(table.support) == 0:
         raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
     cum = np.cumsum(table.support_probs)
     us = array("d")
     rng.uniforms(n, us)
     # a u past the rounded total takes the last row that adds probability
     idx = np.minimum(np.searchsorted(cum, us, side="right"), np.searchsorted(cum, cum[-1]))
-    configs = table.support_configs
-    return [configs[i] for i in idx]
+    # tuples only for the rows drawn, one per distinct row
+    drawn, which = np.unique(idx, return_inverse=True)
+    configs = list(map(tuple, table.rows(table.support[drawn]).tolist()))
+    return [configs[k] for k in which]
 
 
 def empirical_distribution(samples: Sequence[tuple[int, ...]], table: WorldTable) -> np.ndarray:
@@ -719,14 +773,15 @@ def check_even_subgraph_count(g: WeightedGraph, z: Sequence[int]) -> EvenCountRe
 
     Brute-force enumeration over subsets of the open edges is compared
     with ``2 ** (open - num_nodes + clusters)``; both sides run on the
-    columnar tables' parity and cluster counts.
+    tables' parity and cluster counts, the subsets a block at a time.
     """
     validate_config(g, "rc", z)
     open_edges = [edge for edge, ze in zip(g.edges, z) if ze]
     if len(open_edges) > EDGE_ENUM_CAP:
         raise CapExceededError(f"even-subgraph enumeration needs <= {EDGE_ENUM_CAP} open edges")
-    subsets = _config_matrix(len(open_edges), (0, 1))
-    count = len(subsets) - int(np.count_nonzero(odd_rows(open_edges, subsets)))
+    count = 1 << len(open_edges)
+    for _, subsets in _row_blocks(len(open_edges), (0, 1)):
+        count -= int(np.count_nonzero(odd_rows(open_edges, subsets)))
     (parts,) = cluster_counts(g.num_nodes, open_edges, np.ones((1, len(open_edges)), np.int8))
     closed_form = 1 << (len(open_edges) - g.num_nodes + int(parts))
     return EvenCountReport(count, closed_form)

@@ -5,7 +5,7 @@ A spins configuration assigns ``+1``/``-1`` to every node; the two edge
 worlds assign ``0``/``1`` to every edge.  Configurations are plain tuples
 aligned with the graph's node and edge ordering, so they are hashable and
 usable as table keys.  The weight formulas (each world's batch pair over
-an int8 configuration matrix, and the scalar ``weight_*`` functions that
+an int8 block of configurations, and the scalar ``weight_*`` functions that
 evaluate one row through it) live in :mod:`exact`, the enumeration
 oracle and their only user, so this module and the samplers built on it
 need no numpy.

@@ -352,6 +352,29 @@ def test_cftp_stdout_pinned(name, command, seed, monkeypatch, capsys):
     assert hashlib.sha256(out).hexdigest() == PINNED_CFTP_STDOUT[(name, command, seed)]
 
 
+# sha256 of the stdout of sample --method enum, 200 samples at seed 3:
+# every draw is the inverse CDF of the table's support over the same
+# uniforms.  How a table is stored and read may change, the draws may not.
+PINNED_ENUM_STDOUT = {
+    ("triangle", "spins"): "701ac5ea2919c82987799b3e59f7f9962717450a0ff1800dbec65492570785c5",
+    ("triangle", "subs"): "4383053d717399220cbbdcaf23b9f9ef7619d1a96fc5198c1389a978ab73fda9",
+    ("triangle", "rc"): "1423f97475ad76083bec08089df3b88ae7bd01dcc57251bd9411643451927ac1",
+    ("grid3x3", "spins"): "c3aec5488b2f7b0dee3abd96bcfcf0a1594528a56dc78c804ddaa05bad2d4d26",
+    ("grid3x3", "subs"): "64ed2f0262b4c5635a854c7d796264db9309dcbe936fa79f3c4474219d5d8a95",
+    ("grid3x3", "rc"): "d6d9c8dc483c56c8df725fc523800286690787dcdacb0f4294ce2932580cdb81",
+}
+
+
+@pytest.mark.parametrize("name,world", sorted(PINNED_ENUM_STDOUT))
+def test_enum_stdout_pinned(name, world, monkeypatch, capsys):
+    monkeypatch.chdir(fixture_path(name, "beta").parent)
+    argv = ["sample", "--method", "enum", "--world", world, "--graph", f"{name}.beta.graph",
+            "--samples", "200", "--seed", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_ENUM_STDOUT[(name, world)]
+
+
 # sha256 of the stdout of the chain commands at seed 18: every step of
 # sw and of a spins chain labels clusters (rc_to_spins and the clusters
 # statistic), every step of subs-sw peels a spanning forest (rc_to_subs).

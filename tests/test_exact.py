@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from itertools import product
 from types import SimpleNamespace
@@ -35,7 +36,7 @@ from isingworlds import (
     tv_distance,
 )
 from isingworlds import cli, exact
-from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, fixture_path, path_graph
+from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, fixture_path, grid_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import require_support
 from isingworlds.exact import (
@@ -169,8 +170,10 @@ class TestColumnarTables:
             g = random_graph(rnd, max_nodes=9, max_edges=8)
             isolated += g.num_nodes - len({v for edge in g.edges for v in edge})
             table = enumerate_world(g, "rc")
-            counts = exact.cluster_counts(g.num_nodes, g.edges, table.matrix)
-            assert counts.tolist() == [dfs_component_labels(g, z)[1] for z in table.configs]
+            expected = [dfs_component_labels(g, z)[1] for z in table.configs]
+            counts = exact.cluster_counts(g.num_nodes, g.edges, table.rows(np.arange(len(table.weights))))
+            assert counts.tolist() == expected
+            assert table.counts.tolist() == expected
         assert isolated > 0
 
     def test_cluster_counts_of_a_long_path(self):
@@ -201,6 +204,69 @@ class TestColumnarTables:
         assert "configs" not in vars(table)
         assert table.Z > 0.0 and "configs" not in vars(table)
         assert table.support_configs[0] == (0,) * 12 and "configs" not in vars(table)
+
+
+def cap_graph() -> WeightedGraph:
+    """20 edges, the edge-world cap: the 3x4 grid plus three chords, beta 0.44."""
+    grid = grid_graph(3, 4, 0.44)
+    return WeightedGraph(grid.num_nodes, grid.edges + ((0, 5), (5, 10), (2, 7)), (0.44,) * 20)
+
+
+def traced(fn, *args):
+    """``fn(*args)`` with the bytes it still holds on return and its peak."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+class TestBlockedTables:
+    """Tables keep weights, not configurations, and are built and read a
+    block of rows at a time."""
+
+    @pytest.mark.parametrize("world", ["spins", "subs", "rc"])
+    def test_blocks_match_a_single_block_bit_for_bit(self, world, monkeypatch):
+        # 16 edges: 4 blocks of 2**14 rows for the edge worlds; a ragged
+        # block size splits the 12-node spins table as well
+        rnd = random.Random(5)
+        grid = grid_graph(3, 4)
+        betas = tuple(rnd.choice((0.0, math.inf, rnd.uniform(0.05, 2.0))) for _ in range(16))
+        g = WeightedGraph(grid.num_nodes, grid.edges[:16], betas)
+        tables = {}
+        for rows in (1 << 16, exact.BLOCK_ROWS, 1000):
+            monkeypatch.setattr(exact, "BLOCK_ROWS", rows)
+            table = enumerate_world(g, world)
+            tables[rows] = (table.weights, table.log_weights, table.counts, table.configs,
+                            table.support_configs, table.Z)
+        (weights, log_weights, counts, configs, support_configs, Z), *blocked = tables.values()
+        for other in blocked:
+            assert bit_equal(other[0], weights) and bit_equal(other[1], log_weights)
+            assert (counts is None and other[2] is None) or np.array_equal(other[2], counts)
+            assert other[3] == configs and other[4] == support_configs
+            assert bit_equal(other[5], Z)
+
+    def test_counts_take_the_smallest_unsigned_dtype(self):
+        assert enumerate_world(fixture_graph("k4", 0.5), "rc").counts.dtype == np.uint8
+        assert enumerate_world(WeightedGraph(300, ((0, 1),), (0.5,)), "rc").counts.dtype == np.uint16
+        assert enumerate_world(fixture_graph("k4", 0.5), "subs").counts is None
+
+    @pytest.mark.parametrize("world", ["subs", "rc"])
+    def test_table_memory_per_row(self, world):
+        # weights 8 bytes a row and rc counts 1 byte a row; building holds
+        # one block of configurations at a time on top
+        g = cap_graph()
+        table, held, peak = traced(enumerate_world, g, world)
+        assert len(table.weights) == 1 << 20
+        assert held <= 10 * (1 << 20)
+        assert peak <= held + 256 * exact.BLOCK_ROWS
+
+    def test_even_subgraph_count_memory(self):
+        report, _, peak = traced(check_even_subgraph_count, cap_graph(), (1,) * 20)
+        assert report.passed
+        assert peak <= 256 * exact.BLOCK_ROWS
 
 
 class TestIdentities:
@@ -584,8 +650,9 @@ class TestTvDistance:
             def uniforms(self, n, out):
                 out.extend([0.9] * n)
 
-        table = SimpleNamespace(world="rc", support=(0, 1, 2), support_probs=np.array([0.25, 0.5, 0.0]),
-                                support_configs=((0, 0), (1, 0), (1, 1)))
+        configs = np.array([(0, 0), (1, 0), (1, 1)], np.int8)
+        table = SimpleNamespace(world="rc", support=np.arange(3), support_probs=np.array([0.25, 0.5, 0.0]),
+                                rows=configs.__getitem__)
         assert sample_from_table(table, Top(), 2) == [(1, 0), (1, 0)]
 
     def test_sampling_is_inverse_cdf_over_scalar_uniforms(self):
