@@ -317,6 +317,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .exact import (  # the oracle loads numpy
+        STATIONARITY_TOL,
         ExactTables,
         check_even_subgraph_count,
         check_rc_normalizer,
@@ -351,8 +352,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     {
                         "name": f"stationarity[{kernel}]",
                         "max_abs_error": error,
-                        "tolerance": 1e-9,
-                        "passed": error < 1e-9,
+                        "tolerance": STATIONARITY_TOL,
+                        "passed": error < STATIONARITY_TOL,
                     }
                 )
         else:

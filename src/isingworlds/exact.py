@@ -20,18 +20,21 @@ Tables store weights, not configurations.  Row r of a table is the
 binary expansion of r over the world's sites (``itertools.product``
 order), so a table keeps only its weights, 8 bytes a row, and an rc
 table its cluster counts in the smallest unsigned dtype that holds
-``num_nodes``, for its log weights.  Rows are rebuilt from their indices
-in blocks of ``BLOCK_ROWS``, column by column, both to fold the weights
-at enumeration and whenever a reader asks for configurations, log
-weights or support rows; every per-row float operation is the same
-whatever the block size, so the values are too.  A random-cluster table
-takes its cluster counts from min-label propagation over each block, on
-the edge-incident nodes only, which is deliberately independent of the
-traversals the samplers use (the union-find labels of ``worlds._labels``
-and the forest of ``worlds._open_forest``): an oracle sharing that code
-would share its faults.  Parity work likewise covers only edge-incident
-nodes, so a graph with a few edges and many isolated nodes costs no
-more than its edges.
+``num_nodes``, for its log weights.  Tables are read by row index:
+``rows`` rebuilds the configurations at any indices and ``index`` maps
+configurations back to theirs, so a draw, a histogram or a kernel matrix
+addresses rows without a tuple or a dict entry per row.  Whole tables are
+rebuilt in blocks of ``BLOCK_ROWS``, column by column, both to fold the
+weights at enumeration and to read log weights or every configuration;
+every per-row float operation is the same whatever the block size, so
+the values are too.  A random-cluster table takes its cluster counts
+from min-label propagation over each block, on the edge-incident nodes
+only, which is deliberately independent of the traversals the samplers
+use (the union-find labels of ``worlds._labels`` and the forest of
+``worlds._open_forest``): an oracle sharing that code would share its
+faults.  Parity work likewise covers only edge-incident nodes, so a
+graph with a few edges and many isolated nodes costs no more than its
+edges.
 
 ``ExactTables`` enumerates each world the first time it is read, so an
 identity check or kernel matrix enumerates only the worlds it reads,
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -69,14 +73,14 @@ from .worlds import clusters, validate_config
 
 @dataclass(frozen=True, eq=False)
 class WorldTable:
-    """Exhaustive (configuration, weight) table for one world.
+    """Exhaustive weight table for one world, read by row index.
 
     Configurations are listed in lexicographic order of their serialized
     bit/sign strings, which keeps golden outputs stable; row r is the
-    binary expansion of r, so only the weights are stored and ``rows``
-    rebuilds the configurations of any rows.  ``configs`` is every row as
-    a tuple.  An rc table keeps each row's cluster count in ``counts`` for
-    its log fold.
+    binary expansion of r, so only the weights are stored.  ``rows`` maps
+    row indices to configurations and ``index`` maps configurations back;
+    ``configs`` is every row as a tuple.  An rc table keeps each row's
+    cluster count in ``counts`` for its log fold.
     """
 
     world: str
@@ -92,13 +96,18 @@ class WorldTable:
         """The configurations at the given row indices, one int8 row each."""
         return _config_rows(*self._layout, indices)
 
-    def _tuples(self, indices: np.ndarray | None = None) -> tuple[tuple[int, ...], ...]:
-        """The rows at ``indices`` (every row when None) as tuples."""
-        return tuple(c for _, block in _row_blocks(*self._layout, indices) for c in map(tuple, block.tolist()))
+    def index(self, configs: Sequence[Sequence[int]]) -> np.ndarray:
+        """The row index of each configuration, the inverse of ``rows``;
+        each distinct configuration is checked by ``validate_config``."""
+        for config in set(map(tuple, configs)):
+            validate_config(self.graph, self.world, config)
+        sites, values = self._layout
+        bits = np.asarray(configs, dtype=np.int8).reshape(len(configs), sites) == values[1]
+        return bits @ (1 << np.arange(sites - 1, -1, -1, dtype=np.int64))
 
     @cached_property
     def configs(self) -> tuple[tuple[int, ...], ...]:
-        return self._tuples()
+        return tuple(c for _, block in _row_blocks(*self._layout) for c in map(tuple, block.tolist()))
 
     @cached_property
     def Z(self) -> float:
@@ -130,18 +139,6 @@ class WorldTable:
         """Indices of the rows of finite log weight, also where the linear
         weight underflows."""
         return np.flatnonzero(self.log_weights > -math.inf)
-
-    @cached_property
-    def support_configs(self) -> tuple[tuple[int, ...], ...]:
-        return self._tuples(self.support)
-
-    @cached_property
-    def support_probs(self) -> np.ndarray:
-        return self.probs[self.support]
-
-    @cached_property
-    def config_index(self) -> dict[tuple[int, ...], int]:
-        return {config: i for i, config in enumerate(self.configs)}
 
 
 def _check_caps(g: WeightedGraph, world: str) -> None:
@@ -443,18 +440,6 @@ class ExactTables:
     def rc(self) -> WorldTable:
         return enumerate_world(self.graph, "rc")
 
-    @property
-    def Z_spins(self) -> float:
-        return self.spins.Z
-
-    @property
-    def Z_subs(self) -> float:
-        return self.subs.Z
-
-    @property
-    def Z_rc(self) -> float:
-        return self.rc.Z
-
 
 def exact_tables(g: WeightedGraph) -> ExactTables:
     """The tables of all three worlds, enumerated now."""
@@ -477,6 +462,12 @@ def _own_tables(g: WeightedGraph, tables: ExactTables | None) -> ExactTables:
 # Partition-function identities
 # ---------------------------------------------------------------------------
 
+# relative error below which a partition-sum identity passes
+IDENTITY_TOL = 1e-10
+# max pointwise error below which a kernel is stationary
+STATIONARITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     name: str
@@ -496,32 +487,30 @@ def _log_cosh(beta: float) -> float:
     return beta + math.log1p(math.exp(-2.0 * beta)) - math.log(2.0)
 
 
-def _report(name: str, lhs: float, rhs: float, tol: float, log_domain: bool) -> IdentityReport:
+def _report(name: str, lhs: float, rhs: float, log_domain: bool) -> IdentityReport:
     if log_domain:
         rel = abs(math.expm1(lhs - rhs)) if abs(lhs - rhs) < 700 else math.inf
     else:
         rel = abs(lhs - rhs) / lhs if lhs > 0 else math.inf
-    return IdentityReport(name, lhs, rhs, rel, tol, rel < tol, log_domain)
+    return IdentityReport(name, lhs, rhs, rel, IDENTITY_TOL, rel < IDENTITY_TOL, log_domain)
 
 
 def _identity(
-    name: str, lhs: WorldTable, rhs: WorldTable, factor: float, log_terms: Sequence[float], tol: float
+    name: str, lhs: WorldTable, rhs: WorldTable, factor: float, log_terms: Sequence[float]
 ) -> IdentityReport:
     """Check ``Z_lhs = Z_rhs * factor``: in the linear domain while both
     sides are finite floats, else as ``log Z_lhs = log Z_rhs + a + b ...``
     over the ``log_terms`` of the factor, added left to right."""
     scaled = rhs.Z * factor
     if math.isfinite(lhs.Z) and math.isfinite(scaled):
-        return _report(name, lhs.Z, scaled, tol, False)
+        return _report(name, lhs.Z, scaled, False)
     log_rhs = rhs.log_Z
     for term in log_terms:
         log_rhs += term
-    return _report(name, lhs.log_Z, log_rhs, tol, True)
+    return _report(name, lhs.log_Z, log_rhs, True)
 
 
-def check_relate_identity(
-    g: WeightedGraph, tol: float = 1e-10, tables: ExactTables | None = None
-) -> list[IdentityReport]:
+def check_relate_identity(g: WeightedGraph, tables: ExactTables | None = None) -> list[IdentityReport]:
     """Verify the two partition-sum bridges out of the spins world.
 
     ``Z_spins = Z_rc * prod(exp(beta))`` and
@@ -537,21 +526,18 @@ def check_relate_identity(
     sum_beta = math.fsum(g.betas)
     prod_cosh = math.prod(_or_inf(math.cosh, b) for b in g.betas)
     return [
-        _identity("spins_vs_rc", tables.spins, tables.rc, _or_inf(math.exp, sum_beta), (sum_beta,), tol),
+        _identity("spins_vs_rc", tables.spins, tables.rc, _or_inf(math.exp, sum_beta), (sum_beta,)),
         _identity(
             "spins_vs_subs",
             tables.spins,
             tables.subs,
             _or_inf(math.ldexp, prod_cosh, g.num_nodes),
             (g.num_nodes * math.log(2.0), math.fsum(_log_cosh(b) for b in g.betas)),
-            tol,
         ),
     ]
 
 
-def check_rc_normalizer(
-    g: WeightedGraph, tol: float = 1e-10, tables: ExactTables | None = None
-) -> IdentityReport:
+def check_rc_normalizer(g: WeightedGraph, tables: ExactTables | None = None) -> IdentityReport:
     """Verify ``Z_rc = Z_subs * 2**(num_nodes - num_edges) * prod(1 + exp(-2 beta))``.
 
     Infinite couplings are fine here: their factor is exactly 1.
@@ -566,7 +552,6 @@ def check_rc_normalizer(
         tables.subs,
         _or_inf(math.ldexp, factor, shift),
         (shift * math.log(2.0), math.fsum(math.log1p(math.exp(-2.0 * b)) for b in g.betas)),
-        tol,
     )
 
 
@@ -639,9 +624,12 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
     source_world, target_world = KERNEL_SPECS[kernel]
     source, target = getattr(tables, source_world), getattr(tables, target_world)
     convert = REDUCTIONS[(source_world, target_world)]
-    column = {config: c for c, config in enumerate(target.support_configs)}
-    matrix = np.zeros((len(source.support), len(column)))
-    for r, config in enumerate(source.support_configs):
+    source_configs, target_configs = (
+        tuple(map(tuple, table.rows(table.support).tolist())) for table in (source, target)
+    )
+    column = {config: c for c, config in enumerate(target_configs)}
+    matrix = np.zeros((len(source_configs), len(column)))
+    for r, config in enumerate(source_configs):
         row = [0.0] * len(column)
         pending: list[list[int]] = [[]]  # the first run is the all-zero branch
         while pending:
@@ -656,9 +644,7 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
                 row[c] += prob
         matrix[r] = row
     matrix.flags.writeable = False
-    return KernelMatrix(
-        kernel, source_world, target_world, source.support_configs, target.support_configs, matrix
-    )
+    return KernelMatrix(kernel, source_world, target_world, source_configs, target_configs, matrix)
 
 
 def _require_kernel(g: WeightedGraph, kernel: str) -> None:
@@ -703,8 +689,8 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
     tables = _own_tables(g, tables)
     km = exact_kernel_matrix(g, kernel, tables)
     source, target = getattr(tables, km.source_world), getattr(tables, km.target_world)
-    pushed = source.support_probs @ km.matrix
-    return float(np.max(np.abs(pushed - target.support_probs)))
+    pushed = source.probs[source.support] @ km.matrix
+    return float(np.max(np.abs(pushed - target.probs[target.support])))
 
 
 # ---------------------------------------------------------------------------
@@ -712,33 +698,30 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
 # ---------------------------------------------------------------------------
 
 def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[int, ...]]:
-    """n i.i.d. draws from an exact table by inverse CDF; a table with no
-    positive-weight configuration is an error, whatever n is."""
+    """n i.i.d. draws from an exact table by inverse CDF over all rows (a
+    zero-probability row adds exactly 0.0, so it is never drawn); a table
+    with no positive-weight configuration is an error, whatever n is."""
     n = _nonnegative_int(n, "the sample count")
-    if len(table.support) == 0:
+    if not 0.0 < table.Z < math.inf and len(table.support) == 0:
         raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
-    cum = np.cumsum(table.support_probs)
+    cum = np.cumsum(table.probs)
     us = array("d")
     rng.uniforms(n, us)
     # a u past the rounded total takes the last row that adds probability
     idx = np.minimum(np.searchsorted(cum, us, side="right"), np.searchsorted(cum, cum[-1]))
     # tuples only for the rows drawn, one per distinct row
     drawn, which = np.unique(idx, return_inverse=True)
-    configs = list(map(tuple, table.rows(table.support[drawn]).tolist()))
+    configs = list(map(tuple, table.rows(drawn).tolist()))
     return [configs[k] for k in which]
 
 
 def empirical_distribution(samples: Sequence[tuple[int, ...]], table: WorldTable) -> np.ndarray:
-    """Histogram of samples aligned to a table's configuration order."""
+    """Histogram of samples aligned to a table's row order."""
     if len(samples) == 0:
         raise InvalidParameterError("an empirical distribution needs at least one sample")
-    counts = np.zeros(len(table.configs))
-    index = table.config_index
-    for s in samples:
-        i = index.get(tuple(s))
-        if i is None:
-            raise InvalidConfigError(f"sample {s!r} is not a configuration of this table")
-        counts[i] += 1.0
+    tally = Counter(map(tuple, samples))
+    counts = np.zeros(len(table.weights))
+    counts[table.index(list(tally))] = list(tally.values())
     return counts / len(samples)
 
 

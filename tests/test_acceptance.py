@@ -42,6 +42,7 @@ from isingworlds import (
     subs_to_rc,
     tv_distance,
 )
+from isingworlds.exact import STATIONARITY_TOL
 from isingworlds.fixtures import fixture_graph
 
 FIXTURES = ("k2", "path3", "triangle", "cycle4", "k4", "grid3x3")
@@ -79,7 +80,7 @@ def test_criterion_1_spins_subs_identity():
     for name in FIXTURES:
         for betas in beta_settings(name):
             tables = tables_for(name, betas)
-            for rep in check_relate_identity(tables.graph, tol=1e-10, tables=tables):
+            for rep in check_relate_identity(tables.graph, tables=tables):
                 if rep.name == "spins_vs_subs" and not rep.passed:
                     failures.append((name, betas, rep.relative_error))
     elapsed = time.perf_counter() - started
@@ -93,7 +94,7 @@ def test_criterion_2_rc_normalizer():
     for name in FIXTURES:
         for betas in beta_settings(name):
             tables = tables_for(name, betas)
-            rep = check_rc_normalizer(tables.graph, tol=1e-10, tables=tables)
+            rep = check_rc_normalizer(tables.graph, tables=tables)
             if not rep.passed:
                 failures.append((name, betas, rep.relative_error))
     report(2, "random-cluster normalizer identity", failures)
@@ -112,7 +113,7 @@ def test_criterion_3_reduction_kernels_exact():
             tables = tables_for(name, betas)
             for kernel in ("subs_to_rc", "rc_to_subs", "spins_to_rc", "rc_to_spins"):
                 err = kernel_stationarity_error(tables.graph, kernel, tables)
-                if err >= 1e-9:
+                if err >= STATIONARITY_TOL:
                     failures.append((name, betas, kernel, err))
     report(3, "exact reduction-kernel stationarity", failures)
 
@@ -124,7 +125,7 @@ def test_criterion_4_chain_kernels_exact():
             tables = tables_for(name, betas)
             for kernel in ("sw_classic", "sw_subgraphs"):
                 err = kernel_stationarity_error(tables.graph, kernel, tables)
-                if err >= 1e-9:
+                if err >= STATIONARITY_TOL:
                     failures.append((name, betas, kernel, err))
     report(4, "chain-kernel stationarity", failures)
 

@@ -56,7 +56,7 @@ class TestHeatBathKernel:
         assert _opens_below(g, (0,), 0, p / (2.0 - p))
         assert _opens_below(g, (1,), 0, p / (2.0 - p))
         table = enumerate_world(g, "rc")
-        assert table.probs[table.config_index[(1,)]] == pytest.approx(1 / 3)
+        assert table.probs[table.index([(1,)])[0]] == pytest.approx(1 / 3)
 
     def test_connected_case_uses_plain_p(self):
         g = fixture_graph("triangle", 0.5)

@@ -102,15 +102,15 @@ class TestEnumeration:
     def test_k2_partition_sums(self):
         beta = 0.8
         tables = exact_tables(fixture_graph("k2", beta))
-        assert tables.Z_spins == pytest.approx(4 * math.cosh(beta), rel=1e-12)
-        assert tables.Z_subs == 1.0  # only the empty subgraph is even
+        assert tables.spins.Z == pytest.approx(4 * math.cosh(beta), rel=1e-12)
+        assert tables.subs.Z == 1.0  # only the empty subgraph is even
         p = 1 - math.exp(-2 * beta)
-        assert tables.Z_rc == pytest.approx(4 - 2 * p, rel=1e-12)
+        assert tables.rc.Z == pytest.approx(4 - 2 * p, rel=1e-12)
 
     def test_triangle_subs_partition(self):
         lam = math.tanh(0.6)
         tables = exact_tables(fixture_graph("triangle", 0.6))
-        assert tables.Z_subs == pytest.approx(1 + lam**3, rel=1e-12)
+        assert tables.subs.Z == pytest.approx(1 + lam**3, rel=1e-12)
 
     def test_probabilities_sum_to_one(self):
         for name in FIXTURE_NAMES:
@@ -137,7 +137,7 @@ class TestEnumeration:
         g = WeightedGraph.from_edges(1, [], field={0: math.log(3.0)})
         table = enumerate_world(g, "spins")
         # up weighs 3, down weighs 1
-        assert table.probs[table.config_index[(1,)]] == pytest.approx(0.75)
+        assert table.probs[table.index([(1,)])[0]] == pytest.approx(0.75)
 
 
 class TestColumnarTables:
@@ -203,7 +203,7 @@ class TestColumnarTables:
         table = enumerate_world(fixture_graph("grid3x3", 0.4), "rc")
         assert "configs" not in vars(table)
         assert table.Z > 0.0 and "configs" not in vars(table)
-        assert table.support_configs[0] == (0,) * 12 and "configs" not in vars(table)
+        assert tuple(table.rows(table.support)[0]) == (0,) * 12 and "configs" not in vars(table)
 
 
 def cap_graph() -> WeightedGraph:
@@ -240,12 +240,12 @@ class TestBlockedTables:
             monkeypatch.setattr(exact, "BLOCK_ROWS", rows)
             table = enumerate_world(g, world)
             tables[rows] = (table.weights, table.log_weights, table.counts, table.configs,
-                            table.support_configs, table.Z)
-        (weights, log_weights, counts, configs, support_configs, Z), *blocked = tables.values()
+                            table.rows(table.support).tolist(), table.Z)
+        (weights, log_weights, counts, configs, support_rows, Z), *blocked = tables.values()
         for other in blocked:
             assert bit_equal(other[0], weights) and bit_equal(other[1], log_weights)
             assert (counts is None and other[2] is None) or np.array_equal(other[2], counts)
-            assert other[3] == configs and other[4] == support_configs
+            assert other[3] == configs and other[4] == support_rows
             assert bit_equal(other[5], Z)
 
     def test_counts_take_the_smallest_unsigned_dtype(self):
@@ -268,6 +268,45 @@ class TestBlockedTables:
         assert report.passed
         assert peak <= 256 * exact.BLOCK_ROWS
 
+    def test_empirical_distribution_memory(self):
+        # the counts and the histogram, 8 bytes a row each, and no
+        # per-row tuples: the bound is 3 * 8 bytes a row of the rc table
+        table = enumerate_world(cap_graph(), "rc")
+        samples = sample_from_table(table, RngStream(2), 1000)
+        hist, _, peak = traced(empirical_distribution, samples, table)
+        assert hist.sum() == 1.0 and np.count_nonzero(hist) == len(set(samples))
+        assert peak <= 3 * 8 * (1 << 20)
+
+    def test_draw_memory(self):
+        # a table of positive finite Z draws from its probs and their
+        # cumulative sum alone, without the log weights or the support
+        table = enumerate_world(cap_graph(), "rc")
+        samples, _, peak = traced(sample_from_table, table, RngStream(2), 1000)
+        assert len(samples) == 1000
+        assert peak <= 3 * 8 * (1 << 20)
+        assert "log_weights" not in vars(table)
+
+
+class TestRowIndex:
+    def test_index_inverts_rows(self):
+        for g in [fixture_graph(name, 0.5) for name in FIXTURE_NAMES] + [WeightedGraph(0, (), ())]:
+            for world in ("spins", "subs", "rc"):
+                table = enumerate_world(g, world)
+                every = np.arange(len(table.weights))
+                assert table.index(table.configs).tolist() == every.tolist(), (g, world)
+                assert np.array_equal(table.index(table.rows(every)), every), (g, world)
+
+    def test_index_rejects_a_wrong_length(self):
+        table = enumerate_world(fixture_graph("k2", 0.5), "rc")
+        with pytest.raises(InvalidConfigError, match="length"):
+            table.index([(0,), (0, 1)])
+
+    def test_index_rejects_a_spin_value_in_an_edge_world(self):
+        for world in ("subs", "rc"):
+            table = enumerate_world(fixture_graph("triangle", 0.5), world)
+            with pytest.raises(InvalidConfigError, match="0 or 1"):
+                table.index([(0, 1, 1), (0, -1, 1)])
+
 
 class TestIdentities:
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 2.0])
@@ -280,7 +319,7 @@ class TestIdentities:
         beta = 0.5
         tables = exact_tables(fixture_graph("triangle", beta))
         rhs = 8 * math.cosh(beta) ** 3 * (1 + math.tanh(beta) ** 3)
-        assert abs(tables.Z_spins - rhs) / tables.Z_spins < 1e-12
+        assert abs(tables.spins.Z - rhs) / tables.spins.Z < 1e-12
 
     def test_relate_rejects_infinite(self):
         from isingworlds import InvalidParameterError
@@ -651,18 +690,19 @@ class TestTvDistance:
                 out.extend([0.9] * n)
 
         configs = np.array([(0, 0), (1, 0), (1, 1)], np.int8)
-        table = SimpleNamespace(world="rc", support=np.arange(3), support_probs=np.array([0.25, 0.5, 0.0]),
-                                rows=configs.__getitem__)
+        table = SimpleNamespace(world="rc", Z=1.0, probs=np.array([0.25, 0.5, 0.0]), rows=configs.__getitem__)
         assert sample_from_table(table, Top(), 2) == [(1, 0), (1, 0)]
 
     def test_sampling_is_inverse_cdf_over_scalar_uniforms(self):
         table = enumerate_world(fixture_graph("cycle4", 0.7), "subs")
-        cum = np.cumsum(table.support_probs)
+        support_probs = table.probs[table.support]
+        support_configs = [tuple(c) for c in table.rows(table.support).tolist()]
+        cum = np.cumsum(support_probs)
         for n in (0, 1, 500):
             rng, ref = RngStream(41, n), RngStream(41, n)
             samples = sample_from_table(table, rng, n)
             us = [ref.uniform() for _ in range(n)]
-            expected = [table.support_configs[min(bisect_right(cum, u), len(cum) - 1)] for u in us]
+            expected = [support_configs[min(bisect_right(cum, u), len(cum) - 1)] for u in us]
             assert samples == expected and rng.draws == ref.draws == n
             assert rng.uniform() == ref.uniform()
 
