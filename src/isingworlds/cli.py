@@ -6,17 +6,20 @@ conversion, ``chain`` traces a cluster-update Markov chain from a fixed
 state (a relaxation diagnostic), ``sample`` draws by enumeration,
 coupling from the past or that chain started from a perfect draw (which
 ``--max-epoch`` bounds), so every draw is exact in law, and adds a
-summary line, ``perfect`` prints exactly the lines of ``sample --method
-cftp`` without it, and ``verify`` checks the partition-function
-identities and kernel exactness on a small graph.
+summary line, ``perfect --world W`` prints exactly the lines of
+``sample --method cftp --world W`` without it, for each of the three
+worlds, and ``verify`` checks the partition-function identities and
+kernel exactness on a small graph.
 
-Every sampling command requires ``--seed``, a nonnegative integer, and
-is fully deterministic given its inputs.  With ``--out FILE`` the
+Every command reads ``--graph`` and takes ``--out``; every sampling
+command requires ``--seed``, a nonnegative integer, and is fully
+deterministic given its inputs.  ``main`` loads the graph and the
+handler writes its payload through ``_emit``: with ``--out FILE`` the
 payload goes to the file and a run manifest (including timing) is
 written next to it as ``FILE.manifest.json``; without ``--out`` the
 payload goes to stdout with timing omitted so repeated runs are
 byte-identical.  An ``--out`` path that cannot be written is an input
-error before any work is done.
+error before any work is done, even before the graph is read.
 
 The enumeration oracle (``verify`` and ``sample --method enum``) runs on
 one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is already set, in
@@ -40,6 +43,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .caps import CAPS, KERNEL_EDGE_CAP, KERNEL_NODE_CAP
@@ -77,41 +81,33 @@ _EXIT_CODES = (
 )
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _emit(args: argparse.Namespace, started: float, payload: str | dict, machine: dict | None = None) -> dict:
+    """Write the payload to --out plus a manifest sidecar, or to stdout,
+    and return the run manifest.
 
-
-def _manifest(args: argparse.Namespace) -> dict:
+    A dict payload is written as indented JSON; bound for stdout, it
+    carries the manifest as its last entry.  Only the sidecar records
+    what depends on the machine: the timing and the ``machine`` entries
+    (worker processes for the sampling commands, BLAS threads for the
+    enumeration oracle).
+    """
     manifest = {
         "tool": "isingworlds",
         "version": __version__,
         "command": args.command,
         "options": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "caps": dict(CAPS),
+        "graph_sha256": hashlib.sha256(Path(args.graph).read_bytes()).hexdigest(),
     }
-    graph = getattr(args, "graph", None)
-    if graph:
-        manifest["graph_sha256"] = _sha256(graph)
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        manifest["seed"] = seed
-    return manifest
-
-
-def _emit(
-    text: str, args: argparse.Namespace, manifest: dict, started: float, machine: dict | None = None
-) -> None:
-    """Write the payload to --out plus a manifest sidecar, or to stdout.
-
-    Only the sidecar records what depends on the machine: the timing and
-    the ``machine`` entries (worker processes for the sampling commands,
-    BLAS threads for the enumeration oracle).
-    """
-    out = getattr(args, "out", None)
+    if getattr(args, "seed", None) is not None:
+        manifest["seed"] = args.seed
+    out = args.out
+    if isinstance(payload, dict):
+        payload = json.dumps(payload if out else {**payload, "manifest": manifest}, indent=2)
     if out:
         sidecar = {**manifest, **(machine or {})}
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            Path(out).write_text(payload, encoding="utf-8")
             sidecar["timing_seconds"] = time.perf_counter() - started
             Path(out + ".manifest.json").write_text(
                 json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
@@ -119,9 +115,10 @@ def _emit(
         except OSError as exc:
             raise InvalidConfigError(f"cannot write {out}: {exc}") from None
     else:
-        sys.stdout.write(text)
-        if text and not text.endswith("\n"):  # an empty payload writes nothing
+        sys.stdout.write(payload)
+        if payload and not payload.endswith("\n"):  # an empty payload writes nothing
             sys.stdout.write("\n")
+    return manifest
 
 
 def _require_writable(out: str | None) -> None:
@@ -164,35 +161,22 @@ def _load_config(path: str, world: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each gets the parsed arguments, the loaded graph
+# and ``emit``, which writes its payload (see ``_emit``)
 # ---------------------------------------------------------------------------
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g = load_graph(args.graph)
-    _emit(graph_to_text(g, args.to), args, _manifest(args), started)
+def cmd_convert(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
+    emit(graph_to_text(g, args.to))
     return EXIT_OK
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_reduce(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
     if args.src == args.to:
         raise InvalidConfigError("--from and --to must name different worlds")
-    g = load_graph(args.graph)
     config = _load_config(args.config, args.src)
     rng = RngStream(args.seed)
-    fn = REDUCTIONS[(args.src, args.to)]
-    result = fn(g, config, rng)
-    payload = {
-        "from": args.src,
-        "to": args.to,
-        "config": list(result),
-        "draws": rng.draws,
-    }
-    manifest = _manifest(args)
-    if not args.out:
-        payload["manifest"] = manifest
-    _emit(json.dumps(payload, indent=2), args, manifest, started)
+    result = REDUCTIONS[(args.src, args.to)](g, config, rng)
+    emit({"from": args.src, "to": args.to, "config": list(result), "draws": rng.draws})
     return EXIT_OK
 
 
@@ -200,9 +184,7 @@ _KERNEL_WORLDS = {"sw": "spins", "subs-sw": "subs"}
 _DEFAULT_STATS = {"spins": "m,energy", "subs": "edges,clusters"}
 
 
-def cmd_chain(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g = load_graph(args.graph)
+def cmd_chain(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
     world = _KERNEL_WORLDS[args.kernel]
     stats = tuple(s for s in (args.stats or _DEFAULT_STATS[world]).split(",") if s)
     trace = run_chain(g, initial_state(g, world), args.steps, RngStream(args.seed), stats, args.thin)
@@ -211,28 +193,14 @@ def cmd_chain(args: argparse.Namespace) -> int:
     writer.writerow(["step", *stats])
     for row, step in enumerate(trace.steps):
         writer.writerow([step, *(trace.values[name][row] for name in stats)])
-    _emit(buffer.getvalue(), args, _manifest(args), started)
+    emit(buffer.getvalue())
     return EXIT_OK
 
 
-def _cftp_one(g: WeightedGraph, seed: int, index: int, world: str, max_epoch: int) -> tuple:
-    """One perfect sample from its own stream; returns (config, epoch)."""
+def _cftp_record(g: WeightedGraph, seed: int, world: str, max_epoch: int, index: int) -> dict:
+    """Sample ``index`` by CFTP on its own stream, as its output record."""
     config, run = perfect_sample(g, world, RngStream(seed, index), max_epoch)
-    return config, run.epoch
-
-
-def _cftp_samples(
-    g: WeightedGraph, seed: int, world: str, max_epoch: int, samples: int, workers: int
-) -> list[tuple[tuple[int, ...], int]]:
-    one = partial(_cftp_one, g, seed, world=world, max_epoch=max_epoch)
-    if workers <= 1:
-        return [one(i) for i in range(samples)]
-    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-    # each sample has its own stream and map keeps index order, so the
-    # output does not depend on the number of workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(samples), chunksize=math.ceil(samples / workers)))
+    return {"config": list(config), "epoch": run.epoch}
 
 
 def _chain_samples(
@@ -256,45 +224,45 @@ def _chain_samples(
     return samples
 
 
-def _draw(args: argparse.Namespace, method: str) -> tuple[WeightedGraph, list, dict]:
+def _draw(args: argparse.Namespace, g: WeightedGraph, emit: Callable, method: str) -> tuple[list, dict]:
     """Draw ``args.samples`` samples by ``method`` and write them as JSON
-    lines; returns the graph, the samples and the manifest."""
-    started = time.perf_counter()
-    g = load_graph(args.graph)
+    lines; returns the samples and the manifest."""
     world, n = args.world, args.samples
     workers = min(args.jobs, os.cpu_count() or 1) if method == "cftp" and n >= 2 else 1
     machine = {"workers": workers}
-    extra = [{}] * n
     if method != "enum" or world != "spins":
         require_field_free(g)  # only the spins table keeps a field; refused at any n
-    if method == "enum":
-        from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
+    if method == "cftp":
+        one = partial(_cftp_record, g, args.seed, world, args.max_epoch)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-        machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
-        samples = sample_from_table(enumerate_world(g, world), RngStream(args.seed), n)
-    elif method == "cftp":
-        rows = _cftp_samples(g, args.seed, world, args.max_epoch, n, workers)
-        samples = [config for config, _ in rows]
-        extra = [{"epoch": epoch} for _, epoch in rows]
-    else:  # chain
-        samples = _chain_samples(g, world, args.seed, n, args.thin, args.max_epoch)
+            # each sample has its own stream and map keeps index order, so
+            # the output does not depend on the number of workers
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(one, range(n), chunksize=math.ceil(n / workers)))
+        else:
+            records = [one(i) for i in range(n)]
+    else:
+        if method == "enum":
+            from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
 
-    lines = [
-        json.dumps({"config": list(c), **info}, separators=(", ", ": "))
-        for c, info in zip(samples, extra)
-    ]
-    manifest = _manifest(args)
-    _emit("\n".join(lines) + ("\n" if lines else ""), args, manifest, started, machine)
-    return g, samples, manifest
+            machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+            samples = sample_from_table(enumerate_world(g, world), RngStream(args.seed), n)
+        else:  # chain
+            samples = _chain_samples(g, world, args.seed, n, args.thin, args.max_epoch)
+        records = [{"config": list(c)} for c in samples]
+    lines = "".join(json.dumps(r, separators=(", ", ": ")) + "\n" for r in records)
+    return [r["config"] for r in records], emit(lines, machine)
 
 
-def cmd_perfect(args: argparse.Namespace) -> int:
-    _draw(args, "cftp")
+def cmd_perfect(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
+    _draw(args, g, emit, "cftp")
     return EXIT_OK
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    g, samples, manifest = _draw(args, args.method)
+def cmd_sample(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
+    samples, manifest = _draw(args, g, emit, args.method)
     world, n = args.world, args.samples
     summary_stats = {}
     for name, observable in STATISTICS[world].items():
@@ -315,7 +283,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
     from .exact import (  # the oracle loads numpy
         STATIONARITY_TOL,
         ExactTables,
@@ -325,8 +293,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kernel_stationarity_error,
     )
 
-    started = time.perf_counter()
-    g = load_graph(args.graph)
     require_field_free(g)  # an input error before any enumeration, at any size
     finite = not any(math.isinf(b) for b in g.betas)
     within_kernel_caps = g.num_edges <= KERNEL_EDGE_CAP and g.num_nodes <= KERNEL_NODE_CAP
@@ -364,12 +330,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checks.append(report)
 
     passed = all(c.get("passed", True) for c in checks)
-    payload = {"graph": args.graph, "passed": passed, "checks": checks}
-    manifest = _manifest(args)
-    if not args.out:
-        payload["manifest"] = manifest
-    machine = {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
-    _emit(json.dumps(payload, indent=2), args, manifest, started, machine)
+    emit({"graph": args.graph, "passed": passed, "checks": checks},
+         {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
     return EXIT_OK if passed else EXIT_FAILED
 
 
@@ -408,58 +370,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"isingworlds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="rewrite a graph file in another parameterization")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--to", required=True, choices=("beta", "lambda", "p"))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_convert)
+    def command(name: str, func: Callable, about: str, seeded: bool = True) -> argparse.ArgumentParser:
+        """A subcommand with the options every command takes: --graph,
+        --out and, if it draws, --seed."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--graph", required=True)
+        if seeded:
+            p.add_argument("--seed", type=_nonnegative, required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("reduce", help="convert one configuration between worlds")
+    def draw_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--world", required=True, choices=("spins", "subs", "rc"))
+        p.add_argument("--samples", type=_nonnegative, required=True)
+        p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)
+        p.add_argument("--jobs", type=_positive, default=1)
+
+    p = command("convert", cmd_convert, "rewrite a graph file in another parameterization", seeded=False)
+    p.add_argument("--to", required=True, choices=("beta", "lambda", "p"))
+
+    p = command("reduce", cmd_reduce, "convert one configuration between worlds")
     p.add_argument("--from", dest="src", required=True, choices=("subs", "rc", "spins"))
     p.add_argument("--to", required=True, choices=("subs", "rc", "spins"))
-    p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=_nonnegative, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("chain", help="run a cluster-update Markov chain")
+    p = command("chain", cmd_chain, "run a cluster-update Markov chain")
     p.add_argument("--kernel", required=True, choices=("sw", "subs-sw"))
-    p.add_argument("--graph", required=True)
     p.add_argument("--steps", type=_nonnegative, required=True)
-    p.add_argument("--seed", type=_nonnegative, required=True)
     p.add_argument("--stats", help="comma-separated statistic names")
     p.add_argument("--thin", type=_positive, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("perfect", help="exact sampling by coupling from the past")
-    p.add_argument("--world", required=True, choices=("rc", "subs"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--samples", type=_nonnegative, required=True)
-    p.add_argument("--seed", type=_nonnegative, required=True)
-    p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_perfect)
+    draw_options(command("perfect", cmd_perfect, "exact sampling by coupling from the past"))
 
-    p = sub.add_parser("sample", help="draw samples by enumeration, CFTP, or a chain")
-    p.add_argument("--world", required=True, choices=("spins", "subs", "rc"))
+    p = command("sample", cmd_sample, "draw samples by enumeration, CFTP, or a chain")
+    draw_options(p)
     p.add_argument("--method", required=True, choices=("enum", "cftp", "chain"))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--samples", type=_nonnegative, required=True)
-    p.add_argument("--seed", type=_nonnegative, required=True)
     p.add_argument("--thin", type=_positive, default=1)
-    p.add_argument("--max-epoch", type=_epoch_budget, default=DEFAULT_MAX_EPOCH)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify", help="check identities and kernel exactness")
-    p.add_argument("--graph", required=True)
+    p = command("verify", cmd_verify, "check identities and kernel exactness", seeded=False)
     p.add_argument("--all-identities", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -470,9 +420,10 @@ def main(argv: list[str] | None = None) -> int:
     # single-threaded oracle, whose products are at most 4096 x 1024
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         _require_writable(args.out)
-        return args.func(args)
+        return args.func(args, load_graph(args.graph), partial(_emit, args, started))
     except IsingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -579,16 +579,25 @@ KERNEL_LEGS = {
 class KernelMatrix:
     """Exact transition matrix of a kernel, over positive-weight configs.
 
-    Rows index the source world's support, columns the target world's
-    support; each row sums to one.
+    Rows index the ``source`` table's support, columns the ``target``
+    table's support; each row sums to one.  The tables are the ones the
+    matrix was built from, so it keeps no configurations of its own.
     """
 
     kernel: str
-    source_world: str
-    target_world: str
-    source_configs: tuple[tuple[int, ...], ...]
-    target_configs: tuple[tuple[int, ...], ...]
+    source: WorldTable
+    target: WorldTable
     matrix: np.ndarray
+
+    source_world = property(lambda self: self.source.world)
+    target_world = property(lambda self: self.target.world)
+    source_configs = property(lambda self: _support_tuples(self.source))
+    target_configs = property(lambda self: _support_tuples(self.target))
+
+
+def _support_tuples(table: WorldTable) -> tuple[tuple[int, ...], ...]:
+    """The support rows of ``table`` as tuples, in row order."""
+    return tuple(map(tuple, table.rows(table.support).tolist()))
 
 
 class _PresetBits:
@@ -624,10 +633,8 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
     source_world, target_world = KERNEL_SPECS[kernel]
     source, target = getattr(tables, source_world), getattr(tables, target_world)
     convert = REDUCTIONS[(source_world, target_world)]
-    source_configs, target_configs = (
-        tuple(map(tuple, table.rows(table.support).tolist())) for table in (source, target)
-    )
-    column = {config: c for c, config in enumerate(target_configs)}
+    source_configs = _support_tuples(source)
+    column = {config: c for c, config in enumerate(_support_tuples(target))}
     matrix = np.zeros((len(source_configs), len(column)))
     for r, config in enumerate(source_configs):
         row = [0.0] * len(column)
@@ -644,7 +651,7 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
                 row[c] += prob
         matrix[r] = row
     matrix.flags.writeable = False
-    return KernelMatrix(kernel, source_world, target_world, source_configs, target_configs, matrix)
+    return KernelMatrix(kernel, source, target, matrix)
 
 
 def _require_kernel(g: WeightedGraph, kernel: str) -> None:
@@ -670,10 +677,7 @@ def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | Non
     tables = _own_tables(g, tables)
     if kernel in KERNEL_LEGS:
         k1, k2 = (exact_kernel_matrix(g, leg, tables) for leg in KERNEL_LEGS[kernel])
-        return KernelMatrix(
-            kernel, k1.source_world, k2.target_world, k1.source_configs, k2.target_configs,
-            k1.matrix @ k2.matrix,
-        )
+        return KernelMatrix(kernel, k1.source, k2.target, k1.matrix @ k2.matrix)
     if kernel not in tables.kernels:
         tables.kernels[kernel] = _convolve(g, kernel, tables)
     return tables.kernels[kernel]
@@ -685,10 +689,8 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
     Zero (up to rounding) certifies that the kernel maps its source
     distribution onto the target distribution exactly.
     """
-    _require_kernel(g, kernel)
-    tables = _own_tables(g, tables)
     km = exact_kernel_matrix(g, kernel, tables)
-    source, target = getattr(tables, km.source_world), getattr(tables, km.target_world)
+    source, target = km.source, km.target
     pushed = source.probs[source.support] @ km.matrix
     return float(np.max(np.abs(pushed - target.probs[target.support])))
 

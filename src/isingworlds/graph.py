@@ -318,24 +318,16 @@ def reduce_unidirectional_field(g: WeightedGraph) -> FieldReduction:
     performs that conditioning on samples.
     """
     n = g.num_nodes
-    identity = tuple(range(n))
-    if g.field is None or not g.has_field():
-        return FieldReduction(g.without_field(), identity, None, 1, n)
+    if not g.has_field():
+        return FieldReduction(g.without_field(), tuple(range(n)), None, 1, n)
 
     sign = _field_sign(g.field)
     magnitudes = tuple(abs(v) for v in g.field)
     forced = frozenset(v for v in range(n) if math.isinf(magnitudes[v]))
-
-    if not forced:
-        node_map = identity
-        anchor = n
-        new_nodes = n + 1
-    else:
-        survivors = [v for v in range(n) if v not in forced]
-        anchor = len(survivors)
-        remap = {old: new for new, old in enumerate(survivors)}
-        node_map = tuple(remap.get(v, anchor) for v in range(n))
-        new_nodes = anchor + 1
+    survivors = [v for v in range(n) if v not in forced]
+    anchor = len(survivors)
+    remap = {old: new for new, old in enumerate(survivors)}
+    node_map = tuple(remap.get(v, anchor) for v in range(n))
 
     # Accumulate couplings; edges into the anchor merge by beta addition.
     merged: dict[tuple[int, int], float] = {}
@@ -353,7 +345,7 @@ def reduce_unidirectional_field(g: WeightedGraph) -> FieldReduction:
         merged[key] = merged.get(key, 0.0) + magnitudes[v] / 2.0
 
     reduced = WeightedGraph(
-        new_nodes,
+        anchor + 1,
         tuple(merged.keys()),
         tuple(merged.values()),
         None,

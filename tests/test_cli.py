@@ -221,7 +221,7 @@ class TestPerfect:
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("samples", ["0", "1", "50"])
-@pytest.mark.parametrize("world", ["rc", "subs"])
+@pytest.mark.parametrize("world", ["spins", "rc", "subs"])
 def test_perfect_prints_the_lines_of_sample_cftp(world, samples, jobs, capsys):
     # one draw and print path: perfect is sample --method cftp without the summary
     tail = ["--world", world, "--graph", str(fixture_path("grid3x3", "beta")),
@@ -649,7 +649,7 @@ class TestErrors:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before checking --out")
 
-        monkeypatch.setattr(cli, "_cftp_samples", no_sampling)
+        monkeypatch.setattr(cli, "perfect_sample", no_sampling)
         out = str(tmp_path / target)
         graph = str(fixture_path("grid3x3", "beta"))
         assert main(["perfect", "--world", "subs", "--graph", graph, "--samples", "20000",

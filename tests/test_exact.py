@@ -1,5 +1,6 @@
 """Enumeration tables, identities, kernel matrices, and counting."""
 
+import gc
 import math
 import random
 import tracemalloc
@@ -612,6 +613,23 @@ class TestKernelMatrices:
             exact_kernel_matrix(fixture_graph("k4", 0.5), "rc_to_subs", tables)
         with pytest.raises(InvalidParameterError):
             exact_kernel_matrix(fixture_graph("k4", 0.5), "sw_subgraphs", tables)
+
+    def test_leg_matrices_keep_no_configurations(self):
+        # the four conversion matrices on K5 hold their entries and read
+        # their configurations from the tables, which exist before them
+        g = complete_graph(5, 0.44)
+        tables = exact_tables(g)
+        for table in (tables.spins, tables.subs, tables.rc):
+            table.support  # read once, outside the trace
+        tracemalloc.start()
+        try:
+            kernels = [exact_kernel_matrix(g, k, tables) for k in exact.KERNEL_SPECS]
+            gc.collect()  # a full collection empties the tuple free lists, which tracemalloc counts
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= sum(km.matrix.nbytes for km in kernels) + 64 * 1024
+        assert kernels[0].source is tables.subs and kernels[0].target is tables.rc
 
     def test_field_graph_is_refused_by_the_conversions(self):
         g = WeightedGraph(3, ((0, 1), (1, 2), (0, 2)), (0.5, 0.5, 0.5), (0.7, 0.0, 0.0))
