@@ -17,7 +17,7 @@ from .cftp import (
     perfect_sample,
     perfect_subs_sample,
 )
-from .chains import ChainState, ChainTrace, initial_state, run_chain, sw_classic_step, sw_subgraphs_step
+from .chains import ChainState, ChainTrace, draws, initial_state, run_chain, sw_classic_step, sw_subgraphs_step
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -84,6 +84,7 @@ __all__ = [
     "clusters",
     "config_from_string",
     "config_to_string",
+    "draws",
     "empirical_distribution",
     "enumerate_world",
     "exact_kernel_matrix",

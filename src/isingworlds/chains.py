@@ -1,19 +1,26 @@
-"""Markov chains assembled from the exact world-to-world conversions.
+"""Markov chains assembled from the exact world-to-world conversions, and
+the one generator of seeded exact draws.
 
 Both kernels bounce through the random-cluster world and back, so their
 stationary laws are exactly the spins and subgraphs distributions: the
 classic cluster-flip update for spins, and its edge-world counterpart
-that moves between even subgraphs in a single step.
+that moves between even subgraphs in a single step.  :func:`draws`
+turns a seed and a count into exact draws by coupling from the past,
+by one of these chains started from a perfect draw, or from the
+enumeration oracle, and states which stream each draw reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from numbers import Integral
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
-from .errors import InvalidConfigError
-from .graph import WeightedGraph
+from .cftp import DEFAULT_MAX_EPOCH, perfect_sample
+from .errors import InvalidConfigError, InvalidParameterError
+from .graph import WeightedGraph, require_field_free
 from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
 from .rng import RngStream
 from .worlds import SpinConfig, SubgraphConfig, require_statistic, require_support
@@ -110,3 +117,57 @@ def run_chain(
                 column.append(stat(g, config))
     trace.final = ChainState(init.world, config, step)
     return trace
+
+
+DRAW_BLOCK = 128  # CFTP draws in one task handed to ``map``
+
+
+def _cftp_block(g: WeightedGraph, world: str, seed: int, n: int, max_epoch: int, start: int) -> list:
+    """CFTP draws ``start`` up to the block's end (or ``n``), each on its own key."""
+    runs = (perfect_sample(g, world, RngStream(seed, i), max_epoch) for i in range(start, min(start + DRAW_BLOCK, n)))
+    return [(config, run.epoch) for config, run in runs]
+
+
+def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: int = 1,
+          max_epoch: int = DEFAULT_MAX_EPOCH, map: Callable = map) -> Iterator[tuple[tuple[int, ...], int | None]]:
+    """Yield ``n`` exact draws in ``world`` in index order, each as
+    ``(config, epoch)``: the coalescing epoch for ``method="cftp"``, None
+    for ``"chain"`` and ``"enum"``.
+
+    Which stream each draw reads is fixed here, so a seed replays:
+
+    * ``cftp``: draw i is :func:`~isingworlds.cftp.perfect_sample` on
+      ``RngStream(seed, i)`` alone.  Blocks of :data:`DRAW_BLOCK` indices
+      go through ``map`` (a process pool's ``map`` spreads them; it must
+      return the blocks in order), so the draws do not depend on it.
+    * ``chain``: the ``sw`` chain for spins, ``subs-sw`` otherwise,
+      starts from ``perfect_sample`` on ``RngStream(seed, (0, 0))``
+      (``max_epoch`` bounds it) and steps on ``RngStream(seed)``; draw i
+      is its state after ``(i + 1) * thin`` steps, for rc converted by
+      ``subs_to_rc`` on that stream.  The kernels keep the law, so every
+      draw is exact; no draw, no start.
+    * ``enum``: inverse-CDF draws from the enumeration table on
+      ``RngStream(seed)`` (this loads numpy).
+
+    Only ``enum`` in the spins world accepts a field graph; every other
+    case raises on the first ``next``, whatever ``n`` is.
+    """
+    if method != "enum" or world != "spins":
+        require_field_free(g)
+    if method == "cftp":
+        blocks = map(partial(_cftp_block, g, world, seed, n, max_epoch), range(0, n, DRAW_BLOCK))
+        yield from chain.from_iterable(blocks)  # holds no spent block while the next is drawn
+    elif method == "enum":
+        from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
+
+        yield from ((config, None) for config in sample_from_table(enumerate_world(g, world), RngStream(seed), n))
+    elif method != "chain":
+        raise InvalidParameterError(f"unknown sampling method {method!r}")
+    elif n:  # no draw, no start
+        chain_world = "subs" if world == "rc" else world
+        config, _ = perfect_sample(g, chain_world, RngStream(seed, (0, 0)), max_epoch)
+        kernel, rng = _KERNELS[chain_world], RngStream(seed)
+        for _ in range(n):
+            for _ in range(thin):
+                config = kernel(g, config, rng)
+            yield (subs_to_rc(g, config, rng) if world == "rc" else config), None

@@ -21,6 +21,14 @@ payload goes to stdout with timing omitted so repeated runs are
 byte-identical.  An ``--out`` path that cannot be written is an input
 error before any work is done, even before the graph is read.
 
+The sampling commands draw through :func:`~isingworlds.chains.draws`,
+which fixes the stream of every draw, and write its JSON lines a block
+at a time as they are drawn, so memory does not grow with
+``--samples``.  A run that fails midway may have written a prefix of
+whole lines to stdout; ``--out`` is written to a temporary file beside
+it and renamed at the end, so a failed run leaves it and its sidecar
+as they were.
+
 The enumeration oracle (``verify`` and ``sample --method enum``) runs on
 one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is already set, in
 which case the user's value wins; the sidecar records it as
@@ -41,14 +49,16 @@ import math
 import os
 import sys
 import time
+from array import array
 from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .caps import CAPS, KERNEL_EDGE_CAP, KERNEL_NODE_CAP
-from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, perfect_sample
-from .chains import ChainState, initial_state, run_chain
+from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH
+from .chains import DRAW_BLOCK, draws, initial_state, run_chain
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -61,7 +71,7 @@ from .errors import (
 )
 from .graph import WeightedGraph, require_field_free
 from .graphio import graph_to_text, load_graph
-from .reductions import REDUCTIONS, subs_to_rc
+from .reductions import REDUCTIONS
 from .rng import RngStream
 from .worlds import STATISTICS, config_from_string
 
@@ -81,12 +91,16 @@ _EXIT_CODES = (
 )
 
 
-def _emit(args: argparse.Namespace, started: float, payload: str | dict, machine: dict | None = None) -> dict:
+def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str], machine: dict | None = None) -> dict:
     """Write the payload to --out plus a manifest sidecar, or to stdout,
     and return the run manifest.
 
     A dict payload is written as indented JSON; bound for stdout, it
-    carries the manifest as its last entry.  Only the sidecar records
+    carries the manifest as its last entry and ends the line.  Any other
+    payload is an iterable of text chunks, each written as it comes: to
+    stdout, or to a temporary file beside --out that replaces it after
+    the last chunk, so a payload that raises leaves --out as it was and
+    writes no sidecar.  Only the sidecar records
     what depends on the machine: the timing and the ``machine`` entries
     (worker processes for the sampling commands, BLAS threads for the
     enumeration oracle).
@@ -103,21 +117,23 @@ def _emit(args: argparse.Namespace, started: float, payload: str | dict, machine
         manifest["seed"] = args.seed
     out = args.out
     if isinstance(payload, dict):
-        payload = json.dumps(payload if out else {**payload, "manifest": manifest}, indent=2)
-    if out:
-        sidecar = {**manifest, **(machine or {})}
-        try:
-            Path(out).write_text(payload, encoding="utf-8")
-            sidecar["timing_seconds"] = time.perf_counter() - started
-            Path(out + ".manifest.json").write_text(
-                json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-            )
-        except OSError as exc:
-            raise InvalidConfigError(f"cannot write {out}: {exc}") from None
-    else:
-        sys.stdout.write(payload)
-        if payload and not payload.endswith("\n"):  # an empty payload writes nothing
-            sys.stdout.write("\n")
+        text = json.dumps(payload if out else {**payload, "manifest": manifest}, indent=2)
+        payload = [text if out else text + "\n"]
+    if not out:
+        sys.stdout.writelines(payload)
+        return manifest
+    sidecar = {**manifest, **(machine or {})}
+    temp = Path(f"{out}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as handle:
+            handle.writelines(payload)
+        temp.replace(out)
+        sidecar["timing_seconds"] = time.perf_counter() - started
+        Path(out + ".manifest.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {out}: {exc}") from None
+    finally:
+        temp.unlink(missing_ok=True)  # left only by a run that failed
     return manifest
 
 
@@ -131,7 +147,7 @@ def _require_writable(out: str | None) -> None:
         problem = "it is a directory"
     elif not path.parent.is_dir():
         problem = f"no directory {path.parent}"
-    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+    elif not all(os.access(p, os.W_OK) for p in (path, path.parent) if p.exists()):
         problem = "permission denied"
     else:
         return
@@ -166,7 +182,7 @@ def _load_config(path: str, world: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_convert(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
-    emit(graph_to_text(g, args.to))
+    emit([graph_to_text(g, args.to)])
     return EXIT_OK
 
 
@@ -193,67 +209,46 @@ def cmd_chain(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int
     writer.writerow(["step", *stats])
     for row, step in enumerate(trace.steps):
         writer.writerow([step, *(trace.values[name][row] for name in stats)])
-    emit(buffer.getvalue())
+    emit([buffer.getvalue()])
     return EXIT_OK
 
 
-def _cftp_record(g: WeightedGraph, seed: int, world: str, max_epoch: int, index: int) -> dict:
-    """Sample ``index`` by CFTP on its own stream, as its output record."""
-    config, run = perfect_sample(g, world, RngStream(seed, index), max_epoch)
-    return {"config": list(config), "epoch": run.epoch}
+def _bounded_map(pool, ahead: int, fn: Callable, items: Iterable) -> Iterator:
+    """``pool.map(fn, items)`` with at most ``ahead`` tasks submitted past
+    the one being read, where ``Executor.map`` submits every task at once."""
+    pending: list = []  # at most ahead + 1 futures
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > ahead:
+            yield pending.pop(0).result()
+    yield from (future.result() for future in pending)
 
 
-def _chain_samples(
-    g: WeightedGraph, world: str, seed: int, n: int, thin: int, max_epoch: int
-) -> list[tuple[int, ...]]:
-    """``n`` chain states ``thin`` steps apart, from a perfect start on its
-    own key ``(seed, 0, 0)``: the kernels keep the law, so each is exact."""
-    if not n:
-        return []  # no sample, no start
-    chain_world = "subs" if world == "rc" else world
-    start, _ = perfect_sample(g, chain_world, RngStream(seed).substream(0), max_epoch)
-    state = ChainState(chain_world, start)
-    rng = RngStream(seed)
-    samples = []
-    for _ in range(n):
-        state = run_chain(g, state, thin, rng).final
-        config = state.config
-        if world == "rc":
-            config = subs_to_rc(g, config, rng)
-        samples.append(config)
-    return samples
+def _json_lines(records: Iterator, each: Callable) -> Iterator[str]:
+    """The JSON lines of the draws, a block of them joined at a time;
+    ``each`` sees every draw in order."""
+    while block := list(islice(records, DRAW_BLOCK)):
+        for config, _ in block:
+            each(config)
+        yield "".join(json.dumps({"config": list(c), **({} if e is None else {"epoch": e})}) + "\n" for c, e in block)
 
 
-def _draw(args: argparse.Namespace, g: WeightedGraph, emit: Callable, method: str) -> tuple[list, dict]:
+def _draw(args: argparse.Namespace, g: WeightedGraph, emit: Callable, method: str,
+          each: Callable = lambda config: None) -> dict:
     """Draw ``args.samples`` samples by ``method`` and write them as JSON
-    lines; returns the samples and the manifest."""
-    world, n = args.world, args.samples
-    workers = min(args.jobs, os.cpu_count() or 1) if method == "cftp" and n >= 2 else 1
+    lines as they are drawn; ``each`` sees every draw in order.  Returns
+    the manifest."""
+    workers = min(args.jobs, os.cpu_count() or 1) if method == "cftp" and args.samples >= 2 else 1
     machine = {"workers": workers}
-    if method != "enum" or world != "spins":
-        require_field_free(g)  # only the spins table keeps a field; refused at any n
-    if method == "cftp":
-        one = partial(_cftp_record, g, args.seed, world, args.max_epoch)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+    if method == "enum":
+        machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    sample = partial(draws, g, args.world, method, args.seed, args.samples, getattr(args, "thin", 1), args.max_epoch)
+    if workers == 1:
+        return emit(_json_lines(sample(), each), machine)
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-            # each sample has its own stream and map keeps index order, so
-            # the output does not depend on the number of workers
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(one, range(n), chunksize=math.ceil(n / workers)))
-        else:
-            records = [one(i) for i in range(n)]
-    else:
-        if method == "enum":
-            from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
-
-            machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
-            samples = sample_from_table(enumerate_world(g, world), RngStream(args.seed), n)
-        else:  # chain
-            samples = _chain_samples(g, world, args.seed, n, args.thin, args.max_epoch)
-        records = [{"config": list(c)} for c in samples]
-    lines = "".join(json.dumps(r, separators=(", ", ": ")) + "\n" for r in records)
-    return [r["config"] for r in records], emit(lines, machine)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return emit(_json_lines(sample(map=partial(_bounded_map, pool, 2 * workers)), each), machine)
 
 
 def cmd_perfect(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
@@ -262,11 +257,16 @@ def cmd_perfect(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> i
 
 
 def cmd_sample(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
-    samples, manifest = _draw(args, g, emit, args.method)
     world, n = args.world, args.samples
+    columns = {name: (observable, array("d")) for name, observable in STATISTICS[world].items()}
+
+    def keep(config: tuple[int, ...]) -> None:
+        for observable, values in columns.values():
+            values.append(observable(g, config))
+
+    manifest = _draw(args, g, emit, args.method, keep)
     summary_stats = {}
-    for name, observable in STATISTICS[world].items():
-        values = [observable(g, c) for c in samples]
+    for name, (_, values) in columns.items():
         # fsum: exactly rounded, so the summary reads the same on every Python
         mean = math.fsum(values) / n if n else None  # null in the JSON: undefined, not NaN
         var = math.fsum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else None  # one sample: no spread

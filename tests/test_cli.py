@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, exit codes, and determinism."""
 
+import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -7,12 +9,25 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from isingworlds import cli, empirical_distribution, exact_tables, tv_distance
-from isingworlds.cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH
+from isingworlds import (
+    NoCoalescenceError,
+    RngStream,
+    cli,
+    draws,
+    empirical_distribution,
+    exact_tables,
+    perfect_sample,
+    tv_distance,
+)
+from isingworlds.cftp import MAX_EPOCH
+from isingworlds.chains import DRAW_BLOCK
 from isingworlds.cli import main
 from isingworlds.fixtures import fixture_graph, fixture_path
 from isingworlds.graphio import load_graph
@@ -217,6 +232,41 @@ class TestPerfect:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_jobs_do_not_change_output_across_blocks(self, tmp_path, capsys):
+        # three blocks of draws, the last of one draw, on stdout and --out
+        argv = ["perfect", "--world", "subs", "--graph", TRIANGLE,
+                "--samples", str(2 * DRAW_BLOCK + 1), "--seed", "5"]
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"s{jobs}.jsonl"
+            assert main([*argv, "--jobs", jobs]) == 0
+            assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_text(encoding="utf-8")))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == runs[0][1] and runs[0][0].count("\n") == 2 * DRAW_BLOCK + 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_leaves_out_as_it_was(self, jobs, tmp_path, capsys):
+        # within 2**4 steps samples 0-3 coalesce and sample 4 does not
+        grid = str(fixture_path("grid3x3", "beta"))
+        g = load_graph(grid)
+        for i in range(4):
+            perfect_sample(g, "subs", RngStream(8, i), 4)
+        with pytest.raises(NoCoalescenceError):
+            perfect_sample(g, "subs", RngStream(8, 4), 4)
+        argv = ["perfect", "--world", "subs", "--graph", grid, "--samples", "6", "--seed", "8",
+                "--jobs", jobs]
+        assert main(argv) == 0
+        full = capsys.readouterr().out
+        assert main([*argv, "--max-epoch", "4"]) == 4
+        prefix = capsys.readouterr().out
+        assert full.startswith(prefix) and (prefix == "" or prefix.endswith("\n"))
+        out = tmp_path / "draws.jsonl"
+        out.write_bytes(b"an earlier run\n")
+        assert main([*argv, "--max-epoch", "4", "--out", str(out)]) == 4
+        assert out.read_bytes() == b"an earlier run\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["draws.jsonl"]  # no sidecar, no temporary
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -428,6 +478,35 @@ def test_chain_stdout_pinned(name, command, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out).hexdigest() == PINNED_CHAIN_STDOUT[(name, command)]
 
 
+def traced_peak(argv):
+    """The traced peak memory of ``main(argv)``, its stdout discarded."""
+    gc.collect()  # a full collection empties the free lists, which tracemalloc counts
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """Draws are written as they are drawn, so a run's memory does not grow
+    with --samples (bar 8 bytes a draw per statistic in sample's summary)."""
+
+    @pytest.mark.parametrize("command", [["perfect"], ["sample", "--method", "chain"]], ids=["perfect", "chain"])
+    def test_memory_does_not_grow_with_samples(self, command, tmp_path):
+        graph = write(tmp_path, "grid8.beta.graph", grid_text(8, 0.44))
+        argv = [*command, "--world", "rc", "--graph", graph, "--seed", "4"]
+        small, large = (traced_peak([*argv, "--samples", n]) for n in ("200", "2000"))
+        assert large - small < 256 * 1024
+
+    def test_pooled_memory_does_not_grow_with_samples(self):
+        argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--seed", "4", "--jobs", "2"]
+        small, large = (traced_peak([*argv, "--samples", n]) for n in ("2000", "20000"))
+        assert large - small < 256 * 1024
+
+
 class TestChainStart:
     """``sample --method chain`` starts from a perfect draw, so its first
     draw is already exact in law."""
@@ -440,11 +519,10 @@ class TestChainStart:
         n, delta = 10_000, 0.001
         g = fixture_graph(name, beta)
         table = getattr(exact_tables(g), world)
-        draws = [cli._chain_samples(g, world, seed, 1, 1, DEFAULT_MAX_EPOCH)[0]
-                 for seed in range(21_000, 21_000 + n)]
+        firsts = [next(draws(g, world, "chain", seed, 1))[0] for seed in range(21_000, 21_000 + n)]
         support = int((table.probs > 0.0).sum())
         threshold = math.sqrt(math.log((2.0**support - 2.0) * 4 / delta) / (2 * n))
-        assert tv_distance(empirical_distribution(draws, table), table.probs) < threshold
+        assert tv_distance(empirical_distribution(firsts, table), table.probs) < threshold
 
     def test_start_budget_and_zero_samples(self, capsys):
         # the start honours --max-epoch as perfect does; no sample, no start
@@ -456,6 +534,29 @@ class TestChainStart:
         (summary,) = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
         assert summary["samples"] == 0
         assert all(s == {"mean": None, "se": None} for s in summary["stats"].values())
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool with one that maps in this process; the
+    list it returns records the pool sizes asked for."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return SimpleNamespace(result=partial(fn, *args))  # runs when its result is read
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    return sizes
 
 
 class TestCounts:
@@ -503,31 +604,14 @@ class TestCounts:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("cpus,workers", [(3, [3]), (None, [])])
-    def test_jobs_capped_at_cpu_count(self, cpus, workers, monkeypatch, capsys):
-        # records the pool size instead of starting workers; an unknown
-        # cpu count means one job, which runs without a pool
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
+    def test_jobs_capped_at_cpu_count(self, cpus, workers, fake_pool, monkeypatch, capsys):
+        # an unknown cpu count means one job, which runs without a pool
         argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--samples", "4", "--seed", "5"]
         assert main([*argv, "--jobs", "1"]) == 0
         expected = capsys.readouterr().out
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert main([*argv, "--jobs", "64"]) == 0
-        assert started == workers
+        assert fake_pool == workers
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize(
@@ -540,26 +624,12 @@ class TestCounts:
             (3, ["sample", "--world", "rc", "--method", "enum", "--samples", "4"], 1),
         ],
     )
-    def test_manifest_records_workers_used(self, cpus, argv, workers, tmp_path, monkeypatch, capsys):
+    def test_manifest_records_workers_used(self, cpus, argv, workers, fake_pool, tmp_path, monkeypatch, capsys):
         # the sidecar says how many workers ran; stdout stays machine-free
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
         out = str(tmp_path / "d.jsonl")
         args = [*argv, "--graph", TRIANGLE, "--seed", "5", "--jobs", "64", "--out", out]
         assert main(args) == 0
         expected = capsys.readouterr().out
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert main(args) == 0
         assert capsys.readouterr().out == expected
@@ -649,7 +719,7 @@ class TestErrors:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before checking --out")
 
-        monkeypatch.setattr(cli, "perfect_sample", no_sampling)
+        monkeypatch.setattr(cli, "draws", no_sampling)
         out = str(tmp_path / target)
         graph = str(fixture_path("grid3x3", "beta"))
         assert main(["perfect", "--world", "subs", "--graph", graph, "--samples", "20000",

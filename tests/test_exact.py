@@ -218,6 +218,7 @@ def traced(fn, *args):
     tracemalloc.start()
     try:
         result = fn(*args)
+        gc.collect()  # a full collection empties the free lists, which tracemalloc counts as held
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
