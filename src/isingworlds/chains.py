@@ -68,6 +68,13 @@ class ChainTrace:
         return len(self.steps)
 
 
+def _require_counts(*counts: tuple[str, int, int]) -> None:
+    """Raise unless every ``(name, count, least)`` has an integer count of at least ``least``."""
+    for name, count, least in counts:
+        if isinstance(count, bool) or not isinstance(count, Integral) or count < least:
+            raise InvalidConfigError(f"{name} must be an integer of at least {least}, got {count!r}")
+
+
 def initial_state(g: WeightedGraph, world: str) -> ChainState:
     """Deterministic positive-weight starting state for a chain world."""
     if world == "spins":
@@ -92,9 +99,7 @@ def run_chain(
     state and the statistic names (each at most once) are checked before
     any draw, whatever ``steps`` is.
     """
-    for name, count, least in (("steps", steps, 0), ("thin", thin, 1)):
-        if isinstance(count, bool) or not isinstance(count, Integral) or count < least:
-            raise InvalidConfigError(f"{name} must be an integer of at least {least}, got {count!r}")
+    _require_counts(("steps", steps, 0), ("thin", thin, 1))
     if len(set(collect)) != len(collect):
         raise InvalidConfigError(f"each statistic may be collected once, got {list(collect)}")
     kernel = _KERNELS.get(init.world)
@@ -119,17 +124,18 @@ def run_chain(
     return trace
 
 
-DRAW_BLOCK = 128  # CFTP draws in one task handed to ``map``
+DRAW_BLOCK = 128  # the most CFTP draws in one task handed to ``map``
 
 
-def _cftp_block(g: WeightedGraph, world: str, seed: int, n: int, max_epoch: int, start: int) -> list:
-    """CFTP draws ``start`` up to the block's end (or ``n``), each on its own key."""
-    runs = (perfect_sample(g, world, RngStream(seed, i), max_epoch) for i in range(start, min(start + DRAW_BLOCK, n)))
+def _cftp_block(g: WeightedGraph, world: str, seed: int, stop: int, max_epoch: int, size: int, start: int) -> list:
+    """CFTP draws ``start`` up to ``start + size`` (or ``stop``), each on its own key."""
+    runs = (perfect_sample(g, world, RngStream(seed, i), max_epoch) for i in range(start, min(start + size, stop)))
     return [(config, run.epoch) for config, run in runs]
 
 
 def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: int = 1,
-          max_epoch: int = DEFAULT_MAX_EPOCH, map: Callable = map) -> Iterator[tuple[tuple[int, ...], int | None]]:
+          max_epoch: int = DEFAULT_MAX_EPOCH, map: Callable = map,
+          block: int = DRAW_BLOCK) -> Iterator[tuple[tuple[int, ...], int | None]]:
     """Yield ``n`` exact draws in ``world`` in index order, each as
     ``(config, epoch)``: the coalescing epoch for ``method="cftp"``, None
     for ``"chain"`` and ``"enum"``.
@@ -137,9 +143,10 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
     Which stream each draw reads is fixed here, so a seed replays:
 
     * ``cftp``: draw i is :func:`~isingworlds.cftp.perfect_sample` on
-      ``RngStream(seed, i)`` alone.  Blocks of :data:`DRAW_BLOCK` indices
-      go through ``map`` (a process pool's ``map`` spreads them; it must
-      return the blocks in order), so the draws do not depend on it.
+      ``RngStream(seed, i)`` alone.  Blocks of ``block`` indices
+      (default :data:`DRAW_BLOCK`) go through ``map`` (a process pool's
+      ``map`` spreads them; it must return the blocks in order), so the
+      draws depend on neither.
     * ``chain``: the ``sw`` chain for spins, ``subs-sw`` otherwise,
       starts from ``perfect_sample`` on ``RngStream(seed, (0, 0))``
       (``max_epoch`` bounds it) and steps on ``RngStream(seed)``; draw i
@@ -150,12 +157,14 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
       ``RngStream(seed)`` (this loads numpy).
 
     Only ``enum`` in the spins world accepts a field graph; every other
-    case raises on the first ``next``, whatever ``n`` is.
+    case, and a count below 0 (``n``) or 1 (``thin``, ``block``), raises
+    on the first ``next``, whatever ``n`` is.
     """
+    _require_counts(("n", n, 0), ("thin", thin, 1), ("block", block, 1))
     if method != "enum" or world != "spins":
         require_field_free(g)
     if method == "cftp":
-        blocks = map(partial(_cftp_block, g, world, seed, n, max_epoch), range(0, n, DRAW_BLOCK))
+        blocks = map(partial(_cftp_block, g, world, seed, n, max_epoch, block), range(0, n, block))
         yield from chain.from_iterable(blocks)  # holds no spent block while the next is drawn
     elif method == "enum":
         from .exact import enumerate_world, sample_from_table  # the oracle loads numpy

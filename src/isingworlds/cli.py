@@ -18,16 +18,17 @@ handler writes its payload through ``_emit``: with ``--out FILE`` the
 payload goes to the file and a run manifest (including timing) is
 written next to it as ``FILE.manifest.json``; without ``--out`` the
 payload goes to stdout with timing omitted so repeated runs are
-byte-identical.  An ``--out`` path that cannot be written is an input
-error before any work is done, even before the graph is read.
+byte-identical.  An ``--out`` path that cannot be written, or that
+names an existing file that is not a regular one, is an input error
+before any work is done, even before the graph is read.
 
 The sampling commands draw through :func:`~isingworlds.chains.draws`,
 which fixes the stream of every draw, and write its JSON lines a block
 at a time as they are drawn, so memory does not grow with
 ``--samples``.  A run that fails midway may have written a prefix of
 whole lines to stdout; ``--out`` is written to a temporary file beside
-it and renamed at the end, so a failed run leaves it and its sidecar
-as they were.
+the file it names and renamed over that file at the end, so a failed
+run leaves it and its sidecar as they were.
 
 The enumeration oracle (``verify`` and ``sample --method enum``) runs on
 one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is already set, in
@@ -47,6 +48,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from array import array
@@ -98,8 +100,9 @@ def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str
     A dict payload is written as indented JSON; bound for stdout, it
     carries the manifest as its last entry and ends the line.  Any other
     payload is an iterable of text chunks, each written as it comes: to
-    stdout, or to a temporary file beside --out that replaces it after
-    the last chunk, so a payload that raises leaves --out as it was and
+    stdout, or to a temporary file beside the file --out names (through
+    any symlink) that replaces it, with its permission bits, after the
+    last chunk, so a payload that raises leaves --out as it was and
     writes no sidecar.  Only the sidecar records
     what depends on the machine: the timing and the ``machine`` entries
     (worker processes for the sampling commands, BLAS threads for the
@@ -123,11 +126,14 @@ def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str
         sys.stdout.writelines(payload)
         return manifest
     sidecar = {**manifest, **(machine or {})}
-    temp = Path(f"{out}.{os.getpid()}.tmp")
+    target = Path(out).resolve()  # through a symlink, so the link stays and its file is replaced
+    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         with temp.open("w", encoding="utf-8") as handle:
             handle.writelines(payload)
-        temp.replace(out)
+        if target.exists():
+            shutil.copymode(target, temp)
+        temp.replace(target)
         sidecar["timing_seconds"] = time.perf_counter() - started
         Path(out + ".manifest.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -139,12 +145,14 @@ def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str
 
 def _require_writable(out: str | None) -> None:
     """Refuse an --out path that cannot be written before any work is done,
-    so a mistyped directory fails at once instead of after a whole run."""
+    so a mistyped directory fails at once instead of after a whole run.
+    An existing --out must be a regular file (or a symlink to one), as
+    the run renames a new file over it, in a directory it can write."""
     if not out:
         return
-    path = Path(out)
-    if path.is_dir():
-        problem = "it is a directory"
+    path = Path(out).resolve()
+    if path.exists() and not path.is_file():
+        problem = "it is a directory" if path.is_dir() else "it is not a regular file"
     elif not path.parent.is_dir():
         problem = f"no directory {path.parent}"
     elif not all(os.access(p, os.W_OK) for p in (path, path.parent) if p.exists()):
@@ -247,8 +255,11 @@ def _draw(args: argparse.Namespace, g: WeightedGraph, emit: Callable, method: st
         return emit(_json_lines(sample(), each), machine)
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
+    # the fewest rounds of one block a worker, then blocks as even as they go
+    rounds = -(-args.samples // (workers * DRAW_BLOCK))
+    block = -(-args.samples // (workers * rounds))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return emit(_json_lines(sample(map=partial(_bounded_map, pool, 2 * workers)), each), machine)
+        return emit(_json_lines(sample(map=partial(_bounded_map, pool, 2 * workers), block=block), each), machine)
 
 
 def cmd_perfect(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:

@@ -10,6 +10,7 @@ from isingworlds import (
     RngStream,
     UnknownStatisticError,
     WeightedGraph,
+    draws,
     exact_kernel_matrix,
     exact_tables,
     sw_classic_step,
@@ -191,3 +192,16 @@ class TestRunChain:
         batches = hits.reshape(100, -1).mean(axis=1)
         se = batches.std(ddof=1) / math.sqrt(len(batches))
         assert abs(hits.mean() - target) < 3.0 * se + 1e-12
+
+
+class TestDraws:
+    @pytest.mark.parametrize("method", ["cftp", "chain", "enum"])
+    @pytest.mark.parametrize(
+        "n, thin, block",
+        [(3, 0, 128), (-1, 1, 128), (2.0, 1, 128), (True, 1, 128), (3, 1.5, 128), (3, 1, 0)],
+        ids=["zero thin", "negative n", "float n", "bool n", "float thin", "zero block"],
+    )
+    def test_bad_count_rejected_on_first_next(self, method, n, thin, block):
+        g = fixture_graph("k4", 0.5)
+        with pytest.raises(InvalidConfigError):
+            next(draws(g, "subs", method, 3, n, thin, block=block))

@@ -19,6 +19,7 @@ import pytest
 from isingworlds import (
     NoCoalescenceError,
     RngStream,
+    chains,
     cli,
     draws,
     empirical_distribution,
@@ -234,7 +235,8 @@ class TestPerfect:
         assert blobs[0] == blobs[1]
 
     def test_jobs_do_not_change_output_across_blocks(self, tmp_path, capsys):
-        # three blocks of draws, the last of one draw, on stdout and --out
+        # three written blocks of lines, the last of one line, and four
+        # pool blocks of draws, on stdout and --out
         argv = ["perfect", "--world", "subs", "--graph", TRIANGLE,
                 "--samples", str(2 * DRAW_BLOCK + 1), "--seed", "5"]
         runs = []
@@ -639,6 +641,29 @@ class TestCounts:
         assert sidecar["workers"] == workers
         assert sidecar["options"]["jobs"] == 64
 
+    @pytest.mark.parametrize(
+        "samples,blocks",
+        [(3, [(0, 2), (2, 1)]), (100, [(0, 50), (50, 50)]), (301, [(0, 76), (76, 76), (152, 76), (228, 73)])],
+    )
+    def test_pool_splits_draws_evenly(self, samples, blocks, fake_pool, monkeypatch, capsys):
+        # each worker gets as many blocks as the next and no block holds
+        # more than DRAW_BLOCK draws
+        argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--samples", str(samples), "--seed", "5"]
+        assert main([*argv, "--jobs", "1"]) == 0
+        expected = capsys.readouterr().out
+        cftp_block, sizes = chains._cftp_block, []
+
+        def recording(*args):
+            *_, stop, _, size, start = args
+            sizes.append((start, min(start + size, stop) - start))
+            return cftp_block(*args)
+
+        monkeypatch.setattr(chains, "_cftp_block", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert (fake_pool, sizes) == ([2], blocks)
+        assert capsys.readouterr().out == expected
+
     def test_zero_samples_accepted(self, capsys):
         assert main(["perfect", "--world", "rc", "--graph", TRIANGLE,
                      "--samples", "0", "--seed", "1"]) == 0
@@ -725,6 +750,41 @@ class TestErrors:
         assert main(["perfect", "--world", "subs", "--graph", graph, "--samples", "20000",
                      "--seed", "1", "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
+class TestOutFile:
+    """--out is renamed into place at the end of a run: onto the file a
+    symlink names, with the old file's permission bits, and never over
+    anything but a regular file."""
+
+    ARGV = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--samples", "3", "--seed", "2"]
+
+    def test_symlinked_out_writes_the_file_it_names(self, tmp_path, capsys):
+        assert main(self.ARGV) == 0
+        expected = capsys.readouterr().out
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "d.jsonl", tmp_path / "link.jsonl"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert main([*self.ARGV, "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text(encoding="utf-8") == expected
+        assert (tmp_path / "link.jsonl.manifest.json").is_file()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.jsonl", "data", "link.jsonl", "link.jsonl.manifest.json"]
+
+    def test_out_keeps_its_permission_bits(self, tmp_path):
+        out = tmp_path / "d.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(0o604)
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o777 == 0o604
+
+    def test_out_that_is_no_regular_file_is_input_error(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        assert main([*self.ARGV, "--out", str(fifo)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {fifo}: it is not a regular file")
+        assert fifo.is_fifo() and sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
 
 
 def test_console_entry_point_runs():
