@@ -8,7 +8,7 @@ from the past, and a brute-force enumeration oracle that verifies every
 distributional claim on small graphs.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .cftp import (
     CftpRun,

@@ -52,6 +52,22 @@ the chains apart on its edge, which only happens inside the band when
 the upper chain opens the edge and the lower closes it.  Neither rule
 changes a sample, an epoch or a draw; :attr:`CftpRun.steps` counts the
 steps actually run.
+
+Nor need the ladder of epochs start there.  Step -t reads record t - 1
+whatever the epoch, so every horizon replays the same updates from step
+-2**k on.  Once the horizon 2**k has coalesced, the chains of a longer
+one are, at step -2**k, somewhere between all open and all closed, the
+states 2**k starts from, so by monotonicity they end in the same state
+at time 0 (Propp & Wilson).  A ladder that starts at any epoch F thus
+stops at max(E, F), E the epoch where the ladder from a sweep's epoch
+stops, with the same configuration.  :func:`first_epoch` picks F once
+per graph, as the smallest coalescing epoch of three pilot runs on fixed
+keys: it skips epochs that nearly always fail and seldom starts past E.
+F does not depend on the caller's stream, and whether a run stops at
+epoch k depends only on its first 2**k records, so the records after
+the last epoch's are still fresh for a conversion.  The random-cluster
+draw is unchanged; only the conversion after a run lifted past E (when
+E < F) reads later records.
 """
 
 from __future__ import annotations
@@ -70,6 +86,10 @@ DEFAULT_MAX_EPOCH = 24
 # the deepest schedule allowed: 2**27 records of 8 bytes, about 1 GiB
 # (the default 24 holds at most ~134 MB)
 MAX_EPOCH = 27
+# the pilot runs that choose a graph's first epoch: PILOTS of them, on the
+# stream keys (0, PILOT, k); PILOT is "PILOT" in ASCII
+PILOTS = 3
+PILOT = 0x50494C4F54
 
 
 def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -> RcConfig:
@@ -97,11 +117,12 @@ def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -
 class CftpRun:
     """A coalesced run: the exact sample plus how hard it was to get.
 
-    ``epoch`` is the coalescing epoch, whose run started 2**epoch steps in
-    the past.  ``steps`` counts the kernel steps actually run over all
-    epochs: the coalescing epoch in full, a failed epoch up to the step
-    at which it was seen to fail, and none for an epoch shorter than a
-    sweep, which is never run.
+    ``epoch`` is the epoch the run stopped at, whose chains started
+    2**epoch steps in the past: the coalescing epoch, or the graph's
+    first epoch if that is later.  ``steps`` counts the kernel steps
+    actually run over all epochs: the last epoch in full, a failed epoch
+    up to the step at which it was seen to fail, and none for an epoch
+    below the first, which is never run.
     """
 
     config: tuple[int, ...]
@@ -109,14 +130,17 @@ class CftpRun:
     steps: int
 
 
-def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH) -> CftpRun:
+def cftp_rc_run(
+    g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_EPOCH, _first: int | None = None
+) -> CftpRun:
     """Run monotone coupling from the past until coalescence.
 
     Epoch k starts the extremal chains 2**k steps in the past, from the
-    smallest k whose horizon covers a sweep of the free edges.  Raises
-    :class:`NoCoalescenceError` if they have not met by the time the
-    ``max_epoch`` schedule is exhausted, and before any draw if
-    ``max_epoch`` is below that first epoch; callers may retry with a
+    graph's :func:`first_epoch` (``_first`` overrides it; no epoch below
+    the smallest whose horizon covers a sweep of the free edges is run).
+    Raises :class:`NoCoalescenceError` if they have not met by the time
+    the ``max_epoch`` schedule is exhausted, and before any draw if
+    ``max_epoch`` is below a sweep's epoch; callers may retry with a
     larger budget, up to :data:`MAX_EPOCH`.
     """
     max_epoch = _nonnegative_int(max_epoch, "max_epoch")
@@ -129,12 +153,13 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
     if not order:
         return CftpRun(tuple(base), 0, 0)
     sweep = len(order)
-    first = (sweep - 1).bit_length()  # the first epoch whose horizon covers a sweep
-    if max_epoch < first:
+    lowest = (sweep - 1).bit_length()  # the first epoch whose horizon covers a sweep
+    if max_epoch < lowest:
         raise NoCoalescenceError(
             f"no coalescence within 2**{max_epoch} steps: a sweep of the {sweep} free edges "
-            f"takes {sweep} steps, so max_epoch (--max-epoch) must be at least {first}"
+            f"takes {sweep} steps, so max_epoch (--max-epoch) must be at least {lowest}"
         )
+    first = max(lowest, first_epoch(g, max_epoch) if _first is None else _first)
 
     # record t - 1 is the uniform of step -t, which updates order[-t % sweep];
     # drawn once and replayed by every deeper epoch
@@ -188,6 +213,25 @@ def cftp_rc_run(g: WeightedGraph, rng: RngStream, max_epoch: int = DEFAULT_MAX_E
         f"no coalescence within 2**{max_epoch} steps; "
         f"raise max_epoch (at most {MAX_EPOCH}) to search deeper"
     )
+
+
+def first_epoch(g: WeightedGraph, max_epoch: int = DEFAULT_MAX_EPOCH) -> int:
+    """The epoch :func:`cftp_rc_run` starts from on ``g`` under ``max_epoch``:
+    the smallest coalescing epoch of :data:`PILOTS` runs from a sweep's
+    epoch on the keys ``(0, PILOT, k)``, or ``max_epoch`` if none
+    coalesces.  Computed once per graph object and budget and kept on the
+    graph, so a pickled graph carries it; the caller's stream is never read.
+    """
+    known = vars(g).setdefault("_cftp_first_epochs", {})  # beside the graph's cached properties
+    if max_epoch not in known:
+        best = max_epoch
+        for k in range(PILOTS):
+            try:  # a pilot that cannot beat the best so far need not finish
+                best = cftp_rc_run(g, RngStream(0, (PILOT, k)), best, _first=0).epoch
+            except NoCoalescenceError:
+                pass
+        known[max_epoch] = best
+    return known[max_epoch]
 
 
 def perfect_sample(

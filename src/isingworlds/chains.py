@@ -18,7 +18,7 @@ from itertools import chain
 from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
-from .cftp import DEFAULT_MAX_EPOCH, perfect_sample
+from .cftp import DEFAULT_MAX_EPOCH, first_epoch, perfect_sample
 from .errors import InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, require_field_free
 from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
@@ -137,7 +137,7 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
           max_epoch: int = DEFAULT_MAX_EPOCH, map: Callable = map,
           block: int = DRAW_BLOCK) -> Iterator[tuple[tuple[int, ...], int | None]]:
     """Yield ``n`` exact draws in ``world`` in index order, each as
-    ``(config, epoch)``: the coalescing epoch for ``method="cftp"``, None
+    ``(config, epoch)``: the run's epoch for ``method="cftp"``, None
     for ``"chain"`` and ``"enum"``.
 
     Which stream each draw reads is fixed here, so a seed replays:
@@ -146,7 +146,9 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
       ``RngStream(seed, i)`` alone.  Blocks of ``block`` indices
       (default :data:`DRAW_BLOCK`) go through ``map`` (a process pool's
       ``map`` spreads them; it must return the blocks in order), so the
-      draws depend on neither.
+      draws depend on neither.  The graph's
+      :func:`~isingworlds.cftp.first_epoch` is worked out first, so
+      ``g`` carries it to every block.
     * ``chain``: the ``sw`` chain for spins, ``subs-sw`` otherwise,
       starts from ``perfect_sample`` on ``RngStream(seed, (0, 0))``
       (``max_epoch`` bounds it) and steps on ``RngStream(seed)``; draw i
@@ -154,7 +156,7 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
       ``subs_to_rc`` on that stream.  The kernels keep the law, so every
       draw is exact; no draw, no start.
     * ``enum``: inverse-CDF draws from the enumeration table on
-      ``RngStream(seed)`` (this loads numpy).
+      ``RngStream(seed)``, ``block`` at a time (this loads numpy).
 
     Only ``enum`` in the spins world accepts a field graph; every other
     case, and a count below 0 (``n``) or 1 (``thin``, ``block``), raises
@@ -164,12 +166,16 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
     if method != "enum" or world != "spins":
         require_field_free(g)
     if method == "cftp":
+        if n:
+            first_epoch(g, max_epoch)  # kept on g, so a pool's workers get it with g and run no pilot
         blocks = map(partial(_cftp_block, g, world, seed, n, max_epoch, block), range(0, n, block))
         yield from chain.from_iterable(blocks)  # holds no spent block while the next is drawn
     elif method == "enum":
-        from .exact import enumerate_world, sample_from_table  # the oracle loads numpy
+        from .exact import enumerate_world, inverse_cdf  # the oracle loads numpy
 
-        yield from ((config, None) for config in sample_from_table(enumerate_world(g, world), RngStream(seed), n))
+        sample, rng = inverse_cdf(enumerate_world(g, world)), RngStream(seed)
+        for start in range(0, n, block):  # the draws of one sample(rng, n), a block at a time
+            yield from ((config, None) for config in sample(rng, min(block, n - start)))
     elif method != "chain":
         raise InvalidParameterError(f"unknown sampling method {method!r}")
     elif n:  # no draw, no start

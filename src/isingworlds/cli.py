@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .caps import CAPS, KERNEL_EDGE_CAP, KERNEL_NODE_CAP
-from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH
+from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, first_epoch
 from .chains import DRAW_BLOCK, draws, initial_state, run_chain
 from .errors import (
     CapExceededError,
@@ -104,8 +104,9 @@ def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str
     any symlink) that replaces it, with its permission bits, after the
     last chunk, so a payload that raises leaves --out as it was and
     writes no sidecar.  Only the sidecar records
-    what depends on the machine: the timing and the ``machine`` entries
-    (worker processes for the sampling commands, BLAS threads for the
+    what depends on the machine or on how the run went: the timing and
+    the ``machine`` entries (worker processes for the sampling commands,
+    the CFTP first epoch for those that run CFTP, BLAS threads for the
     enumeration oracle).
     """
     manifest = {
@@ -250,6 +251,8 @@ def _draw(args: argparse.Namespace, g: WeightedGraph, emit: Callable, method: st
     machine = {"workers": workers}
     if method == "enum":
         machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    elif args.samples:
+        machine["first_epoch"] = first_epoch(g, args.max_epoch)  # where every CFTP run of the draws starts
     sample = partial(draws, g, args.world, method, args.seed, args.samples, getattr(args, "thin", 1), args.max_epoch)
     if workers == 1:
         return emit(_json_lines(sample(), each), machine)

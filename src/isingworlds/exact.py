@@ -699,22 +699,32 @@ def kernel_stationarity_error(g: WeightedGraph, kernel: str, tables: ExactTables
 # Sampling against tables
 # ---------------------------------------------------------------------------
 
-def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[int, ...]]:
-    """n i.i.d. draws from an exact table by inverse CDF over all rows (a
-    zero-probability row adds exactly 0.0, so it is never drawn); a table
-    with no positive-weight configuration is an error, whatever n is."""
-    n = _nonnegative_int(n, "the sample count")
+def inverse_cdf(table: WorldTable) -> Callable[[RngStream, int], list[tuple[int, ...]]]:
+    """``sample(rng, n)``: n i.i.d. draws from an exact table by inverse CDF
+    over all rows (a zero-probability row adds exactly 0.0, so it is never
+    drawn), one uniform each.  The CDF is summed once, so successive calls
+    on one stream give the draws of one call for their total count.  A
+    table with no positive-weight configuration is an error at once."""
     if not 0.0 < table.Z < math.inf and len(table.support) == 0:
         raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
     cum = np.cumsum(table.probs)
-    us = array("d")
-    rng.uniforms(n, us)
-    # a u past the rounded total takes the last row that adds probability
-    idx = np.minimum(np.searchsorted(cum, us, side="right"), np.searchsorted(cum, cum[-1]))
-    # tuples only for the rows drawn, one per distinct row
-    drawn, which = np.unique(idx, return_inverse=True)
-    configs = list(map(tuple, table.rows(drawn).tolist()))
-    return [configs[k] for k in which]
+    last = np.searchsorted(cum, cum[-1])  # a u past the rounded total takes the last row that adds probability
+
+    def sample(rng: RngStream, n: int) -> list[tuple[int, ...]]:
+        us = array("d")
+        rng.uniforms(_nonnegative_int(n, "the sample count"), us)
+        # tuples only for the rows drawn, one per distinct row
+        drawn, which = np.unique(np.minimum(np.searchsorted(cum, us, side="right"), last), return_inverse=True)
+        configs = list(map(tuple, table.rows(drawn).tolist()))
+        return [configs[k] for k in which]
+
+    return sample
+
+
+def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[int, ...]]:
+    """n i.i.d. draws from an exact table by :func:`inverse_cdf`; a table
+    with no positive-weight configuration is an error, whatever n is."""
+    return inverse_cdf(table)(rng, n)
 
 
 def empirical_distribution(samples: Sequence[tuple[int, ...]], table: WorldTable) -> np.ndarray:

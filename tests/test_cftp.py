@@ -25,8 +25,8 @@ from isingworlds import (
     weight_subs,
 )
 from conftest import joined_without_edge, random_graph
-from isingworlds.cftp import MAX_EPOCH, CftpRun
-from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph, path_graph
+from isingworlds.cftp import MAX_EPOCH, PILOT, PILOTS, CftpRun, first_epoch
+from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
 
 
@@ -111,16 +111,17 @@ class TestSchedule:
         assert run_a == run_b
 
 
-def _reference_run(g, rng, max_epoch=24):
+def _reference_run(g, rng, max_epoch=24, first=0):
     """Monotone CFTP with the unbanded heat-bath rule on both chains at
     every step, connectivity from whole-graph component labels, and the
     uniform of step -t drawn by a scalar call as the t-th record; step -t
     is sweep position k = (-t) mod s, which updates free edge k * a mod s
     of the s free edges, a the integer nearest 0.618 s made coprime to s.
 
-    No epoch shorter than a sweep is run or drawn, and a run stops at a
-    step of the last sweep (t <= s, the edge's last update) that leaves
-    the chains apart on its edge; steps are counted under that rule."""
+    No epoch below ``first`` or shorter than a sweep is run or drawn, and
+    a run stops at a step of the last sweep (t <= s, the edge's last
+    update) that leaves the chains apart on its edge; steps are counted
+    under that rule."""
     free = tuple(e for e, p in enumerate(g.ps) if 0.0 < p < 1.0)
     base = [1 if p >= 1.0 else 0 for p in g.ps]
     if not free:
@@ -132,7 +133,7 @@ def _reference_run(g, rng, max_epoch=24):
     records = []
     steps = 0
     for epoch in range(max_epoch + 1):
-        if 1 << epoch < s:
+        if 1 << epoch < s or epoch < first:
             continue
         while len(records) < 1 << epoch:
             records.append(rng.uniform())
@@ -153,11 +154,12 @@ def _reference_run(g, rng, max_epoch=24):
 
 class TestBitIdentity:
     """The banded kernel, the sandwich shortcut and the two-sided search
-    change no sample and no draw."""
+    change no sample and no draw: from the graph's first epoch, the run is
+    the reference's in configuration, epoch, steps and draws."""
 
     def _assert_same(self, g, seed, stream):
         rng, ref_rng = RngStream(seed, stream), RngStream(seed, stream)
-        assert cftp_rc_run(g, rng) == _reference_run(g, ref_rng)
+        assert cftp_rc_run(g, rng) == _reference_run(g, ref_rng, 24, first_epoch(g))
         assert rng.draws == ref_rng.draws
 
     def test_random_graphs_with_pinned_edges(self):
@@ -171,6 +173,104 @@ class TestBitIdentity:
         g = grid_graph(6, 6, beta)
         for k in range(3):
             self._assert_same(g, 17, k)
+
+
+def _sweep_epoch(g):
+    """The smallest epoch whose horizon covers a sweep of the free edges."""
+    return (len(g.sweep_order) - 1).bit_length()
+
+
+class TestFirstEpoch:
+    """A ladder that starts at epoch F stops at max(E, F), E the epoch of
+    the ladder from a sweep's epoch, with E's configuration: every horizon
+    past coalescence gives the same state at time 0 (Propp & Wilson)."""
+
+    def _assert_lifted(self, g, seed, stream):
+        ref = _reference_run(g, RngStream(seed, stream))
+        # the graph's first epoch, and one past E (a run with no free edge draws nothing)
+        for first in (None, ref.epoch + 1) if ref.steps else (None,):
+            rng = RngStream(seed, stream)
+            run = cftp_rc_run(g, rng, 24, first)
+            assert run.config == ref.config
+            assert run.epoch == max(ref.epoch, first_epoch(g) if first is None else first)
+            assert rng.draws == (2**run.epoch if run.steps else 0)
+
+    def test_random_graphs_with_pinned_edges(self):
+        rnd = random.Random(406)
+        for k in range(50):
+            g = random_graph(rnd, max_nodes=7, max_edges=12, extreme_share=0.3)
+            self._assert_lifted(g, 47, k)
+
+    @pytest.mark.parametrize("side", [6, 8])
+    @pytest.mark.parametrize("beta", [0.3, 0.44, 0.8])
+    def test_grid(self, side, beta):
+        g = grid_graph(side, side, beta)
+        assert first_epoch(g) > _sweep_epoch(g)  # the pilots lift the start on these grids
+        for k in range(4):
+            self._assert_lifted(g, 29, k)
+
+    def test_tiny_fixtures_start_at_a_sweep(self):
+        # the pilots choose a sweep's epoch on the small_replicates graphs,
+        # so their runs are those of a ladder with no pilot
+        for build, k in ((complete_graph, 3), (cycle_graph, 4)):
+            for lam in (0.3, 0.6, 0.9):
+                g = build(k, math.atanh(lam))
+                assert first_epoch(g) == _sweep_epoch(g)
+        g = fixture_graph("grid3x3")
+        assert first_epoch(g) == _sweep_epoch(g)
+
+    def test_budget_clamp(self):
+        # below the pilots' choice the budget is the first epoch; the run
+        # then coalesces exactly where the ladder from a sweep's epoch does
+        free = first_epoch(grid_graph(8, 8, 0.44))
+        lowest = _sweep_epoch(grid_graph(8, 8, 0.44))
+        assert free > lowest
+        for budget in range(lowest, free + 2):
+            g = grid_graph(8, 8, 0.44)
+            assert first_epoch(g, budget) == min(free, budget)
+            for k in range(3):
+                rng, ref_rng = RngStream(31, k), RngStream(31, k)
+                try:
+                    ref = _reference_run(g, ref_rng, budget)
+                except NoCoalescenceError:
+                    with pytest.raises(NoCoalescenceError):
+                        cftp_rc_run(g, rng, budget)
+                else:
+                    assert cftp_rc_run(g, rng, budget).config == ref.config
+
+    def test_pilots_run_once_per_graph_and_budget(self, monkeypatch):
+        from isingworlds import cftp
+
+        pilots = []
+        real = cftp.cftp_rc_run
+
+        def counting(g, rng, *args, **kwargs):
+            if rng.stream[:1] == (PILOT,):
+                pilots.append(id(g))
+            return real(g, rng, *args, **kwargs)
+
+        monkeypatch.setattr(cftp, "cftp_rc_run", counting)
+        g = grid_graph(6, 6, 0.44)
+        for i in range(3):
+            perfect_sample(g, "subs", RngStream(5, i))
+        assert len(pilots) == PILOTS
+        perfect_sample(g, "subs", RngStream(5, 3), 20)
+        assert len(pilots) == 2 * PILOTS
+        perfect_sample(grid_graph(6, 6, 0.44), "subs", RngStream(5, 4))
+        assert len(pilots) == 3 * PILOTS
+
+    def test_same_first_epoch_on_a_fresh_graph(self):
+        # nothing that ran before, on this graph or another, moves it
+        before = first_epoch(grid_graph(8, 8, 0.44))
+        random.seed(7)
+        for g in (grid_graph(8, 8, 0.44), grid_graph(6, 6, 0.8)):
+            first_epoch(g, 8)
+            cftp_rc_run(g, RngStream(0, (PILOT, 0)))
+            perfect_sample(g, "spins", RngStream(9))
+        assert first_epoch(grid_graph(8, 8, 0.44)) == before
+
+    def test_no_free_edge_starts_at_zero(self):
+        assert first_epoch(WeightedGraph.from_edges(3, [(0, 1, math.inf), (1, 2, 0.0)])) == 0
 
 
 class TestCftpSampling:

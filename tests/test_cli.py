@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -27,11 +28,12 @@ from isingworlds import (
     perfect_sample,
     tv_distance,
 )
-from isingworlds.cftp import MAX_EPOCH
+from isingworlds.cftp import MAX_EPOCH, first_epoch
 from isingworlds.chains import DRAW_BLOCK
 from isingworlds.cli import main
 from isingworlds.fixtures import fixture_graph, fixture_path
 from isingworlds.graphio import load_graph
+from isingworlds.worlds import STATISTICS
 
 TRIANGLE = str(fixture_path("triangle", "beta"))
 
@@ -378,14 +380,14 @@ PINNED_CFTP_STDOUT = {
     ("grid3x3", "perfect-subs", 2024): "f40ce57f3202c1d6589aa1ec5527d9ba4415516e60c4e6a8d57e2f29f90137ad",
     ("grid3x3", "perfect-rc", 7): "1e12571d30c618048248b89497075917334cd1ede68d02e0d41780e5a3aebacd",
     ("grid3x3", "perfect-rc", 2024): "3952089ace00e399d4e638116bc93dd2799a51323fac8e87c0c6a580ca3dc18c",
-    ("grid3x3", "sample-spins", 7): "20da2794a49102ffcfa26fd7c6c154393b89619c4cd58e94accf513b43e0b9a7",
-    ("grid3x3", "sample-spins", 2024): "026b86c1286672c3a90aea8418ed0d29d88d56d44cc70ceabc3adfe084afce71",
+    ("grid3x3", "sample-spins", 7): "230966adca88ef6e760320d77037a05240f57b3e2a34757c201051bd83b07adb",
+    ("grid3x3", "sample-spins", 2024): "a06d57d45221380615fe1683be8801f8fea9e600f0d9d79f4471fe495a9b8cf5",
     ("cycle4", "perfect-subs", 7): "df2b9a0ae2faf48dcf2496818a0d96efb1ddd026e5b9a104092ec9eb1174e626",
     ("cycle4", "perfect-subs", 2024): "46e2a40aeb340981fde0a89dfd5576baa146233ebf4099a4b262c08274122ba3",
     ("cycle4", "perfect-rc", 7): "f4deebb3ea79768bbd0f93ffaec6890d6edad9eead2ff617d64ccef1e9b8e480",
     ("cycle4", "perfect-rc", 2024): "23095683c8f3f735259f1d7cb470a1a6e970039757f6ee7dcf3b0be7d2bd1a57",
-    ("cycle4", "sample-spins", 7): "26eff77472477d235b621cb255424a3b878372de5638d7c95b67c6b4b7a6e912",
-    ("cycle4", "sample-spins", 2024): "ff3f375d3cf0dc70e4a9f1dff0bebe39949f18fc63a90bf7329b24eb187d188e",
+    ("cycle4", "sample-spins", 7): "1f5730eefdb9265b7ae71a2521078b54bca13a0732737e36f68af4e3b7641504",
+    ("cycle4", "sample-spins", 2024): "449f43c965d0e6a6775bd580f1c2cbdabb2ed70f4f94ed093c5c776079355734",
 }
 CFTP_COMMANDS = {
     "perfect-subs": ["perfect", "--world", "subs"],
@@ -408,12 +410,12 @@ def test_cftp_stdout_pinned(name, command, seed, monkeypatch, capsys):
 # every draw is the inverse CDF of the table's support over the same
 # uniforms.  How a table is stored and read may change, the draws may not.
 PINNED_ENUM_STDOUT = {
-    ("triangle", "spins"): "701ac5ea2919c82987799b3e59f7f9962717450a0ff1800dbec65492570785c5",
-    ("triangle", "subs"): "4383053d717399220cbbdcaf23b9f9ef7619d1a96fc5198c1389a978ab73fda9",
-    ("triangle", "rc"): "1423f97475ad76083bec08089df3b88ae7bd01dcc57251bd9411643451927ac1",
-    ("grid3x3", "spins"): "c3aec5488b2f7b0dee3abd96bcfcf0a1594528a56dc78c804ddaa05bad2d4d26",
-    ("grid3x3", "subs"): "64ed2f0262b4c5635a854c7d796264db9309dcbe936fa79f3c4474219d5d8a95",
-    ("grid3x3", "rc"): "d6d9c8dc483c56c8df725fc523800286690787dcdacb0f4294ce2932580cdb81",
+    ("triangle", "spins"): "d511ca340faf13d17be694b7771797da8f1a52bbf12e8910c357348498ff427a",
+    ("triangle", "subs"): "08e507b80cb05e702f0e79b485a758689d3cd1ab5b4d57565385735e3deb2240",
+    ("triangle", "rc"): "00cb08f9b49bdf6ec0442477efd7fdca3e23fcdf439098ee227319da3e50ff1b",
+    ("grid3x3", "spins"): "1515feab68b16e124e05e55b7afbc6c70b060ede8a1ce4e78429124027285c3b",
+    ("grid3x3", "subs"): "a006bfab9ce278fb4691b73a97a595747e3ce3350aaa4084594cf86be7a01965",
+    ("grid3x3", "rc"): "a2afb9482103a23d1415915ac2ef2d1c89bff44a364765c1f58354d50160c921",
 }
 
 
@@ -436,14 +438,14 @@ def test_enum_stdout_pinned(name, world, monkeypatch, capsys):
 PINNED_CHAIN_STDOUT = {
     ("grid3x3", "chain-sw"): "baa999e0bbf56614993a8565f2933d8ddec87933fc5360558cb386492efd15d5",
     ("grid3x3", "chain-subs-sw"): "947ecb7fe70539f9a98931028f2dfe3560462ae33043d74f95028935ae1b0854",
-    ("grid3x3", "sample-spins"): "aaaacee700f466c3fdd8ee85bfd57df7a31ad6878b161ffdad3eb997794f6f77",
-    ("grid3x3", "sample-subs"): "ee0faf23fd2ac20ceb0b1546e2a2cd57e1da25bbcc263cc3e803645118a58f6f",
-    ("grid3x3", "sample-rc"): "07a0295eb6ec2c9c38c0b48befe729cea19c6876ae674f976ffcb5dbcf8619b0",
+    ("grid3x3", "sample-spins"): "f5ec005b2baa7beaff9e9cbca5f97cdba69f7621cf4c9a6f43d6cd39ed9f9824",
+    ("grid3x3", "sample-subs"): "84a913a94a7988eba59f0d82185a198e9f74eb79a802eedf1f68327b8e427cdd",
+    ("grid3x3", "sample-rc"): "e43472013863f1e5de40ca8bc4eaeb8054573702b2a3dcea68a158218712ff0d",
     ("grid12", "chain-sw"): "ef82052487a987e27c73ea6df3b24f5be68bcffffaf0ffe36c78f44416fd9221",
     ("grid12", "chain-subs-sw"): "5a7a1e976bc59e7089e7d15f9dd2196abb36e65a8b1735b025c52aa59bcf218e",
-    ("grid12", "sample-spins"): "e8ee8260f5d2812e783290e4f77c563adc9cc96a2313bd98ec4a13f338197675",
-    ("grid12", "sample-subs"): "d9d7f5a179f8d128faf31386c6f68090e45ca8a68f9fdc9340fcc1e6027300c8",
-    ("grid12", "sample-rc"): "531af75a84fee07c7302ebc41b1e4a9bcf96b907194907fcaf88edc5cfc329da",
+    ("grid12", "sample-spins"): "eb59f79340a6c08806eb9cef69e43225fb892ab0331317b36f44be2dff025544",
+    ("grid12", "sample-subs"): "c4bd6f7a0d5c4906630ba89713eb6986113a1f48af171099c4a8bfc1d1da8431",
+    ("grid12", "sample-rc"): "3edf3e501970bf42230c5d4f2231cc3a2476b0e9d8fa11aa1332590b3cfe9eab",
 }
 CHAIN_COMMANDS = {
     "chain-sw": ["chain", "--kernel", "sw", "--steps", "60"],
@@ -502,6 +504,14 @@ class TestStreaming:
         argv = [*command, "--world", "rc", "--graph", graph, "--seed", "4"]
         small, large = (traced_peak([*argv, "--samples", n]) for n in ("200", "2000"))
         assert large - small < 256 * 1024
+
+    def test_enum_memory_grows_only_by_the_summary(self):
+        # the summary keeps 8 bytes a draw per statistic, two in the rc
+        # world: 288 000 bytes over these 18 000 draws.  The draws, taken
+        # a block at a time, keep nothing
+        argv = ["sample", "--method", "enum", "--world", "rc", "--graph", TRIANGLE, "--seed", "4"]
+        small, large = (traced_peak([*argv, "--samples", n]) for n in ("2000", "20000"))
+        assert large - small - 8 * len(STATISTICS["rc"]) * 18_000 < 256 * 1024
 
     def test_pooled_memory_does_not_grow_with_samples(self):
         argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--seed", "4", "--jobs", "2"]
@@ -668,6 +678,66 @@ class TestCounts:
         assert main(["perfect", "--world", "rc", "--graph", TRIANGLE,
                      "--samples", "0", "--seed", "1"]) == 0
         assert capsys.readouterr().out.strip() == ""
+
+
+class TestFirstEpoch:
+    """The CFTP runs of a command start at the graph's first epoch, which
+    the parent works out once and only the sidecar reports."""
+
+    @pytest.mark.parametrize("argv", [["perfect"], ["sample", "--method", "cftp"], ["sample", "--method", "chain"]],
+                             ids=["perfect", "cftp", "chain"])
+    def test_sidecar_records_first_epoch(self, argv, tmp_path, capsys):
+        graph = write(tmp_path, "grid8.beta.graph", grid_text(8, 0.44))
+        args = [*argv, "--world", "subs", "--graph", graph, "--samples", "2", "--seed", "3"]
+        assert main(args) == 0
+        assert main([*args, "--out", str(tmp_path / "d.jsonl")]) == 0
+        assert '"first_epoch"' not in capsys.readouterr().out
+        sidecar = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
+        assert sidecar["first_epoch"] == first_epoch(load_graph(graph)) == 8  # a sweep takes 7
+
+    def test_pool_workers_run_no_pilot(self, tmp_path, monkeypatch, capsys):
+        # tasks reach the workers pickled, as with a process pool; the
+        # graph they carry already holds its first epoch
+        from isingworlds import cftp
+
+        where, pilots, run = ["parent"], [], cftp.cftp_rc_run
+
+        def counting(g, rng, *args, **kwargs):
+            if rng.stream[:1] == (cftp.PILOT,):
+                pilots.append(where[0])
+            return run(g, rng, *args, **kwargs)
+
+        def in_worker(task):
+            fn, args = pickle.loads(task)
+            where[0] = "worker"
+            try:
+                return fn(*args)
+            finally:
+                where[0] = "parent"
+
+        class PicklingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return SimpleNamespace(result=partial(in_worker, pickle.dumps((fn, args))))
+
+        graph = write(tmp_path, "grid8.beta.graph", grid_text(8, 0.44))
+        argv = ["perfect", "--world", "subs", "--graph", graph, "--samples", "6", "--seed", "5"]
+        assert main([*argv, "--jobs", "1"]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(cftp, "cftp_rc_run", counting)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == expected
+        assert pilots == ["parent"] * cftp.PILOTS
 
 
 class TestVerify:
