@@ -23,9 +23,17 @@ of the edge's short cycles, then the two-sided open-subgraph search of
 is also shared across the sandwich: the lower chain asks only when the
 upper chain has just opened the edge, since monotonicity closes it in
 the lower chain otherwise.  Neither shortcut changes a decision or a
-draw.  The run loop makes the kernel's decision inline, with the low
-threshold computed once per edge and the queries marking visited nodes
+draw.  The run loop makes the kernel's decision inline, reading both
+thresholds from per-graph tuples and marking the queries' visited nodes
 in one per-run list of stamps.
+
+Everything a run reads that no draw changes is computed once per graph
+object and kept on it, so a pickled graph carries it to pool workers:
+the sweep order below, and the
+:attr:`~isingworlds.graph.WeightedGraph.cftp_plan` holding the chains'
+two starts, the lower thresholds p / (2 - p) and the first epoch of
+each budget.  An epoch copies the two starts; a small run does only
+per-draw work.
 
 The chains scan the free edges systematically, in golden-ratio stride
 order (:attr:`~isingworlds.graph.WeightedGraph.sweep_order`, computed
@@ -107,9 +115,9 @@ def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -
         raise InvalidParameterError(f"edge index {edge} out of range")
     if not 0.0 <= u < 1.0:
         raise InvalidParameterError(f"uniform variate must lie in [0, 1), got {u}")
-    p = g.ps[edge]
+    low, p = g.cftp_plan.low[edge], g.ps[edge]  # the band, as in cftp_rc_run
     out = list(z)
-    out[edge] = int(u < p / (2.0 - p) or (u < p and _connected_without_edge(g, z, edge, [0] * g.num_nodes)))
+    out[edge] = int(u < low or (u < p and _connected_without_edge(g, z, edge, [0] * g.num_nodes)))
     return tuple(out)
 
 
@@ -147,11 +155,10 @@ def cftp_rc_run(
     if max_epoch > MAX_EPOCH:
         raise InvalidParameterError(f"max_epoch must lie in [0, {MAX_EPOCH}], got {max_epoch}")
     require_field_free(g)
-    ps = g.ps
-    base = [1 if p >= 1.0 else 0 for p in ps]
+    plan = g.cftp_plan
     order = g.sweep_order
     if not order:
-        return CftpRun(tuple(base), 0, 0)
+        return CftpRun(plan.bottom, 0, 0)
     sweep = len(order)
     lowest = (sweep - 1).bit_length()  # the first epoch whose horizon covers a sweep
     if max_epoch < lowest:
@@ -164,17 +171,15 @@ def cftp_rc_run(
     # record t - 1 is the uniform of step -t, which updates order[-t % sweep];
     # drawn once and replayed by every deeper epoch
     uniforms = array("d")
-    low = [p / (2.0 - p) for p in ps]  # the band's lower thresholds, as in heat_bath_rc_step
+    ps, low = g.ps, plan.low  # the band's two thresholds, as in heat_bath_rc_step
     mark = [0] * g.num_nodes
     stamp = 1
     total_steps = 0
     for epoch in range(first, max_epoch + 1):
         horizon = 1 << epoch
         rng.uniforms(horizon - len(uniforms), uniforms)
-        top = list(base)
-        bot = list(base)
-        for e in order:
-            top[e] = 1
+        top = list(plan.top)
+        bot = list(plan.bottom)
         i = -horizon % sweep  # order[i] is the edge of the current step -t
         for t, u in zip(range(horizon, 0, -1), reversed(uniforms)):
             edge = order[i]
@@ -219,10 +224,11 @@ def first_epoch(g: WeightedGraph, max_epoch: int = DEFAULT_MAX_EPOCH) -> int:
     """The epoch :func:`cftp_rc_run` starts from on ``g`` under ``max_epoch``:
     the smallest coalescing epoch of :data:`PILOTS` runs from a sweep's
     epoch on the keys ``(0, PILOT, k)``, or ``max_epoch`` if none
-    coalesces.  Computed once per graph object and budget and kept on the
-    graph, so a pickled graph carries it; the caller's stream is never read.
+    coalesces.  Computed once per graph object and budget and kept in the
+    graph's :attr:`~isingworlds.graph.WeightedGraph.cftp_plan`, so a
+    pickled graph carries it; the caller's stream is never read.
     """
-    known = vars(g).setdefault("_cftp_first_epochs", {})  # beside the graph's cached properties
+    known = g.cftp_plan.first_epochs
     if max_epoch not in known:
         best = max_epoch
         for k in range(PILOTS):

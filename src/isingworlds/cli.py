@@ -242,12 +242,21 @@ def _json_lines(records: Iterator, each: Callable) -> Iterator[str]:
         yield "".join(json.dumps({"config": list(c), **({} if e is None else {"epoch": e})}) + "\n" for c, e in block)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (a cpuset-limited host has fewer than its machine),
+    else the machine's count, or 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _draw(args: argparse.Namespace, g: WeightedGraph, emit: Callable, method: str,
           each: Callable = lambda config: None) -> dict:
     """Draw ``args.samples`` samples by ``method`` and write them as JSON
     lines as they are drawn; ``each`` sees every draw in order.  Returns
     the manifest."""
-    workers = min(args.jobs, os.cpu_count() or 1) if method == "cftp" and args.samples >= 2 else 1
+    workers = min(args.jobs, _usable_cpus()) if method == "cftp" and args.samples >= 2 else 1
     machine = {"workers": workers}
     if method == "enum":
         machine["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")

@@ -247,8 +247,24 @@ class WeightedGraph:
         a = golden_stride(s)
         return tuple(free[k * a % s] for k in range(s))
 
+    @cached_property
+    def cftp_plan(self) -> "CftpPlan":
+        """What every CFTP run on this graph reads that no draw changes."""
+        ps = self.ps
+        return CftpPlan(
+            tuple(1 if p >= 1.0 else 0 for p in ps),
+            tuple(1 if p > 0.0 else 0 for p in ps),
+            tuple(p / (2.0 - p) for p in ps),
+            {},
+        )
+
     def has_field(self) -> bool:
         return self.field is not None and any(b != 0.0 for b in self.field)
+
+    @cached_property
+    def _field_free(self) -> bool:
+        """``not has_field()``, kept: the guard of every sampler call reads it."""
+        return not self.has_field()
 
     def without_field(self) -> "WeightedGraph":
         if self.field is None:
@@ -256,11 +272,32 @@ class WeightedGraph:
         return WeightedGraph(self.num_nodes, self.edges, self.betas, None)
 
 
+@dataclass(frozen=True, eq=False)
+class CftpPlan:
+    """The per-graph constants of coupling from the past
+    (:mod:`isingworlds.cftp`), computed once per graph object as
+    :attr:`WeightedGraph.cftp_plan` and pickled with it.
+
+    ``bottom`` and ``top`` are the lower and upper chains' start: the
+    edges whose p rounds to 1 open and the p = 0 edges closed in both,
+    every free edge closed in ``bottom`` and open in ``top``.  ``low``
+    holds each edge's lower heat-bath threshold p / (2 - p), the
+    open probability when its endpoints are not connected elsewhere.
+    ``first_epochs`` keeps :func:`~isingworlds.cftp.first_epoch`'s
+    answer for each budget.
+    """
+
+    bottom: tuple[int, ...]
+    top: tuple[int, ...]
+    low: tuple[float, ...]
+    first_epochs: dict[int, int]
+
+
 def require_field_free(g: WeightedGraph) -> None:
     """Reject a graph with a field: the three-world correspondence, the
     samplers and the partition-sum identities are stated for field-free
     models."""
-    if g.has_field():
+    if not g._field_free:
         raise InvalidConfigError(
             "graph carries a magnetic field; apply reduce_unidirectional_field first"
         )

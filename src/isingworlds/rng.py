@@ -8,10 +8,15 @@ as lowercase hex digits, each integer followed by a comma (so
 16-byte ``hashlib.blake2b`` digest of those bytes, read as a
 little-endian integer, seeds the stream's ``random.Random``.  Distinct
 keys thus give well separated streams, a substream is the key with one
-more id, and nothing here needs numpy.  ``draws`` counts the
-entropy-consuming calls, which is how reductions report their Bernoulli
-budgets; degenerate Bernoulli draws (success probability 0 or 1) are
-answered without consuming randomness.
+more id, and nothing here needs numpy.  A stream keeps its key's text,
+so a substream checks and formats only its own id; what is left of its
+cost is the digest and the seeding of the Mersenne Twister.  ``draws``
+counts the entropy-consuming calls, which is how reductions report
+their Bernoulli budgets; degenerate Bernoulli draws (success
+probability 0 or 1) are answered without consuming randomness.  A
+``uniforms`` count, a ``randrange`` bound and a substream id are checked
+as the key is, before any draw: a bool, a float or a negative number is
+an error.
 
 The batch draws, :meth:`RngStream.bernoullis` and
 :meth:`RngStream.uniforms`, are draw for draw equal to the scalar calls
@@ -53,11 +58,18 @@ class RngStream:
     """Reproducible uniform/Bernoulli source with draw counting."""
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = 0):
-        self.seed = _nonnegative_int(seed, "seed")
+        seed = _nonnegative_int(seed, "seed")
         ids = stream if isinstance(stream, (tuple, list)) else (stream,)
-        self.stream: tuple[int, ...] = tuple(_nonnegative_int(i, "stream id") for i in ids)
-        key = (self.seed, *self.stream)
-        digest = blake2b(("%x," * len(key) % key).encode(), digest_size=16).digest()
+        ids = tuple(_nonnegative_int(i, "stream id") for i in ids)
+        self._start(seed, ids, "%x," * (1 + len(ids)) % (seed, *ids))
+
+    def _start(self, seed: int, stream: tuple[int, ...], key: str) -> None:
+        """Seed from ``key``, the formatted ``(seed, *stream)``, kept for
+        the substreams."""
+        self.seed = seed
+        self.stream = stream
+        self._key = key
+        digest = blake2b(key.encode(), digest_size=16).digest()
         self._rng = _random.Random(int.from_bytes(digest, "little"))
         self.draws = 0
 
@@ -104,18 +116,27 @@ class RngStream:
     def uniforms(self, count: int, out: array) -> None:
         """Append ``count`` values of :meth:`uniform` to the ``array('d')``
         ``out``, in one call."""
-        if count < 0:
-            raise InvalidParameterError(f"the uniform count must be nonnegative, got {count}")
+        if type(count) is not int or count < 0:
+            count = _nonnegative_int(count, "the uniform count")
         out.extend(starmap(self._rng.random, repeat((), count)))
         self.draws += count
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n); counts as one draw."""
-        if n <= 0:
-            raise InvalidParameterError("randrange needs a positive bound")
+        if type(n) is not int or n <= 0:
+            n = _nonnegative_int(n, "the randrange bound")
+            if not n:
+                raise InvalidParameterError("randrange needs a positive bound, got 0")
         self.draws += 1
         return self._rng.randrange(n)
 
     def substream(self, index: int) -> "RngStream":
-        """Independent child stream; deterministic in (seed, stream, index)."""
-        return RngStream(self.seed, self.stream + (index,))
+        """Independent child stream; deterministic in (seed, stream, index).
+
+        Only ``index`` is checked: the parent's key is valid and kept
+        formatted, so the child's key is that plus ``index``."""
+        if type(index) is not int or index < 0:
+            index = _nonnegative_int(index, "stream id")
+        child = object.__new__(RngStream)
+        child._start(self.seed, self.stream + (index,), self._key + "%x," % index)
+        return child

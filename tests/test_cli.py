@@ -548,6 +548,16 @@ class TestChainStart:
         assert all(s == {"mean": None, "se": None} for s in summary["stats"].values())
 
 
+def allow_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs; None stands for a platform
+    with no affinity set and an unknown CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Replace the process pool with one that maps in this process; the
@@ -621,10 +631,18 @@ class TestCounts:
         argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--samples", "4", "--seed", "5"]
         assert main([*argv, "--jobs", "1"]) == 0
         expected = capsys.readouterr().out
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        allow_cpus(monkeypatch, cpus)
         assert main([*argv, "--jobs", "64"]) == 0
         assert fake_pool == workers
         assert capsys.readouterr().out == expected
+
+    def test_jobs_capped_at_affinity(self, fake_pool, monkeypatch, capsys):
+        # a cpuset-limited process may use fewer CPUs than its machine has
+        allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--samples", "4", "--seed", "5"]
+        assert main([*argv, "--jobs", "64"]) == 0
+        assert fake_pool == [2]
 
     @pytest.mark.parametrize(
         "cpus,argv,workers",
@@ -642,7 +660,7 @@ class TestCounts:
         args = [*argv, "--graph", TRIANGLE, "--seed", "5", "--jobs", "64", "--out", out]
         assert main(args) == 0
         expected = capsys.readouterr().out
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        allow_cpus(monkeypatch, cpus)
         assert main(args) == 0
         assert capsys.readouterr().out == expected
         assert '"workers"' not in expected
@@ -669,7 +687,7 @@ class TestCounts:
             return cftp_block(*args)
 
         monkeypatch.setattr(chains, "_cftp_block", recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         assert main([*argv, "--jobs", "2"]) == 0
         assert (fake_pool, sizes) == ([2], blocks)
         assert capsys.readouterr().out == expected
@@ -734,7 +752,7 @@ class TestFirstEpoch:
         expected = capsys.readouterr().out
         monkeypatch.setattr(cftp, "cftp_rc_run", counting)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         assert main([*argv, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == expected
         assert pilots == ["parent"] * cftp.PILOTS

@@ -1,6 +1,7 @@
 """Coupling conversions, graph construction, and field elimination."""
 
 import math
+import pickle
 import random
 from itertools import permutations
 
@@ -28,6 +29,7 @@ from isingworlds import (
     spins_to_rc,
     subs_to_rc,
 )
+from isingworlds.cftp import first_epoch
 from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
 from isingworlds.graph import golden_stride
 
@@ -179,6 +181,51 @@ class TestSweepOrder:
         assert golden_stride(5) == 3
         assert g.sweep_order == tuple(free[k * 3 % 5] for k in range(5)) == (0, 5, 2, 6, 4)
         assert complete_graph(3, 0.0).sweep_order == ()
+
+
+class TestCftpPlan:
+    """The per-graph CFTP constants equal their definitions, are computed
+    once per graph object, and travel with it."""
+
+    @staticmethod
+    def _graphs():
+        rnd = random.Random(28)
+        for _ in range(40):
+            g = random_graph(rnd, max_nodes=7, max_edges=12, extreme_share=0.3)
+            # some edges past p's rounding: p is 1.0 at beta 18.8
+            yield WeightedGraph(g.num_nodes, g.edges, tuple(18.8 if rnd.random() < 0.2 else b for b in g.betas))
+
+    @staticmethod
+    def _tuples(plan):
+        return plan.bottom, plan.top, plan.low
+
+    def test_tuples_equal_their_definitions(self):
+        assert beta_to_p(18.8) == beta_to_p(math.inf) == 1.0
+        for g in self._graphs():
+            ps = [beta_to_p(b) for b in g.betas]
+            plan = g.cftp_plan
+            assert plan.bottom == tuple(1 if p == 1.0 else 0 for p in ps)  # pinned open
+            assert plan.top == tuple(0 if p == 0.0 else 1 for p in ps)
+            assert plan.low == tuple(p / (2.0 - p) for p in ps)
+            assert [(plan.bottom[e], plan.top[e]) for e in g.sweep_order] == [(0, 1)] * len(g.sweep_order)
+            assert g.cftp_plan is plan
+
+    def test_pickle_keeps_the_plan(self):
+        g = grid_graph(4, 4, 0.44)
+        first_epoch(g, 12)
+        again = pickle.loads(pickle.dumps(g))
+        assert "cftp_plan" in vars(again)  # carried, not recomputed
+        assert self._tuples(again.cftp_plan) == self._tuples(g.cftp_plan)
+        assert again.cftp_plan.first_epochs == g.cftp_plan.first_epochs == {12: first_epoch(g, 12)}
+
+    def test_without_field_gets_a_fresh_plan(self):
+        g = WeightedGraph(3, ((0, 1), (1, 2)), (0.5, 18.8), (0.0, 0.0, 0.0))  # a zero field
+        first_epoch(g)
+        free = g.without_field()
+        assert free is not g and "cftp_plan" not in vars(free)
+        assert free.cftp_plan is not g.cftp_plan and free.cftp_plan.first_epochs == {}
+        p = beta_to_p(0.5)
+        assert self._tuples(free.cftp_plan) == self._tuples(g.cftp_plan) == ((0, 1), (1, 1), (p / (2.0 - p), 1.0))
 
 
 class TestFieldReduction:

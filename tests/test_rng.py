@@ -110,6 +110,26 @@ class TestStreamKey:
         expected = random.Random(int.from_bytes(digest, "little")).random()
         assert RngStream(7, (1, 42)).uniform() == expected
 
+    def test_nested_substreams_are_the_longer_key(self):
+        for seed, stream, path in ((0, (), (0, 0)), (7, (3,), (5, 1, 0)), (2**70, (1, 2), (9, 2**40))):
+            nested = RngStream(seed, stream)
+            for index in path:
+                nested = nested.substream(index)
+            direct = RngStream(seed, stream + path)
+            assert (nested.seed, nested.stream, nested.draws) == (direct.seed, direct.stream, 0)
+            assert self._head(nested, 100) == self._head(direct, 100)
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, 2.5, True, "1", None])
+    def test_bad_substream_index_leaves_the_parent(self, bad):
+        parent = RngStream(7, 3)
+        parent.uniforms(5, array("d"))
+        with pytest.raises(InvalidParameterError):
+            parent.substream(bad)
+        twin = RngStream(7, 3)
+        twin.uniforms(5, array("d"))
+        assert parent.draws == 5
+        assert self._head(parent) == self._head(twin)
+
     def test_golden_values(self):
         # any change to the key derivation changes every seeded output
         assert RngStream(0).uniform() == 0.9090615755421099
@@ -167,3 +187,31 @@ class TestUniforms:
             rng.uniforms(-1, out)
         assert rng.draws == 0 and len(out) == 0
         assert rng.uniform() == RngStream(0).uniform()
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, 2.5, True, "2", None])
+def test_bad_uniform_count_raises_before_a_draw(bad):
+    rng, out = RngStream(0), array("d")
+    with pytest.raises(InvalidParameterError):
+        rng.uniforms(bad, out)
+    assert rng.draws == 0 and len(out) == 0
+    assert rng.uniform() == RngStream(0).uniform()
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, True, False, "2", None])
+def test_bad_randrange_bound_raises_before_a_draw(bad):
+    rng = RngStream(0)
+    with pytest.raises(InvalidParameterError):
+        rng.randrange(bad)
+    assert rng.draws == 0
+    assert rng.uniform() == RngStream(0).uniform()
+
+
+def test_randrange_takes_an_index_like_bound():
+    class Five:
+        def __index__(self):
+            return 5
+
+    a, b = RngStream(3), RngStream(3)
+    assert [a.randrange(Five()) for _ in range(20)] == [b.randrange(5) for _ in range(20)]
+    assert a.draws == b.draws == 20
