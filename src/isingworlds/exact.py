@@ -30,7 +30,7 @@ every per-row float operation is the same whatever the block size, so
 the values are too.  A random-cluster table takes its cluster counts
 from min-label propagation over each block, on the edge-incident nodes
 only, which is deliberately independent of the traversals the samplers
-use (the union-find labels of ``worlds._labels`` and the forest of
+use (the union-find pass of ``worlds._union`` and the forest of
 ``worlds._open_forest``): an oracle sharing that code would share its
 faults.  Parity work likewise covers only edge-incident nodes, so a
 graph with a few edges and many isolated nodes costs no more than its
@@ -601,25 +601,28 @@ def _support_tuples(table: WorldTable) -> tuple[tuple[int, ...], ...]:
 
 
 class _PresetBits:
-    """Stand-in stream for one run of a conversion: the k-th draw with
-    0 < q < 1 returns ``bits[k]`` (0 past the preset bits, appended) and
-    records q in ``qs``; q = 0 or 1 is answered without a draw."""
+    """Stand-in stream for one run of a conversion: the j-th draw with
+    0 < q < 1 returns bit j of ``outcome``, records q in ``qs`` and
+    multiplies ``prob`` by the chance of that answer, so ``prob`` is the
+    left-to-right product over the run's draws; q = 0 or 1 is answered
+    without a draw."""
 
-    def __init__(self, bits: list[int]) -> None:
-        self.bits, self.qs = bits, []
+    def __init__(self, outcome: int) -> None:
+        self.outcome, self.qs, self.prob = outcome, [], 1.0
 
     def bernoullis(self, qs: Sequence[float]) -> list[int]:
-        bits, drawn, out = self.bits, self.qs, []
+        outcome, drawn, out, prob = self.outcome, self.qs, [], self.prob
         for q in qs:
             if 0.0 < q < 1.0:
-                if len(drawn) == len(bits):
-                    bits.append(0)
-                out.append(bits[len(drawn)])
+                bit = outcome >> len(drawn) & 1
+                out.append(bit)
                 drawn.append(q)
+                prob *= q if bit else 1.0 - q
             elif q == 0.0 or q == 1.0:
                 out.append(int(q))
             else:
                 raise InvalidParameterError(f"Bernoulli parameter must lie in [0, 1], got {q}")
+        self.prob = prob
         return out
 
 
@@ -627,8 +630,13 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
     """Run the conversion once per outcome of its Bernoulli draws from each
     source support row, adding each output's probability to its column.
 
-    A run answers the draws past its preset bits with 0, which ends one
-    branch; each such 0 starts a branch that presets it to 1.
+    Outcome b = 0, 1, 2, ... runs once, bit j of b answering draw j.  A
+    run that makes d draws counts when b < 2^d; a larger b only repeats
+    outcome b mod 2^d.  The runs stop at 2^D, D the most draws of any run
+    so far.  That reaches every outcome even when how many draws a run
+    makes depends on earlier answers: an outcome of more than D draws
+    would have made the run of its first D bits, which is below 2^D,
+    draw more than D times.
     """
     source_world, target_world = KERNEL_SPECS[kernel]
     source, target = getattr(tables, source_world), getattr(tables, target_world)
@@ -638,17 +646,16 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
     matrix = np.zeros((len(source_configs), len(column)))
     for r, config in enumerate(source_configs):
         row = [0.0] * len(column)
-        pending: list[list[int]] = [[]]  # the first run is the all-zero branch
-        while pending:
-            rng = _PresetBits(pending.pop())
-            preset = len(rng.bits)
+        b = 0
+        end = 1
+        while b < end:
+            rng = _PresetBits(b)
             c = column.get(convert(g, config, rng))
-            pending.extend(rng.bits[:k] + [1] for k in range(preset, len(rng.bits)))
-            if c is not None:
-                prob = 1.0
-                for q, bit in zip(rng.qs, rng.bits):
-                    prob *= q if bit else 1.0 - q
-                row[c] += prob
+            drawn = len(rng.qs)
+            end = max(end, 1 << drawn)
+            if c is not None and not b >> drawn:
+                row[c] += rng.prob
+            b += 1
         matrix[r] = row
     matrix.flags.writeable = False
     return KernelMatrix(kernel, source, target, matrix)

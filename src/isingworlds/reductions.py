@@ -8,7 +8,7 @@ consuming more than one Bernoulli per edge plus one per cluster.
 
 The two conversions out of the random-cluster world read the open
 subgraph through the traversals in :mod:`isingworlds.worlds`: the spins
-conversion flips its clusters, labelled by union-find, and the subgraphs
+conversion flips the clusters of the union-find pass, and the subgraphs
 conversion peels its spanning forest.
 
 Each conversion first collects the success probabilities of its
@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .graph import WeightedGraph
 from .rng import RngStream
-from .worlds import RcConfig, SpinConfig, SubgraphConfig, _labels, _open_forest, require_support
+from .worlds import RcConfig, SpinConfig, SubgraphConfig, _open_forest, _union, require_support
 
 
 def subs_to_rc(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> RcConfig:
@@ -96,11 +96,13 @@ def rc_to_subs(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SubgraphCo
 def rc_to_spins(g: WeightedGraph, z: Sequence[int], rng: RngStream) -> SpinConfig:
     """Assign one fair +/-1 spin per cluster; one Bernoulli per cluster.
 
-    The clusters come from union-find labels, each the cluster's smallest
-    node, and take their coins in ascending order of those nodes.
+    The clusters come from the union-find pass, whose roots are each
+    cluster's smallest node, and take their coins in ascending order of
+    those nodes.  Any other node v copies the spin of ``root[v] < v``,
+    which is in its cluster and already set, so no relabel pass is needed.
     """
     require_support(g, "rc", z)
-    root, count = _labels(g, z)
+    root, count = _union(g, z)
     bits = rng.bernoullis([0.5] * count)
     x: list[int] = []
     k = 0

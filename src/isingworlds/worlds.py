@@ -16,11 +16,14 @@ conversion and chain applies to its input, adds a field-free graph and
 positive weight.
 
 All three worlds meet at the clusters of an open edge set, and this
-module holds every traversal of that open subgraph: cluster labels by
-union-find over the open edges (:func:`clusters`, the spins conversion
-and the ``clusters`` statistic), the maximal spanning forest that the
-subgraphs conversion peels, and the single-edge connectivity query of
-the heat-bath kernel.
+module holds every traversal of that open subgraph: the union-find pass
+over the open edges (:func:`_union`), the maximal spanning forest that
+the subgraphs conversion peels, and the single-edge connectivity query
+of the heat-bath kernel.  The union-find pass alone gives the cluster
+count, which the ``clusters`` statistics read, and the spins conversion
+resolves its nodes in ascending order from it; only :func:`clusters`
+pays for the relabel pass of :func:`_labels` that makes every label its
+cluster's smallest node.
 """
 
 from __future__ import annotations
@@ -110,16 +113,17 @@ def require_support(g: WeightedGraph, world: str, config: Sequence[int]) -> None
 # Open-subgraph traversal
 # ---------------------------------------------------------------------------
 
-def _labels(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
-    """Cluster labels of the open subgraph by union-find.
+def _union(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
+    """The union-find pass over the open subgraph.
 
-    Returns ``(root, count)`` where ``root[v]`` is the smallest node of
-    ``v``'s cluster and ``count`` is the number of clusters.  Each open
-    edge costs one find per endpoint, with path halving (Tarjan & van
-    Leeuwen, JACM 31, 1984), and a union hangs the larger root under the
-    smaller, so ``root[v] <= v`` throughout and every root is its
-    cluster's minimum.  One ascending pass then points each node at its
-    root: ``root[v]``'s own entry is final before ``v`` is reached.
+    Returns ``(root, count)`` where ``count`` is the number of clusters.
+    Each open edge costs one find per endpoint, with path halving (Tarjan
+    & van Leeuwen, JACM 31, 1984), and a union hangs the larger root under
+    the smaller, so ``root[v] <= v`` throughout: every root is its
+    cluster's minimum, and every other node has ``root[v] < v`` inside its
+    own cluster, though not yet its root.  A reader of the count, or one
+    that resolves nodes in ascending order as :func:`_labels` and the
+    spins conversion do, needs no more than this pass.
     """
     n = g.num_nodes
     root = list(range(n))
@@ -137,7 +141,18 @@ def _labels(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
         elif j < i:
             root[i] = j
             count -= 1
-    for v in range(n):
+    return root, count
+
+
+def _labels(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
+    """Canonical cluster labels: :func:`_union`, then one ascending pass
+    that points each node at its root, so ``root[v]`` is the smallest
+    node of ``v``'s cluster (``root[v]``'s own entry is final before
+    ``v`` is reached).  Only :func:`clusters` needs the labels
+    themselves.
+    """
+    root, count = _union(g, z)
+    for v in range(len(root)):
         root[v] = root[root[v]]
     return root, count
 
@@ -150,7 +165,8 @@ def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[in
     is node-discovery order, roots taken in ascending order.  Scanning
     ``order`` backwards retires each non-root node's unique parent edge
     while it is a leaf of what remains, which is how the subgraphs
-    conversion peels it; cluster labels alone come from :func:`_labels`.
+    conversion peels it; cluster counts come from :func:`_union` and
+    labels from :func:`_labels`.
     """
     n = g.num_nodes
     adj = g.adjacency
@@ -232,7 +248,7 @@ def _connected_without_edge(
 
 def clusters(g: WeightedGraph, z: Sequence[int]) -> ClusterPartition:
     """Connected components induced by the open edges of ``z``, labelled
-    by union-find (:func:`_labels`)."""
+    by union-find (:func:`_labels`), each by its smallest node."""
     validate_config(g, "rc", z)
     root, count = _labels(g, z)
     return ClusterPartition(tuple(root), count)
@@ -245,12 +261,21 @@ def clusters(g: WeightedGraph, z: Sequence[int]) -> ClusterPartition:
 def spins_energy(g: WeightedGraph, x: Sequence[int]) -> float:
     """Interaction energy -sum(beta * x_i * x_j) over finite couplings.
 
-    Infinite couplings act as hard constraints and are excluded.
+    Infinite couplings act as hard constraints and are excluded.  Each
+    edge, in edge order, subtracts beta when its +/-1 spins agree and
+    adds it when they disagree, with no multiplication.  For +/-1 spins
+    beta * x_i * x_j is exactly beta or -beta, and IEEE defines
+    ``t - (-b)`` as ``t + b``, so every partial sum, signed zeros
+    included, equals that of ``total -= beta * x[i] * x[j]`` on any
+    Python (``sum`` would not: its rounding changed in 3.12).
     """
     total = 0.0
     for (i, j), beta in zip(g.edges, g.betas):
         if beta != math.inf:  # betas are never NaN or negative
-            total -= beta * x[i] * x[j]
+            if x[i] == x[j]:
+                total -= beta
+            else:
+                total += beta
     return total
 
 
@@ -261,7 +286,7 @@ def _total(g: WeightedGraph, config: Sequence[int]) -> float:
 
 def _cluster_count(g: WeightedGraph, z: Sequence[int]) -> float:
     validate_config(g, "rc", z)
-    return float(_labels(g, z)[1])
+    return float(_union(g, z)[1])
 
 
 _Statistic = Callable[[WeightedGraph, Sequence[int]], float]
@@ -273,7 +298,7 @@ STATISTICS: dict[str, dict[str, _Statistic]] = {
         "m": _total,
         "energy": spins_energy,
         # the agreement list is 0/1 of length m by construction: no guard
-        "clusters": lambda g, x: float(_labels(g, [x[i] == x[j] for i, j in g.edges])[1]),
+        "clusters": lambda g, x: float(_union(g, [x[i] == x[j] for i, j in g.edges])[1]),
     },
     "subs": {"edges": _total, "clusters": _cluster_count},
     "rc": {"edges": _total, "clusters": _cluster_count},

@@ -503,6 +503,51 @@ class TestIdentityGatesCatchAPlantedDefect:
                 assert 1e-10 < report.relative_error < 1e-7, (name, report.relative_error)
 
 
+class _BranchBits:
+    """The stand-in stream of the branching driver below: the k-th draw
+    with 0 < q < 1 returns ``bits[k]``, 0 past the preset bits."""
+
+    def __init__(self, bits):
+        self.bits, self.qs = bits, []
+
+    def bernoullis(self, qs):
+        out = []
+        for q in qs:
+            if 0.0 < q < 1.0:
+                if len(self.qs) == len(self.bits):
+                    self.bits.append(0)
+                out.append(self.bits[len(self.qs)])
+                self.qs.append(q)
+            else:
+                out.append(int(q))
+        return out
+
+
+def branching_matrix(g, kernel, tables):
+    """A conversion's matrix by depth-first branching on its draws: each
+    run answers the draws past its preset bits with 0, and each such 0
+    starts a branch that presets it to 1."""
+    source_world, target_world = exact.KERNEL_SPECS[kernel]
+    source, target = getattr(tables, source_world), getattr(tables, target_world)
+    convert = REDUCTIONS[(source_world, target_world)]
+    rows = [tuple(row) for row in source.rows(source.support).tolist()]
+    column = {tuple(row): c for c, row in enumerate(target.rows(target.support).tolist())}
+    matrix = np.zeros((len(rows), len(column)))
+    for r, config in enumerate(rows):
+        pending = [[]]
+        while pending:
+            rng = _BranchBits(pending.pop())
+            preset = len(rng.bits)
+            c = column.get(convert(g, config, rng))
+            pending.extend(rng.bits[:k] + [1] for k in range(preset, len(rng.bits)))
+            if c is not None:
+                prob = 1.0
+                for q, bit in zip(rng.qs, rng.bits):
+                    prob *= q if bit else 1.0 - q
+                matrix[r, c] += prob
+    return matrix
+
+
 class TestKernelMatrices:
     def test_rows_stochastic(self):
         # p rounds to 1 at 18.8 and 19.0, where lambda does not yet
@@ -586,6 +631,19 @@ class TestKernelMatrices:
                             prob *= q if z[e] else 1.0 - q
                         expected.append(prob)
                 assert bit_equal(km.matrix, np.reshape(expected, km.matrix.shape)), (g, kernel)
+
+    def test_leg_matrices_equal_the_branching_driver(self):
+        # the outcome-mask driver gives every conversion matrix bit for bit,
+        # at couplings of 0 and inf and where p rounds to 1
+        grid2x3 = WeightedGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)),
+                                (0.0, math.inf, 0.3, 0.0, math.inf, 0.7, 18.8))
+        graphs = [complete_graph(5, 0.44), fixture_graph("k4", 0.45),
+                  fixture_graph("cycle4", [0.0, 18.8, 19.0, math.inf]), grid2x3, *band_graphs(29, 12)]
+        for g in graphs:
+            tables = exact_tables(g)
+            for kernel in exact.KERNEL_SPECS:
+                km = exact_kernel_matrix(g, kernel, tables)
+                assert bit_equal(km.matrix, branching_matrix(g, kernel, tables)), (g, kernel)
 
     def test_branches_follow_draws_that_depend_on_earlier_ones(self, monkeypatch):
         # subs -> spins -> rc draws one coin per cluster of a random rc

@@ -32,10 +32,12 @@ from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
 from isingworlds.worlds import (
     STATISTICS,
     _connected_without_edge,
+    _union,
     config_from_string,
     config_to_string,
     require_statistic,
     require_support,
+    spins_energy,
     validate_config,
 )
 
@@ -170,6 +172,15 @@ class TestLogDomainAgreement:
                     assert logv == -math.inf
 
 
+def adversarial_orders():
+    """A long path listed from its far end, and a star centred on its
+    highest node: every union hangs a root under a lower one."""
+    n = 20_000
+    path = WeightedGraph(n, tuple((v, v + 1) for v in reversed(range(n - 1))), (0.5,) * (n - 1))
+    star = WeightedGraph(60, tuple((v, 59) for v in range(59)), (0.5,) * 59)
+    return path, star
+
+
 class TestClusters:
     def test_triangle_extremes(self):
         g = complete_graph(3, 0.5)
@@ -220,10 +231,9 @@ class TestClusters:
         assert isolated > 0
 
     def test_labels_on_adversarial_edge_orders(self):
-        # a long path listed from its far end, open but for every 1000th
-        # edge, and a star centred on its highest node
-        n = 20_000
-        path = WeightedGraph(n, tuple((v, v + 1) for v in reversed(range(n - 1))), (0.5,) * (n - 1))
+        # the path open but for every 1000th edge
+        path, star = adversarial_orders()
+        n = path.num_nodes
         z = tuple(0 if i % 1000 == 999 else 1 for i in range(n - 1))
         part = clusters(path, z)
         assert part.component_id == bfs_component_labels(path, z)
@@ -231,11 +241,33 @@ class TestClusters:
         assert part.component_id[0] == 0 and part.component_id[-1] == n - 1000
         for z in ((1,) * (n - 1), (0,) * (n - 1)):
             assert clusters(path, z).component_id == bfs_component_labels(path, z)
-        star = WeightedGraph(60, tuple((v, 59) for v in range(59)), (0.5,) * 59)
         for z in ((1,) * 59, tuple(int(v % 3 == 0) for v in range(59))):
             part = clusters(star, z)
             assert part.component_id == bfs_component_labels(star, z)
             assert part.count == 60 - sum(map(bool, z))
+
+
+    @staticmethod
+    def _check_union(g, z):
+        root, count = _union(g, z)
+        labels, dfs_count = dfs_component_labels(g, z)
+        assert count == clusters(g, z).count == dfs_count
+        # each root is its cluster's minimum; any other node points lower
+        # inside its own cluster
+        for v, c in enumerate(root):
+            assert c == v if labels[v] == v else labels[v] <= c < v and labels[c] == labels[v]
+
+    def test_union_count_matches_the_labels_and_a_dfs(self):
+        rnd = random.Random(2929)
+        for _ in range(200):
+            g = random_graph(rnd, max_nodes=12, max_edges=18, extreme_share=0.3)
+            self._check_union(g, tuple(rnd.randint(0, 1) for _ in range(g.num_edges)))
+        path, star = adversarial_orders()
+        m = path.num_edges
+        for z in ((1,) * m, (0,) * m, tuple(0 if i % 1000 == 999 else 1 for i in range(m))):
+            self._check_union(path, z)
+        for z in ((1,) * 59, tuple(int(v % 3 == 0) for v in range(59))):
+            self._check_union(star, z)
 
 
 class TestConnectedWithoutEdge:
@@ -420,6 +452,34 @@ class TestStatistics:
             for world in ("subs", "rc"):
                 assert require_statistic(world, "edges")(g, z) == sum(z)
                 assert require_statistic(world, "clusters")(g, z) == dfs_component_labels(g, z)[1]
+
+    def test_energy_equals_the_product_form_bit_for_bit(self):
+        # spins_energy adds or subtracts beta by agreement; the product form
+        # subtracts beta * x_i * x_j, which for +/-1 spins is the same float
+        # operation, signed zeros included
+        def product_energy(g, x):
+            total = 0.0
+            for (i, j), beta in zip(g.edges, g.betas):
+                if beta != math.inf:
+                    total -= beta * x[i] * x[j]
+            return total
+
+        def same(a, b):
+            return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+        rnd = random.Random(2931)
+        betas = (0.0, 1e-300, 0.44, 18.8, math.inf)
+        for _ in range(300):
+            n = rnd.randint(1, 10)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            edges = tuple(sorted(rnd.sample(pairs, rnd.randint(0, len(pairs)))))
+            g = WeightedGraph(n, edges, tuple(rnd.choice(betas) for _ in edges))
+            for _ in range(3):
+                x = tuple(rnd.choice((-1, 1)) for _ in range(n))
+                assert same(spins_energy(g, x), product_energy(g, x)), (g, x)
+        zero = complete_graph(5, 0.0)
+        for x in ((1, 1, 1, 1, 1), (1, -1, 1, -1, -1), (-1,) * 5):
+            assert same(spins_energy(zero, x), 0.0)
 
     def test_table_order(self):
         # the CLI summary lists each world's statistics in this order
