@@ -22,11 +22,14 @@ byte-identical.  An ``--out`` path that cannot be written, or that
 names an existing file that is not a regular one, is an input error
 before any work is done, even before the graph is read.
 
-The sampling commands draw through :func:`~isingworlds.chains.draws`,
-which fixes the stream of every draw, and write its JSON lines a block
-at a time as they are drawn, so memory does not grow with
-``--samples``.  A run that fails midway may have written a prefix of
-whole lines to stdout; ``--out`` is written to a temporary file beside
+Every command that writes a line per draw or per step writes it a
+block at a time as it is made, so memory does not grow with
+``--samples`` or ``--steps``: the sampling commands draw through
+:func:`~isingworlds.chains.draws`, which fixes the stream of every
+draw, and ``chain`` writes its CSV rows as successive
+:func:`~isingworlds.chains.run_chain` blocks on one stream produce
+them.  A run that fails midway may have written a prefix of whole
+lines to stdout; ``--out`` is written to a temporary file beside
 the file it names and renamed over that file at the end, so a failed
 run leaves it and its sidecar as they were.
 
@@ -42,9 +45,7 @@ Exit codes: 0 success, 1 failed verification, 2 input/parse error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -60,7 +61,7 @@ from typing import Callable, Iterable, Iterator
 from . import __version__
 from .caps import CAPS, KERNEL_EDGE_CAP, KERNEL_NODE_CAP
 from .cftp import DEFAULT_MAX_EPOCH, MAX_EPOCH, first_epoch
-from .chains import DRAW_BLOCK, draws, initial_state, run_chain
+from .chains import DRAW_BLOCK, ChainState, draws, initial_state, run_chain
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -71,7 +72,7 @@ from .errors import (
     UnknownStatisticError,
     UnsupportedFieldError,
 )
-from .graph import WeightedGraph, require_field_free
+from .graph import PARAM_NAMES, WeightedGraph, require_field_free
 from .graphio import graph_to_text, load_graph
 from .reductions import REDUCTIONS
 from .rng import RngStream
@@ -212,13 +213,21 @@ _DEFAULT_STATS = {"spins": "m,energy", "subs": "edges,clusters"}
 def cmd_chain(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
     world = _KERNEL_WORLDS[args.kernel]
     stats = tuple(s for s in (args.stats or _DEFAULT_STATS[world]).split(",") if s)
-    trace = run_chain(g, initial_state(g, world), args.steps, RngStream(args.seed), stats, args.thin)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["step", *stats])
-    for row, step in enumerate(trace.steps):
-        writer.writerow([step, *(trace.values[name][row] for name in stats)])
-    emit([buffer.getvalue()])
+    rng, block = RngStream(args.seed), DRAW_BLOCK * args.thin
+
+    def rows(state: ChainState) -> Iterator[str]:
+        """The CSV text: the header, then the rows of ``block`` steps at a
+        time, each block resuming from the last one's final state on the
+        one stream.  No field needs quoting: the step is an int, the
+        values are floats and the names are those of ``STATISTICS``."""
+        yield ",".join(("step", *stats)) + "\r\n"
+        for start in range(0, args.steps, block):
+            trace = run_chain(g, state, min(block, args.steps - start), rng, stats, args.thin)
+            state = trace.final
+            yield "".join(",".join(map(str, row)) + "\r\n" for row in zip(trace.steps, *trace.values.values()))
+
+    # a run of no steps makes every check, so a bad option writes nothing
+    emit(rows(run_chain(g, initial_state(g, world), 0, rng, stats, args.thin).final))
     return EXIT_OK
 
 
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_positive, default=1)
 
     p = command("convert", cmd_convert, "rewrite a graph file in another parameterization", seeded=False)
-    p.add_argument("--to", required=True, choices=("beta", "lambda", "p"))
+    p.add_argument("--to", required=True, choices=PARAM_NAMES)
 
     p = command("reduce", cmd_reduce, "convert one configuration between worlds")
     p.add_argument("--from", dest="src", required=True, choices=("subs", "rc", "spins"))

@@ -28,8 +28,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidConfigError, InvalidParameterError, UnsupportedFieldError
 
-PARAM_NAMES = ("beta", "lambda", "p")
-
 
 def _require_number(value: float, what: str) -> float:
     value = float(value)
@@ -75,26 +73,28 @@ def p_to_beta(p: float) -> float:
     return -0.5 * math.log1p(-p)
 
 
+# each parameterization's conversions (to beta, from beta); beta to beta
+# is the identity, unchecked
+_PARAMS = {
+    "beta": (_require_beta, lambda beta: beta),
+    "lambda": (lambda_to_beta, beta_to_lambda),
+    "p": (p_to_beta, beta_to_p),
+}
+PARAM_NAMES = tuple(_PARAMS)
+
+
 def coupling_to_beta(value: float, param: str) -> float:
     """Convert an edge value given in any supported parameterization to beta."""
-    if param == "beta":
-        return _require_beta(value)
-    if param == "lambda":
-        return lambda_to_beta(value)
-    if param == "p":
-        return p_to_beta(value)
-    raise InvalidParameterError(f"unknown parameterization {param!r}")
+    if param not in _PARAMS:
+        raise InvalidParameterError(f"unknown parameterization {param!r}")
+    return _PARAMS[param][0](value)
 
 
 def beta_to_param(beta: float, param: str) -> float:
     """Express a canonical beta coupling in the requested parameterization."""
-    if param == "beta":
-        return beta
-    if param == "lambda":
-        return beta_to_lambda(beta)
-    if param == "p":
-        return beta_to_p(beta)
-    raise InvalidParameterError(f"unknown parameterization {param!r}")
+    if param not in _PARAMS:
+        raise InvalidParameterError(f"unknown parameterization {param!r}")
+    return _PARAMS[param][1](beta)
 
 
 def golden_stride(s: int) -> int:

@@ -22,8 +22,8 @@ the subgraphs conversion peels, and the single-edge connectivity query
 of the heat-bath kernel.  The union-find pass alone gives the cluster
 count, which the ``clusters`` statistics read, and the spins conversion
 resolves its nodes in ascending order from it; only :func:`clusters`
-pays for the relabel pass of :func:`_labels` that makes every label its
-cluster's smallest node.
+adds the ascending relabel pass that makes every label its cluster's
+smallest node.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _union(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
     the smaller, so ``root[v] <= v`` throughout: every root is its
     cluster's minimum, and every other node has ``root[v] < v`` inside its
     own cluster, though not yet its root.  A reader of the count, or one
-    that resolves nodes in ascending order as :func:`_labels` and the
+    that resolves nodes in ascending order as :func:`clusters` and the
     spins conversion do, needs no more than this pass.
     """
     n = g.num_nodes
@@ -144,19 +144,6 @@ def _union(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
     return root, count
 
 
-def _labels(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
-    """Canonical cluster labels: :func:`_union`, then one ascending pass
-    that points each node at its root, so ``root[v]`` is the smallest
-    node of ``v``'s cluster (``root[v]``'s own entry is final before
-    ``v`` is reached).  Only :func:`clusters` needs the labels
-    themselves.
-    """
-    root, count = _union(g, z)
-    for v in range(len(root)):
-        root[v] = root[root[v]]
-    return root, count
-
-
 def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[int]]:
     """Maximal spanning forest of the open subgraph via iterative DFS.
 
@@ -166,7 +153,7 @@ def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[in
     ``order`` backwards retires each non-root node's unique parent edge
     while it is a leaf of what remains, which is how the subgraphs
     conversion peels it; cluster counts come from :func:`_union` and
-    labels from :func:`_labels`.
+    labels from :func:`clusters`.
     """
     n = g.num_nodes
     adj = g.adjacency
@@ -248,9 +235,13 @@ def _connected_without_edge(
 
 def clusters(g: WeightedGraph, z: Sequence[int]) -> ClusterPartition:
     """Connected components induced by the open edges of ``z``, labelled
-    by union-find (:func:`_labels`), each by its smallest node."""
+    by union-find, each by its smallest node: :func:`_union`, then one
+    ascending pass that points each node at its root (``root[v]``'s own
+    entry is final before ``v`` is reached)."""
     validate_config(g, "rc", z)
-    root, count = _labels(g, z)
+    root, count = _union(g, z)
+    for v in range(len(root)):
+        root[v] = root[root[v]]
     return ClusterPartition(tuple(root), count)
 
 

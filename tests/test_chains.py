@@ -1,9 +1,11 @@
 """Stationarity and bookkeeping of the cluster-update chains."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from conftest import random_graph
 
 from isingworlds import (
     InvalidConfigError,
@@ -179,6 +181,34 @@ class TestRunChain:
         with pytest.raises(InvalidConfigError):
             run_chain(g, initial_state(g, "spins"), steps, rng, stats, thin)
         assert rng.draws == 0
+
+    @pytest.mark.parametrize("thin", [1, 2, 5])
+    def test_resumes_bit_for_bit(self, thin):
+        # consecutive runs, each from the last one's final state on the one
+        # stream, are one run: blocks of whole thin-periods, then a ragged one
+        rnd = random.Random(3000 + thin)
+        for case in range(40):
+            g = random_graph(rnd, max_nodes=7, max_edges=12, extreme_share=0.2)
+            world = rnd.choice(["spins", "subs"])
+            stats = tuple(STATISTICS[world])
+            steps = rnd.randint(0, 40)
+            whole_rng = RngStream(case)
+            whole = run_chain(g, initial_state(g, world), steps, whole_rng, stats, thin)
+            rng, state, rows, values = RngStream(case), initial_state(g, world), [], {name: [] for name in stats}
+            while True:
+                size = min(thin * rnd.randint(0, 3), steps - state.step)
+                trace = run_chain(g, state, size, rng, stats, thin)
+                rows += trace.steps
+                for name in stats:
+                    values[name] += trace.values[name]
+                state = trace.final
+                if state.step == steps:
+                    break
+            assert rows == whole.steps
+            assert values == whole.values
+            assert (state.config, state.step) == (whole.final.config, whole.final.step)
+            assert rng.draws == whole_rng.draws
+            assert rng.uniform() == whole_rng.uniform()
 
     def test_triangle_long_run_frequency(self):
         # empirical share of the full triangle vs the exact stationary

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, exit codes, and determinism."""
 
 import contextlib
+import csv
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -182,14 +184,47 @@ class TestChain:
         assert len(lines) == 6  # header + 5 thinned rows
         assert lines[1].split(",")[0] == "2"
 
-    def test_unknown_stat_is_input_error(self):
-        assert main(["chain", "--kernel", "sw", "--graph", TRIANGLE, "--steps", "1",
-                     "--seed", "3", "--stats", "volume"]) == 2
+    @staticmethod
+    def writes_nothing(stats, tmp_path, capsys):
+        """``chain --stats stats`` exits 2 with nothing on stdout, and with
+        --out writes neither the file nor its sidecar."""
+        for out in ([], ["--out", str(tmp_path / "trace.csv")]):
+            assert main(["chain", "--kernel", "sw", "--graph", TRIANGLE, "--steps", "300",
+                         "--seed", "3", "--stats", stats, *out]) == 2
+            assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
-    def test_repeated_stat_is_input_error(self, capsys):
-        assert main(["chain", "--kernel", "sw", "--graph", TRIANGLE, "--steps", "6",
-                     "--seed", "3", "--stats", "m,energy,m"]) == 2
-        assert capsys.readouterr().out == ""
+    def test_unknown_stat_is_input_error(self, tmp_path, capsys):
+        self.writes_nothing("m,volume", tmp_path, capsys)
+
+    def test_repeated_stat_is_input_error(self, tmp_path, capsys):
+        self.writes_nothing("m,energy,m", tmp_path, capsys)
+
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("kernel,stats", [("sw", None), ("sw", "clusters,energy"),
+                                              ("subs-sw", None), ("subs-sw", "clusters")])
+    def test_blocks_write_the_buffered_bytes(self, kernel, stats, thin, tmp_path, capsys):
+        # the rows go out DRAW_BLOCK at a time, each block resuming the
+        # last; the bytes are those of csv.writer over one run of all steps
+        graph = str(fixture_path("grid3x3", "beta"))
+        g = load_graph(graph)
+        names = (stats or cli._DEFAULT_STATS[cli._KERNEL_WORLDS[kernel]]).split(",")
+        block = DRAW_BLOCK * thin
+        for steps in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            trace = chains.run_chain(g, chains.initial_state(g, cli._KERNEL_WORLDS[kernel]), steps,
+                                     RngStream(5), names, thin)
+            buffer = io.StringIO()
+            writer = csv.writer(buffer)
+            writer.writerow(["step", *names])
+            for row, step in enumerate(trace.steps):
+                writer.writerow([step, *(trace.values[name][row] for name in names)])
+            out = tmp_path / f"{steps}.csv"
+            argv = ["chain", "--kernel", kernel, "--graph", graph, "--steps", str(steps),
+                    "--seed", "5", "--thin", str(thin), *(["--stats", stats] if stats else [])]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == buffer.getvalue(), steps
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == buffer.getvalue().encode(), steps
 
     def test_seed_determinism(self, tmp_path):
         blobs = []
@@ -495,8 +530,9 @@ def traced_peak(argv):
 
 
 class TestStreaming:
-    """Draws are written as they are drawn, so a run's memory does not grow
-    with --samples (bar 8 bytes a draw per statistic in sample's summary)."""
+    """Draws and chain rows are written as they are made, so a run's memory
+    does not grow with --samples or --steps (bar 8 bytes a draw per
+    statistic in sample's summary)."""
 
     @pytest.mark.parametrize("command", [["perfect"], ["sample", "--method", "chain"]], ids=["perfect", "chain"])
     def test_memory_does_not_grow_with_samples(self, command, tmp_path):
@@ -512,6 +548,11 @@ class TestStreaming:
         argv = ["sample", "--method", "enum", "--world", "rc", "--graph", TRIANGLE, "--seed", "4"]
         small, large = (traced_peak([*argv, "--samples", n]) for n in ("2000", "20000"))
         assert large - small - 8 * len(STATISTICS["rc"]) * 18_000 < 256 * 1024
+
+    def test_chain_memory_does_not_grow_with_steps(self):
+        argv = ["chain", "--kernel", "sw", "--stats", "m,energy,clusters", "--graph", TRIANGLE, "--seed", "4"]
+        small, large = (traced_peak([*argv, "--steps", n]) for n in ("2000", "20000"))
+        assert large - small < 256 * 1024
 
     def test_pooled_memory_does_not_grow_with_samples(self):
         argv = ["perfect", "--world", "subs", "--graph", TRIANGLE, "--seed", "4", "--jobs", "2"]
