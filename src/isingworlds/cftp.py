@@ -23,17 +23,20 @@ of the edge's short cycles, then the two-sided open-subgraph search of
 is also shared across the sandwich: the lower chain asks only when the
 upper chain has just opened the edge, since monotonicity closes it in
 the lower chain otherwise.  Neither shortcut changes a decision or a
-draw.  The run loop makes the kernel's decision inline, reading both
-thresholds from per-graph tuples and marking the queries' visited nodes
-in one per-run list of stamps.
+draw.  The run loop makes the kernel's decision inline and runs an epoch
+sweep by sweep over the plan's ``sweep``: one tuple per sweep position,
+holding what that step reads (its edge, both thresholds, the edge's
+endpoints and its short cycles), zipped with the epoch's uniforms, so a
+step does no index arithmetic and looks nothing up on the graph.  The
+queries mark their visited nodes in one per-run list of stamps.
 
 Everything a run reads that no draw changes is computed once per graph
 object and kept on it, so a pickled graph carries it to pool workers:
 the sweep order below, and the
 :attr:`~isingworlds.graph.WeightedGraph.cftp_plan` holding the chains'
-two starts, the lower thresholds p / (2 - p) and the first epoch of
-each budget.  An epoch copies the two starts; a small run does only
-per-draw work.
+two starts, the lower thresholds p / (2 - p), those per-step tuples in
+sweep order and the first epoch of each budget.  An epoch copies the two
+starts; a small run does only per-draw work.
 
 The chains scan the free edges systematically, in golden-ratio stride
 order (:attr:`~isingworlds.graph.WeightedGraph.sweep_order`, computed
@@ -57,9 +60,10 @@ epoch run is the smallest k with 2**k >= s; lower epochs are neither run
 nor drawn.  And the last sweep updates each free edge for the last time
 before time 0, so an epoch ends as soon as a step of that sweep leaves
 the chains apart on its edge, which only happens inside the band when
-the upper chain opens the edge and the lower closes it.  Neither rule
-changes a sample, an epoch or a draw; :attr:`CftpRun.steps` counts the
-steps actually run.
+the upper chain opens the edge and the lower closes it; each sweep sets
+a flag saying whether it is the last, and only that branch reads it.
+Neither rule changes a sample, an epoch or a draw; :attr:`CftpRun.steps`
+counts the steps actually run.
 
 Nor need the ladder of epochs start there.  Step -t reads record t - 1
 whatever the epoch, so every horizon replays the same updates from step
@@ -82,6 +86,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from numbers import Real
+from operator import length_hint
 from typing import Sequence
 
 from .errors import InvalidParameterError, NoCoalescenceError
@@ -108,16 +114,23 @@ def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -
     p; otherwise closing it splits a cluster and doubles the weight, giving
     p / (2 - p).  Since p / (2 - p) <= p, a uniform outside the band
     between the two thresholds decides the edge without asking whether
-    its endpoints are connected.
+    its endpoints are connected.  A graph with a field, an edge index
+    that is not an int in range (a bool or a float included) and a ``u``
+    that is not a real number in [0, 1) are refused.
     """
+    require_field_free(g)
     validate_config(g, "rc", z)
+    if type(edge) is not int:
+        edge = _nonnegative_int(edge, "edge index")
     if not 0 <= edge < g.num_edges:
         raise InvalidParameterError(f"edge index {edge} out of range")
-    if not 0.0 <= u < 1.0:
-        raise InvalidParameterError(f"uniform variate must lie in [0, 1), got {u}")
+    if type(u) is not float and not isinstance(u, Real) or not 0.0 <= u < 1.0:
+        raise InvalidParameterError(f"uniform variate must lie in [0, 1), got {u!r}")
     low, p = g.cftp_plan.low[edge], g.ps[edge]  # the band, as in cftp_rc_run
     out = list(z)
-    out[edge] = int(u < low or (u < p and _connected_without_edge(g, z, edge, [0] * g.num_nodes)))
+    out[edge] = int(u < low or (u < p and _connected_without_edge(
+        g.adjacency, z, edge, *g.edges[edge], g.short_cycles[edge], [0] * g.num_nodes, 1
+    )))
     return tuple(out)
 
 
@@ -156,22 +169,22 @@ def cftp_rc_run(
         raise InvalidParameterError(f"max_epoch must lie in [0, {MAX_EPOCH}], got {max_epoch}")
     require_field_free(g)
     plan = g.cftp_plan
-    order = g.sweep_order
-    if not order:
+    sweep = plan.sweep
+    if not sweep:
         return CftpRun(plan.bottom, 0, 0)
-    sweep = len(order)
-    lowest = (sweep - 1).bit_length()  # the first epoch whose horizon covers a sweep
+    s = len(sweep)
+    lowest = (s - 1).bit_length()  # the first epoch whose horizon covers a sweep
     if max_epoch < lowest:
         raise NoCoalescenceError(
-            f"no coalescence within 2**{max_epoch} steps: a sweep of the {sweep} free edges "
-            f"takes {sweep} steps, so max_epoch (--max-epoch) must be at least {lowest}"
+            f"no coalescence within 2**{max_epoch} steps: a sweep of the {s} free edges "
+            f"takes {s} steps, so max_epoch (--max-epoch) must be at least {lowest}"
         )
     first = max(lowest, first_epoch(g, max_epoch) if _first is None else _first)
 
-    # record t - 1 is the uniform of step -t, which updates order[-t % sweep];
+    # record t - 1 is the uniform of step -t, which is sweep position -t % s;
     # drawn once and replayed by every deeper epoch
     uniforms = array("d")
-    ps, low = g.ps, plan.low  # the band's two thresholds, as in heat_bath_rc_step
+    adj = g.adjacency
     mark = [0] * g.num_nodes
     stamp = 1
     total_steps = 0
@@ -180,40 +193,40 @@ def cftp_rc_run(
         rng.uniforms(horizon - len(uniforms), uniforms)
         top = list(plan.top)
         bot = list(plan.bottom)
-        i = -horizon % sweep  # order[i] is the edge of the current step -t
-        for t, u in zip(range(horizon, 0, -1), reversed(uniforms)):
-            edge = order[i]
-            if u >= ps[edge]:
-                top[edge] = bot[edge] = 0
-            elif u < low[edge]:
-                top[edge] = bot[edge] = 1
-            else:
-                stamp += 2
-                if _connected_without_edge(g, top, edge, mark, stamp):
-                    top[edge] = 1
-                    # bot <= top and the kernel is monotone, so the lower
-                    # chain asks only for an edge the upper chain opens
-                    if bot is not top:
-                        stamp += 2
-                        if _connected_without_edge(g, bot, edge, mark, stamp):
-                            bot[edge] = 1
-                        else:
-                            bot[edge] = 0
-                            if t <= sweep:
-                                # edge's last update left the chains apart
-                                total_steps += horizon - t + 1
-                                break
-                else:
+        records = reversed(uniforms)  # step -horizon's first, step -1's last
+        part = sweep[-horizon % s :]  # a partial first sweep, then whole ones
+        left = horizon  # the steps from this sweep's first on
+        while left > 0:
+            last = left == s  # the sweep that updates each free edge for the last time
+            left -= len(part)
+            for (edge, p, low, i, j, cycles), u in zip(part, records):
+                if u >= p:
                     top[edge] = bot[edge] = 0
-            i += 1
-            if i == sweep:
-                i = 0
-                if bot is not top and top == bot:
-                    bot = top  # chains evolve identically from here on
-        else:
-            total_steps += horizon
-            if top == bot:
-                return CftpRun(tuple(top), epoch, total_steps)
+                elif u < low:
+                    top[edge] = bot[edge] = 1
+                else:
+                    stamp += 2
+                    if _connected_without_edge(adj, top, edge, i, j, cycles, mark, stamp):
+                        top[edge] = 1
+                        # bot <= top and the kernel is monotone, so the lower
+                        # chain asks only for an edge the upper chain opens
+                        if bot is not top:
+                            stamp += 2
+                            if _connected_without_edge(adj, bot, edge, i, j, cycles, mark, stamp):
+                                bot[edge] = 1
+                            else:
+                                bot[edge] = 0
+                                if last:
+                                    break  # the edge's last update left the chains apart
+                    else:
+                        top[edge] = bot[edge] = 0
+            if bot is not top and top == bot:
+                bot = top  # chains evolve identically from here on
+            part = sweep
+        # a run stopped at step -t has t - 1 records left: it ran horizon - t + 1 steps
+        total_steps += horizon - length_hint(records)
+        if top == bot:
+            return CftpRun(tuple(top), epoch, total_steps)
     raise NoCoalescenceError(
         f"no coalescence within 2**{max_epoch} steps; "
         f"raise max_epoch (at most {MAX_EPOCH}) to search deeper"

@@ -250,11 +250,13 @@ class WeightedGraph:
     @cached_property
     def cftp_plan(self) -> "CftpPlan":
         """What every CFTP run on this graph reads that no draw changes."""
-        ps = self.ps
+        ps, edges = self.ps, self.edges
+        low = tuple(p / (2.0 - p) for p in ps)
         return CftpPlan(
             tuple(1 if p >= 1.0 else 0 for p in ps),
             tuple(1 if p > 0.0 else 0 for p in ps),
-            tuple(p / (2.0 - p) for p in ps),
+            low,
+            tuple((e, ps[e], low[e], *edges[e], self.short_cycles[e]) for e in self.sweep_order),
             {},
         )
 
@@ -283,6 +285,10 @@ class CftpPlan:
     every free edge closed in ``bottom`` and open in ``top``.  ``low``
     holds each edge's lower heat-bath threshold p / (2 - p), the
     open probability when its endpoints are not connected elsewhere.
+    ``sweep`` holds, at sweep position k, everything step k of a sweep
+    reads: ``(e, p, low, i, j, cycles)`` for ``e = sweep_order[k]``, with
+    ``(i, j)`` its endpoints and ``cycles`` its
+    :attr:`~WeightedGraph.short_cycles`, so a step looks nothing up.
     ``first_epochs`` keeps :func:`~isingworlds.cftp.first_epoch`'s
     answer for each budget.
     """
@@ -290,6 +296,7 @@ class CftpPlan:
     bottom: tuple[int, ...]
     top: tuple[int, ...]
     low: tuple[float, ...]
+    sweep: tuple[tuple[int, float, float, int, int, tuple[tuple[int, int, int], ...]], ...]
     first_epochs: dict[int, int]
 
 

@@ -178,26 +178,31 @@ def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[in
 
 
 def _connected_without_edge(
-    g: WeightedGraph, z: Sequence[int], e: int, mark: list[int], stamp: int = 1
+    adj: Sequence[Sequence[tuple[int, int]]], z: Sequence[int], e: int, i: int, j: int,
+    cycles: Sequence[tuple[int, int, int]], mark: list[int], stamp: int,
 ) -> bool:
-    """Are e's endpoints joined by open edges other than e itself?
+    """Are the endpoints i and j of edge e joined by open edges other
+    than e itself?
 
-    A fully open triangle or 4-cycle of ``g.short_cycles[e]`` answers yes
-    at once.  Otherwise breadth-first searches from both endpoints advance in lockstep, one
-    node each (the interleaved search of Elci & Weigel, PRE 88, 033303,
-    2013): the answer is yes when they meet and no as soon as either side
-    runs out, so the work is bounded by the smaller of the two clusters.
+    The caller hands over what a graph keeps for e: ``adj`` is its
+    :attr:`~isingworlds.graph.WeightedGraph.adjacency` and ``cycles`` its
+    :attr:`~isingworlds.graph.WeightedGraph.short_cycles` entry for e, as
+    a step of the CFTP plan carries them, so the query looks nothing up.
+    A fully open triangle or 4-cycle of ``cycles`` answers yes at once.
+    Otherwise breadth-first searches from both endpoints advance in
+    lockstep, one node each (the interleaved search of Elci & Weigel,
+    PRE 88, 033303, 2013): the answer is yes when they meet and no as soon
+    as either side runs out, so the work is bounded by the smaller of the
+    two clusters.
 
     Visited nodes are marked in ``mark``, one int per node: ``stamp`` on
     i's side, ``stamp + 1`` on j's, and anything below ``stamp`` reads as
     unvisited.  A caller asking many queries passes one list of zeros and
     a stamp that grows by 2 per query, so no query allocates a map.
     """
-    for a, b, c in g.short_cycles[e]:
+    for a, b, c in cycles:
         if z[a] and z[b] and z[c]:
             return True
-    i, j = g.edges[e]
-    adj = g.adjacency
     mine, theirs = stamp, stamp + 1
     mark[i] = mine
     mark[j] = theirs

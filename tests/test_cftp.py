@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from isingworlds import (
+    InvalidConfigError,
     InvalidParameterError,
     NoCoalescenceError,
     RngStream,
@@ -27,6 +28,7 @@ from isingworlds import (
 from conftest import joined_without_edge, random_graph
 from isingworlds.cftp import MAX_EPOCH, PILOT, PILOTS, CftpRun, first_epoch
 from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
+from isingworlds.graph import golden_stride
 from isingworlds.reductions import REDUCTIONS
 
 
@@ -72,6 +74,21 @@ class TestHeatBathKernel:
         with pytest.raises(InvalidParameterError):
             heat_bath_rc_step(g, (0,), 0, 1.0)
 
+    @pytest.mark.parametrize("edge, u", [(1.0, 0.5), (True, 0.5), (0, "x")])
+    def test_edge_must_be_an_int_and_u_a_number(self, edge, u):
+        # an edge index of 1.0 or True, or a u of "x", is refused, not
+        # indexed with or compared
+        with pytest.raises(InvalidParameterError):
+            heat_bath_rc_step(fixture_graph("triangle", 0.5), (0, 0, 0), edge, u)
+
+    def test_refuses_a_field(self):
+        # as cftp_rc_run does: the kernel is stated for field-free models
+        g = WeightedGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)], field={0: 0.3})
+        with pytest.raises(InvalidConfigError, match="field"):
+            heat_bath_rc_step(g, (1, 1, 0), 2, 0.5)
+        with pytest.raises(InvalidConfigError, match="field"):
+            cftp_rc_run(g, RngStream(0))
+
     @pytest.mark.parametrize("name", ["k2", "path3", "triangle", "cycle4", "k4"])
     def test_monotone_under_shared_updates(self, name):
         # exhaustive: ordered pairs z <= z', every edge, a grid of uniforms
@@ -111,7 +128,7 @@ class TestSchedule:
         assert run_a == run_b
 
 
-def _reference_run(g, rng, max_epoch=24, first=0):
+def _reference_run(g, rng, max_epoch=24, first=0, stops=None):
     """Monotone CFTP with the unbanded heat-bath rule on both chains at
     every step, connectivity from whole-graph component labels, and the
     uniform of step -t drawn by a scalar call as the t-th record; step -t
@@ -121,7 +138,7 @@ def _reference_run(g, rng, max_epoch=24, first=0):
     No epoch below ``first`` or shorter than a sweep is run or drawn, and
     a run stops at a step of the last sweep (t <= s, the edge's last
     update) that leaves the chains apart on its edge; steps are counted
-    under that rule."""
+    under that rule, and the t of each such stop is appended to ``stops``."""
     free = tuple(e for e, p in enumerate(g.ps) if 0.0 < p < 1.0)
     base = [1 if p >= 1.0 else 0 for p in g.ps]
     if not free:
@@ -146,6 +163,8 @@ def _reference_run(g, rng, max_epoch=24, first=0):
                 z[edge] = 1 if u < (p if joined_without_edge(g, z, edge) else p / (2 - p)) else 0
             steps += 1
             if t <= s and top[edge] != bot[edge]:
+                if stops is not None:
+                    stops.append(t)
                 break
         if top == bot:
             return CftpRun(tuple(top), epoch, steps)
@@ -173,6 +192,47 @@ class TestBitIdentity:
         g = grid_graph(6, 6, beta)
         for k in range(3):
             self._assert_same(g, 17, k)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 8, 9, 16, 17])
+    def test_sweep_boundaries(self, s):
+        # from a sweep's epoch and from one above it; for s of 3, 5, 9 and
+        # 17 no horizon is a whole number of sweeps, so each epoch starts
+        # with a partial sweep.  A failing epoch stops in its last sweep:
+        # at its first step (t = s) when that edge's page partner is still
+        # apart, or as late as t = 2, never at t = 1, when every other free
+        # edge has had its last update and both chains ask one question
+        lowest = _sweep_epoch(_book(s, False))
+        for from_end, stop in ((False, s), (True, 2)):
+            g = _book(s, from_end)
+            assert len(g.sweep_order) == s and g.num_edges == s + 2
+            stops = []
+            for k in range(1000):
+                for first in (lowest, lowest + 1):
+                    rng, ref_rng = RngStream(71, (s, k)), RngStream(71, (s, k))
+                    assert cftp_rc_run(g, rng, 24, _first=first) == _reference_run(g, ref_rng, 24, first, stops)
+                    assert rng.draws == ref_rng.draws
+                if k >= 40 and (s == 1 or stop in stops):
+                    break
+            assert 1 not in stops
+            assert s == 1 or stop in stops  # one free edge is never left apart
+
+
+def _book(s, from_end):
+    """A spine (0, 1) pinned open, a pinned-closed edge, and s free edges
+    in pages: each page node v takes (0, v) and (1, v), which close a
+    triangle with the spine.  Sweep positions 2m and 2m + 1 share a page,
+    counted from a sweep's first position, or from its last if
+    ``from_end``; an odd s leaves one page with one edge.  So a step
+    can leave the chains apart only while its partner is apart."""
+    a = golden_stride(s)
+    position = {k * a % s: k for k in range(s)}  # free edge f is updated at sweep position k
+    pages = (s + 1) // 2
+    edges = [(0, 1, math.inf)]
+    for f in range(s):
+        k = s - 1 - position[f] if from_end else position[f]
+        edges.append((k % 2, 2 + k // 2, 0.44))
+    edges.append((0, 2 + pages, 0.0))
+    return WeightedGraph.from_edges(3 + pages, edges)
 
 
 def _sweep_epoch(g):

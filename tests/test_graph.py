@@ -197,7 +197,7 @@ class TestCftpPlan:
 
     @staticmethod
     def _tuples(plan):
-        return plan.bottom, plan.top, plan.low
+        return plan.bottom, plan.top, plan.low, plan.sweep
 
     def test_tuples_equal_their_definitions(self):
         assert beta_to_p(18.8) == beta_to_p(math.inf) == 1.0
@@ -209,6 +209,13 @@ class TestCftpPlan:
             assert plan.low == tuple(p / (2.0 - p) for p in ps)
             assert [(plan.bottom[e], plan.top[e]) for e in g.sweep_order] == [(0, 1)] * len(g.sweep_order)
             assert g.cftp_plan is plan
+
+    def test_sweep_holds_each_step_in_sweep_order(self):
+        for g in self._graphs():
+            plan = g.cftp_plan
+            assert plan.sweep == tuple(
+                (e, g.ps[e], plan.low[e], *g.edges[e], g.short_cycles[e]) for e in g.sweep_order
+            )
 
     def test_pickle_keeps_the_plan(self):
         g = grid_graph(4, 4, 0.44)
@@ -224,8 +231,12 @@ class TestCftpPlan:
         free = g.without_field()
         assert free is not g and "cftp_plan" not in vars(free)
         assert free.cftp_plan is not g.cftp_plan and free.cftp_plan.first_epochs == {}
+        assert free.cftp_plan.sweep is not g.cftp_plan.sweep
         p = beta_to_p(0.5)
-        assert self._tuples(free.cftp_plan) == self._tuples(g.cftp_plan) == ((0, 1), (1, 1), (p / (2.0 - p), 1.0))
+        low = p / (2.0 - p)
+        assert self._tuples(free.cftp_plan) == self._tuples(g.cftp_plan) == (
+            (0, 1), (1, 1), (low, 1.0), ((0, p, low, 0, 1, ()),)
+        )
 
 
 class TestFieldReduction:

@@ -270,6 +270,12 @@ class TestClusters:
             self._check_union(star, z)
 
 
+def connected_without_edge(g, z, e, mark, stamp=1):
+    """The query with e's endpoints and short cycles looked up on ``g``,
+    as a CFTP plan step carries them."""
+    return _connected_without_edge(g.adjacency, z, e, *g.edges[e], g.short_cycles[e], mark, stamp)
+
+
 class TestConnectedWithoutEdge:
     def test_matches_labels_on_random_graphs(self):
         rnd = random.Random(2024)
@@ -277,7 +283,7 @@ class TestConnectedWithoutEdge:
             g = random_graph(rnd, max_nodes=9, max_edges=16)
             z = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
             for e in range(g.num_edges):
-                assert _connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
+                assert connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
 
     @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
     def test_matches_labels_on_a_grid(self, density):
@@ -287,7 +293,7 @@ class TestConnectedWithoutEdge:
         for _ in range(10):
             z = tuple(1 if rnd.random() < density else 0 for _ in range(g.num_edges))
             for e in range(g.num_edges):
-                assert _connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
+                assert connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
 
     def test_one_stamp_list_serves_many_queries(self):
         # the CFTP run loop keeps one list of marks per run and raises the
@@ -300,7 +306,7 @@ class TestConnectedWithoutEdge:
             z = [1 if rnd.random() < 0.5 else 0 for _ in range(g.num_edges)]
             e = rnd.randrange(g.num_edges)
             stamp += 2
-            assert _connected_without_edge(g, z, e, mark, stamp) == joined_without_edge(g, z, e)
+            assert connected_without_edge(g, z, e, mark, stamp) == joined_without_edge(g, z, e)
 
     def test_open_short_cycle_means_joined(self):
         # the fast path answers yes when one listed cycle is fully open;
@@ -317,7 +323,7 @@ class TestConnectedWithoutEdge:
                     if any(z[a] and z[b] and z[c] for a, b, c in g.short_cycles[e]):
                         fired += 1
                         assert joined_without_edge(g, z, e)
-                    assert _connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
+                    assert connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
         assert fired > 1000
 
 
