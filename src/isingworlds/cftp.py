@@ -19,16 +19,21 @@ The two heat-bath thresholds, p when the edge's endpoints are connected
 elsewhere and p / (2 - p) when they are not, bound a band: a uniform
 outside it decides the edge alone, so the connectivity query (a check
 of the edge's short cycles, then the two-sided open-subgraph search of
-:mod:`isingworlds.worlds`) runs only for uniforms inside it.  The query
-is also shared across the sandwich: the lower chain asks only when the
-upper chain has just opened the edge, since monotonicity closes it in
-the lower chain otherwise.  Neither shortcut changes a decision or a
+:mod:`isingworlds.worlds`) runs only for uniforms inside it.  A step in
+the band closes its edge in both chains first, so the query is the plain
+question whether the endpoints are joined, and only a yes writes.  The
+query is also shared across the sandwich: the lower chain asks only when
+the upper chain has just opened the edge, since monotonicity closes it
+in the lower chain otherwise.  Neither shortcut changes a decision or a
 draw.  The run loop makes the kernel's decision inline and runs an epoch
 sweep by sweep over the plan's ``sweep``: one tuple per sweep position,
 holding what that step reads (its edge, both thresholds, the edge's
 endpoints and its short cycles), zipped with the epoch's uniforms, so a
 step does no index arithmetic and looks nothing up on the graph.  The
-queries mark their visited nodes in one per-run list of stamps.
+queries mark their visited nodes in one per-run list of stamps and queue
+them in two per-run lists, one per side of the search, so no query
+allocates; the stamp rises by 2 a query, which gives
+:attr:`CftpRun.queries` at no cost a step.
 
 Everything a run reads that no draw changes is computed once per graph
 object and kept on it, so a pickled graph carries it to pool workers:
@@ -94,7 +99,7 @@ from .errors import InvalidParameterError, NoCoalescenceError
 from .graph import WeightedGraph, require_field_free
 from .reductions import REDUCTIONS
 from .rng import RngStream, _nonnegative_int
-from .worlds import RcConfig, SubgraphConfig, _connected_without_edge, validate_config
+from .worlds import RcConfig, SubgraphConfig, _connected, validate_config
 
 DEFAULT_MAX_EPOCH = 24
 # the deepest schedule allowed: 2**27 records of 8 bytes, about 1 GiB
@@ -116,7 +121,10 @@ def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -
     between the two thresholds decides the edge without asking whether
     its endpoints are connected.  A graph with a field, an edge index
     that is not an int in range (a bool or a float included) and a ``u``
-    that is not a real number in [0, 1) are refused.
+    that is not a real number in [0, 1) are refused.  The edge is closed
+    in a copy of ``z`` before the query, as :func:`cftp_rc_run` does, and
+    the copy holds fresh 0/1 ints whatever values equal to 0 or 1 ``z``
+    holds.
     """
     require_field_free(g)
     validate_config(g, "rc", z)
@@ -127,9 +135,14 @@ def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -
     if type(u) is not float and not isinstance(u, Real) or not 0.0 <= u < 1.0:
         raise InvalidParameterError(f"uniform variate must lie in [0, 1), got {u!r}")
     low, p = g.cftp_plan.low[edge], g.ps[edge]  # the band, as in cftp_rc_run
-    out = list(z)
-    out[edge] = int(u < low or (u < p and _connected_without_edge(
-        g.adjacency, z, edge, *g.edges[edge], g.short_cycles[edge], [0] * g.num_nodes, 1
+    n = g.num_nodes
+    try:
+        out = bytearray(z)  # fresh 0/1 ints, read back as ints
+    except TypeError:  # a value such as 1.0 has no __index__
+        out = bytearray(1 if v else 0 for v in z)
+    out[edge] = 0
+    out[edge] = int(u < low or (u < p and _connected(
+        g.adjacency, out, *g.edges[edge], g.short_cycles[edge], [0] * n, 1, [0] * n, [0] * n
     )))
     return tuple(out)
 
@@ -143,12 +156,14 @@ class CftpRun:
     first epoch if that is later.  ``steps`` counts the kernel steps
     actually run over all epochs: the last epoch in full, a failed epoch
     up to the step at which it was seen to fail, and none for an epoch
-    below the first, which is never run.
+    below the first, which is never run.  ``queries`` counts the
+    connectivity queries those steps asked, in both chains.
     """
 
     config: tuple[int, ...]
     epoch: int
     steps: int
+    queries: int
 
 
 def cftp_rc_run(
@@ -171,7 +186,7 @@ def cftp_rc_run(
     plan = g.cftp_plan
     sweep = plan.sweep
     if not sweep:
-        return CftpRun(plan.bottom, 0, 0)
+        return CftpRun(plan.bottom, 0, 0, 0)
     s = len(sweep)
     lowest = (s - 1).bit_length()  # the first epoch whose horizon covers a sweep
     if max_epoch < lowest:
@@ -185,8 +200,9 @@ def cftp_rc_run(
     # drawn once and replayed by every deeper epoch
     uniforms = array("d")
     adj = g.adjacency
-    mark = [0] * g.num_nodes
-    stamp = 1
+    n = g.num_nodes
+    mark, from_i, from_j = [0] * n, [0] * n, [0] * n
+    stamp = 1  # raised by 2 a query
     total_steps = 0
     for epoch in range(first, max_epoch + 1):
         horizon = 1 << epoch
@@ -204,29 +220,26 @@ def cftp_rc_run(
                     top[edge] = bot[edge] = 0
                 elif u < low:
                     top[edge] = bot[edge] = 1
-                else:
+                else:  # closed first, so the query asks about the rest of the graph
+                    top[edge] = bot[edge] = 0
                     stamp += 2
-                    if _connected_without_edge(adj, top, edge, i, j, cycles, mark, stamp):
+                    if _connected(adj, top, i, j, cycles, mark, stamp, from_i, from_j):
                         top[edge] = 1
                         # bot <= top and the kernel is monotone, so the lower
                         # chain asks only for an edge the upper chain opens
                         if bot is not top:
                             stamp += 2
-                            if _connected_without_edge(adj, bot, edge, i, j, cycles, mark, stamp):
+                            if _connected(adj, bot, i, j, cycles, mark, stamp, from_i, from_j):
                                 bot[edge] = 1
-                            else:
-                                bot[edge] = 0
-                                if last:
-                                    break  # the edge's last update left the chains apart
-                    else:
-                        top[edge] = bot[edge] = 0
+                            elif last:
+                                break  # the edge's last update left the chains apart
             if bot is not top and top == bot:
                 bot = top  # chains evolve identically from here on
             part = sweep
         # a run stopped at step -t has t - 1 records left: it ran horizon - t + 1 steps
         total_steps += horizon - length_hint(records)
         if top == bot:
-            return CftpRun(tuple(top), epoch, total_steps)
+            return CftpRun(tuple(top), epoch, total_steps, (stamp - 1) // 2)
     raise NoCoalescenceError(
         f"no coalescence within 2**{max_epoch} steps; "
         f"raise max_epoch (at most {MAX_EPOCH}) to search deeper"

@@ -18,12 +18,13 @@ positive weight.
 All three worlds meet at the clusters of an open edge set, and this
 module holds every traversal of that open subgraph: the union-find pass
 over the open edges (:func:`_union`), the maximal spanning forest that
-the subgraphs conversion peels, and the single-edge connectivity query
-of the heat-bath kernel.  The union-find pass alone gives the cluster
-count, which the ``clusters`` statistics read, and the spins conversion
-resolves its nodes in ascending order from it; only :func:`clusters`
-adds the ascending relabel pass that makes every label its cluster's
-smallest node.
+the subgraphs conversion peels, and the connectivity query of the
+heat-bath kernel: are two nodes joined by open edges, asked of an edge's
+endpoints once the kernel has closed that edge.  The union-find pass
+alone gives the cluster count, which the ``clusters`` statistics read,
+and the spins conversion resolves its nodes in ascending order from it;
+only :func:`clusters` adds the ascending relabel pass that makes every
+label its cluster's smallest node.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ _EDGE_VALUES = frozenset((0, 1))
 
 def validate_config(g: WeightedGraph, world: str, config: Sequence[int]) -> None:
     """Check a configuration's shape only: one value per node (spins) or
-    per edge (subs, rc), each -1/+1 or 0/1."""
+    per edge (subs, rc), each -1/+1 or 0/1.
+
+    Values are compared by equality, so ``True`` and ``1.0`` pass as 1;
+    no sampler passes such a value on, since every sampler builds its
+    output fresh, of ints."""
     # three names, not four: Python then assigns without building a tuple
     if world == "spins":
         kind, size, values = "spin", g.num_nodes, _SPIN_VALUES
@@ -177,28 +182,34 @@ def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[in
     return parent_edge, order
 
 
-def _connected_without_edge(
-    adj: Sequence[Sequence[tuple[int, int]]], z: Sequence[int], e: int, i: int, j: int,
+def _connected(
+    adj: Sequence[Sequence[tuple[int, int]]], z: Sequence[int], i: int, j: int,
     cycles: Sequence[tuple[int, int, int]], mark: list[int], stamp: int,
+    from_i: list[int], from_j: list[int],
 ) -> bool:
-    """Are the endpoints i and j of edge e joined by open edges other
-    than e itself?
+    """Are the nodes i != j joined by open edges of ``z``?
 
-    The caller hands over what a graph keeps for e: ``adj`` is its
-    :attr:`~isingworlds.graph.WeightedGraph.adjacency` and ``cycles`` its
-    :attr:`~isingworlds.graph.WeightedGraph.short_cycles` entry for e, as
-    a step of the CFTP plan carries them, so the query looks nothing up.
-    A fully open triangle or 4-cycle of ``cycles`` answers yes at once.
-    Otherwise breadth-first searches from both endpoints advance in
-    lockstep, one node each (the interleaved search of Elci & Weigel,
-    PRE 88, 033303, 2013): the answer is yes when they meet and no as soon
-    as either side runs out, so the work is bounded by the smaller of the
-    two clusters.
+    The heat-bath kernel asks it of an edge's endpoints with that edge
+    closed, which is whether they are joined elsewhere.  The caller hands
+    over what a graph keeps: ``adj`` is its
+    :attr:`~isingworlds.graph.WeightedGraph.adjacency` and ``cycles`` the
+    :attr:`~isingworlds.graph.WeightedGraph.short_cycles` entry of the
+    edge (i, j), or empty, as a step of the CFTP plan carries them, so the
+    query looks nothing up.  A fully open triangle or 4-cycle of
+    ``cycles`` answers yes at once.  Otherwise
+    breadth-first searches from i and j advance in lockstep, one node each
+    (the interleaved search of Elci & Weigel, PRE 88, 033303, 2013): the
+    answer is yes when they meet and no as soon as either side runs out,
+    so the work is bounded by the smaller of the two clusters.
 
     Visited nodes are marked in ``mark``, one int per node: ``stamp`` on
     i's side, ``stamp + 1`` on j's, and anything below ``stamp`` reads as
-    unvisited.  A caller asking many queries passes one list of zeros and
-    a stamp that grows by 2 per query, so no query allocates a map.
+    unvisited.  The sides queue their nodes in ``from_i`` and ``from_j``,
+    written and read by index, each of ``num_nodes`` entries: a side holds
+    each node at most once and never the other side's start, so at most
+    n - 1.  A caller asking many queries passes one list of zeros, a stamp
+    that grows by 2 per query and one pair of queues, so no query
+    allocates.
     """
     for a, b, c in cycles:
         if z[a] and z[b] and z[c]:
@@ -206,35 +217,38 @@ def _connected_without_edge(
     mine, theirs = stamp, stamp + 1
     mark[i] = mine
     mark[j] = theirs
-    # the two sides are written out (alternating through a pair of queues
-    # costs CFTP about 7% on a 16x16 grid), each a list read from a
-    # moving head, which beats a deque's popleft
-    from_i, from_j = [i], [j]
+    from_i[0] = i
+    from_j[0] = j
+    # the two sides are written out (one loop body that swaps the sides
+    # each turn costs CFTP about 7% on a 16x16 grid)
     head_i = head_j = 0
+    tail_i = tail_j = 1
     while True:
         v = from_i[head_i]
         head_i += 1
-        for w, ei in adj[v]:
-            if ei != e and z[ei]:
+        for w, e in adj[v]:
+            if z[e]:
                 s = mark[w]
                 if s < mine:
                     mark[w] = mine
-                    from_i.append(w)
+                    from_i[tail_i] = w
+                    tail_i += 1
                 elif s == theirs:
                     return True
-        if head_i == len(from_i):
+        if head_i == tail_i:
             return False
         v = from_j[head_j]
         head_j += 1
-        for w, ei in adj[v]:
-            if ei != e and z[ei]:
+        for w, e in adj[v]:
+            if z[e]:
                 s = mark[w]
                 if s < mine:
                     mark[w] = theirs
-                    from_j.append(w)
+                    from_j[tail_j] = w
+                    tail_j += 1
                 elif s == mine:
                     return True
-        if head_j == len(from_j):
+        if head_j == tail_j:
             return False
 
 

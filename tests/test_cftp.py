@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from array import array
+from collections import namedtuple
 from itertools import product
 
 import pytest
@@ -26,8 +27,8 @@ from isingworlds import (
     weight_subs,
 )
 from conftest import joined_without_edge, random_graph
-from isingworlds.cftp import MAX_EPOCH, PILOT, PILOTS, CftpRun, first_epoch
-from isingworlds.fixtures import complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
+from isingworlds.cftp import MAX_EPOCH, PILOT, PILOTS, first_epoch
+from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
 from isingworlds.graph import golden_stride
 from isingworlds.reductions import REDUCTIONS
 
@@ -66,6 +67,21 @@ class TestHeatBathKernel:
         assert _opens_below(g, (1, 1, 1), 0, p)
         assert _opens_below(g, (0, 0, 0), 0, p / (2.0 - p))
         assert p / (2 - p) < p  # disconnected conditional is the smaller
+
+    def test_edge_closed_before_the_query(self):
+        # the step reads the rest of the graph only, so it gives the same
+        # tuple whether the edge it updates is open or closed in z
+        rnd = random.Random(3232)
+        graphs = [random_graph(rnd, max_nodes=8, max_edges=14, extreme_share=0.2) for _ in range(60)]
+        for g in graphs + [grid_graph(4, 4, 0.44), complete_graph(5, 0.3)]:
+            for _ in range(4):
+                z = [rnd.randint(0, 1) for _ in range(g.num_edges)]
+                for e in range(g.num_edges):
+                    u = rnd.random()
+                    z[e] = 1
+                    opened = heat_bath_rc_step(g, z, e, u)
+                    z[e] = 0
+                    assert heat_bath_rc_step(g, z, e, u) == opened
 
     def test_validates_inputs(self):
         g = fixture_graph("k2", 0.5)
@@ -128,6 +144,14 @@ class TestSchedule:
         assert run_a == run_b
 
 
+Reference = namedtuple("Reference", "config epoch steps")
+
+
+def _without_queries(run):
+    """A run's configuration, epoch and steps, which the reference gives."""
+    return run.config, run.epoch, run.steps
+
+
 def _reference_run(g, rng, max_epoch=24, first=0, stops=None):
     """Monotone CFTP with the unbanded heat-bath rule on both chains at
     every step, connectivity from whole-graph component labels, and the
@@ -142,7 +166,7 @@ def _reference_run(g, rng, max_epoch=24, first=0, stops=None):
     free = tuple(e for e, p in enumerate(g.ps) if 0.0 < p < 1.0)
     base = [1 if p >= 1.0 else 0 for p in g.ps]
     if not free:
-        return CftpRun(tuple(base), 0, 0)
+        return Reference(tuple(base), 0, 0)
     s = len(free)
     a = max(1, round(s * 0.6180339887))
     while math.gcd(a, s) > 1:
@@ -167,7 +191,7 @@ def _reference_run(g, rng, max_epoch=24, first=0, stops=None):
                     stops.append(t)
                 break
         if top == bot:
-            return CftpRun(tuple(top), epoch, steps)
+            return Reference(tuple(top), epoch, steps)
     raise NoCoalescenceError("reference run did not coalesce")
 
 
@@ -178,7 +202,7 @@ class TestBitIdentity:
 
     def _assert_same(self, g, seed, stream):
         rng, ref_rng = RngStream(seed, stream), RngStream(seed, stream)
-        assert cftp_rc_run(g, rng) == _reference_run(g, ref_rng, 24, first_epoch(g))
+        assert _without_queries(cftp_rc_run(g, rng)) == _reference_run(g, ref_rng, 24, first_epoch(g))
         assert rng.draws == ref_rng.draws
 
     def test_random_graphs_with_pinned_edges(self):
@@ -209,12 +233,41 @@ class TestBitIdentity:
             for k in range(1000):
                 for first in (lowest, lowest + 1):
                     rng, ref_rng = RngStream(71, (s, k)), RngStream(71, (s, k))
-                    assert cftp_rc_run(g, rng, 24, _first=first) == _reference_run(g, ref_rng, 24, first, stops)
+                    run = cftp_rc_run(g, rng, 24, _first=first)
+                    assert _without_queries(run) == _reference_run(g, ref_rng, 24, first, stops)
                     assert rng.draws == ref_rng.draws
                 if k >= 40 and (s == 1 or stop in stops):
                     break
             assert 1 not in stops
             assert s == 1 or stop in stops  # one free edge is never left apart
+
+
+class TestQueries:
+    """``CftpRun.queries`` is the number of connectivity queries the run
+    asked, in both chains and over all its epochs."""
+
+    def test_counts_every_call_of_the_query(self, monkeypatch):
+        from isingworlds import cftp
+
+        rnd = random.Random(1717)
+        graphs = [fixture_graph(name, 0.5) for name in FIXTURE_NAMES]
+        graphs += [random_graph(rnd, max_nodes=7, max_edges=12, extreme_share=0.3) for _ in range(50)]
+        graphs.append(grid_graph(8, 8, 0.44))
+        for g in graphs:
+            first_epoch(g)  # the pilot runs ask queries of their own
+        calls = []
+        real = cftp._connected
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(cftp, "_connected", counting)
+        for k, g in enumerate(graphs):
+            for seed in range(3):
+                before = len(calls)
+                assert cftp_rc_run(g, RngStream(seed, k)).queries == len(calls) - before, (k, seed)
+        assert len(calls) > 400
 
 
 def _book(s, from_end):

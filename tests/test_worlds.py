@@ -17,9 +17,11 @@ from conftest import (
 )
 from isingworlds import (
     InvalidConfigError,
+    RngStream,
     WeightedGraph,
     clusters,
     enumerate_world,
+    heat_bath_rc_step,
     weight_rc,
     weight_rc_log,
     weight_spins,
@@ -29,9 +31,10 @@ from isingworlds import (
 )
 from isingworlds.exact import cluster_counts
 from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
+from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import (
     STATISTICS,
-    _connected_without_edge,
+    _connected,
     _union,
     config_from_string,
     config_to_string,
@@ -270,10 +273,14 @@ class TestClusters:
             self._check_union(star, z)
 
 
-def connected_without_edge(g, z, e, mark, stamp=1):
-    """The query with e's endpoints and short cycles looked up on ``g``,
-    as a CFTP plan step carries them."""
-    return _connected_without_edge(g.adjacency, z, e, *g.edges[e], g.short_cycles[e], mark, stamp)
+def connected_without_edge(g, z, e, mark, stamp=1, queues=None):
+    """The query as a CFTP step asks it: e closed in a copy of ``z``, then
+    e's endpoints and short cycles looked up on ``g``, as a plan step
+    carries them, and a fresh pair of queues unless ``queues`` is given."""
+    closed = list(z)
+    closed[e] = 0
+    from_i, from_j = queues or ([0] * g.num_nodes, [0] * g.num_nodes)
+    return _connected(g.adjacency, closed, *g.edges[e], g.short_cycles[e], mark, stamp, from_i, from_j)
 
 
 class TestConnectedWithoutEdge:
@@ -296,17 +303,48 @@ class TestConnectedWithoutEdge:
                 assert connected_without_edge(g, z, e, [0] * g.num_nodes) == joined_without_edge(g, z, e)
 
     def test_one_stamp_list_serves_many_queries(self):
-        # the CFTP run loop keeps one list of marks per run and raises the
-        # stamp by 2 per query; stale marks must read as unvisited
+        # the CFTP run loop keeps one list of marks and one pair of queues
+        # per run and raises the stamp by 2 per query; stale marks must
+        # read as unvisited, and stale queue entries past a side's tail
+        # must never be read
         rnd = random.Random(77)
         g = grid_graph(6, 6)
         mark = [0] * g.num_nodes
+        queues = [0] * g.num_nodes, [0] * g.num_nodes
         stamp = 1
         for _ in range(400):
             z = [1 if rnd.random() < 0.5 else 0 for _ in range(g.num_edges)]
             e = rnd.randrange(g.num_edges)
             stamp += 2
-            assert connected_without_edge(g, z, e, mark, stamp) == joined_without_edge(g, z, e)
+            assert connected_without_edge(g, z, e, mark, stamp, queues) == joined_without_edge(g, z, e)
+        assert max(map(max, queues)) > 0  # the queues were written and reused
+
+    def test_adversarial_path_and_star(self):
+        # all open and with one edge cut: the two sides meet after half the
+        # 20 000-node path each, and on the star the centre's side queues
+        # every node but the other side's start, n - 1 entries, all a side
+        # can hold, into queues of exactly n entries
+        path, star = adversarial_orders()
+        for g, pairs in (
+            (path, [(0, 19_999), (19_999, 0), (0, 1), (9_999, 10_000), (12_345, 3)]),
+            (star, [(59, 58), (58, 59), (59, 0), (0, 58), (3, 4)]),
+        ):
+            n, m = g.num_nodes, g.num_edges
+            mark, queues = [0] * n, ([-1] * n, [-1] * n)
+            stamp, fills = 1, []
+            for cut in (None, 0, m // 2, m - 1):
+                z = [1] * m
+                if cut is not None:
+                    z[cut] = 0
+                labels, _ = dfs_component_labels(g, z)
+                for i, j in pairs:
+                    for queue in queues:
+                        queue[:] = [-1] * n
+                    stamp += 2
+                    joined = _connected(g.adjacency, z, i, j, (), mark, stamp, *queues)
+                    assert joined == (labels[i] == labels[j]), (n, cut, i, j)
+                    fills += [n - queue.count(-1) for queue in queues]
+            assert max(fills) == (n - 1 if g is star else n // 2)
 
     def test_open_short_cycle_means_joined(self):
         # the fast path answers yes when one listed cycle is fully open;
@@ -404,6 +442,23 @@ class TestValidateConfig:
     @pytest.mark.parametrize("world", ["subs", "rc"])
     def test_values_equal_to_zero_or_one_pass(self, world):
         validate_config(fixture_graph("triangle"), world, [True, 1.0, 0])
+
+    def test_samplers_return_fresh_ints(self):
+        # True and 1.0 pass the guard as 1, but no output passes them on:
+        # the heat-bath step, the labels and every conversion, rc_to_subs
+        # included
+        g, z = fixture_graph("triangle", 0.5), (True, 1.0, False)
+        inputs = {"rc": z, "subs": (True, 1.0, 1.0), "spins": (True, 1.0, -1.0)}
+        outputs = [
+            heat_bath_rc_step(g, z, 0, 0.9),
+            heat_bath_rc_step(g, z, 2, 0.1),
+            heat_bath_rc_step(g, (True, False, True), 1, 0.5),
+            clusters(g, z).component_id,
+        ]
+        outputs += [convert(g, inputs[source], RngStream(3)) for (source, _), convert in REDUCTIONS.items()]
+        assert outputs[0] == (0, 1, 0) and outputs[1] == (1, 1, 1)
+        for config in outputs:
+            assert all(type(v) is int for v in config), config
 
     @pytest.mark.parametrize("bad", [[1], {1}, 2, 0.5, "1", float("nan")])
     def test_bad_values_are_named(self, bad):
