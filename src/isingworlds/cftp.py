@@ -136,10 +136,7 @@ def heat_bath_rc_step(g: WeightedGraph, z: Sequence[int], edge: int, u: float) -
         raise InvalidParameterError(f"uniform variate must lie in [0, 1), got {u!r}")
     low, p = g.cftp_plan.low[edge], g.ps[edge]  # the band, as in cftp_rc_run
     n = g.num_nodes
-    try:
-        out = bytearray(z)  # fresh 0/1 ints, read back as ints
-    except TypeError:  # a value such as 1.0 has no __index__
-        out = bytearray(1 if v else 0 for v in z)
+    out = [1 if v else 0 for v in z]  # fresh 0/1 ints, by value
     out[edge] = 0
     out[edge] = int(u < low or (u < p and _connected(
         g.adjacency, out, *g.edges[edge], g.short_cycles[edge], [0] * n, 1, [0] * n, [0] * n

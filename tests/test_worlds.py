@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from array import array
 
 import pytest
 
@@ -457,6 +458,11 @@ class TestValidateConfig:
         ]
         outputs += [convert(g, inputs[source], RngStream(3)) for (source, _), convert in REDUCTIONS.items()]
         assert outputs[0] == (0, 1, 0) and outputs[1] == (1, 1, 1)
+        # a buffer of 8-byte ints is read by value, not byte by byte
+        for buffered in (array("l", (1, 1, 0)), np.array((1, 1, 0), dtype=np.int64)):
+            steps = [heat_bath_rc_step(g, buffered, 0, 0.9), heat_bath_rc_step(g, buffered, 2, 0.1)]
+            assert steps == outputs[:2]
+            outputs += steps
         for config in outputs:
             assert all(type(v) is int for v in config), config
 
