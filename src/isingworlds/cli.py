@@ -94,6 +94,14 @@ _EXIT_CODES = (
 )
 
 
+def _json(payload: dict, indent: int | None = None) -> str:
+    """``payload`` as strict JSON: infinities spelled "inf"/"-inf", as graph
+    files spell them, and NaN written as null, an undefined value.  Every
+    finite value reads back as the same float, so it keeps its bytes."""
+    spelled = {"Infinity": "inf", "-Infinity": "-inf", "NaN": None}
+    return json.dumps(json.loads(json.dumps(payload), parse_constant=spelled.get), indent=indent)
+
+
 def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str], machine: dict | None = None) -> dict:
     """Write the payload to --out plus a manifest sidecar, or to stdout,
     and return the run manifest.
@@ -122,7 +130,7 @@ def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str
         manifest["seed"] = args.seed
     out = args.out
     if isinstance(payload, dict):
-        text = json.dumps(payload if out else {**payload, "manifest": manifest}, indent=2)
+        text = _json(payload if out else {**payload, "manifest": manifest}, indent=2)
         payload = [text if out else text + "\n"]
     if not out:
         sys.stdout.writelines(payload)
@@ -137,7 +145,7 @@ def _emit(args: argparse.Namespace, started: float, payload: dict | Iterable[str
             shutil.copymode(target, temp)
         temp.replace(target)
         sidecar["timing_seconds"] = time.perf_counter() - started
-        Path(out + ".manifest.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+        Path(out + ".manifest.json").write_text(_json(sidecar, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise InvalidConfigError(f"cannot write {out}: {exc}") from None
     finally:
@@ -311,7 +319,7 @@ def cmd_sample(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> in
         "manifest": manifest,
     }
     # summary goes to stdout either way; without --out it is the final line
-    print(json.dumps(summary) if not args.out else json.dumps(summary, indent=2))
+    print(_json(summary, indent=2 if args.out else None))
     return EXIT_OK
 
 

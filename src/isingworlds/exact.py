@@ -13,7 +13,9 @@ two domains cannot drift apart.  The scalar ``weight_*`` functions
 validate one configuration and fold it as a one-row matrix.  The spins
 weight includes the field's node factors when the graph carries one;
 the random-cluster folds take each row's cluster count from their
-caller.  The weights live here, not in :mod:`worlds`, because the
+caller, which for the scalar rc weights is the union-find pass of
+``worlds._union``, while the tables keep their own min-label counts
+(below).  The weights live here, not in :mod:`worlds`, because the
 oracle is their only production user: the samplers never import numpy.
 
 Tables store weights, not configurations.  Row r of a table is the
@@ -41,7 +43,9 @@ identity check or kernel matrix enumerates only the worlds it reads,
 each once; ``exact_tables`` reads all three at once.  The three
 partition-sum identities are one statement, ``Z_A = Z_B * factor``,
 checked by one routine in the linear domain, or in the log domain once
-a side leaves float range.
+a side leaves float range.  A spins table, and the identities that read
+one, refuse a graph whose finite couplings and field values sum past
+float range, where a log weight could overflow.
 
 Kernel matrices, by contrast, run the production code on purpose: each
 conversion in ``reductions.REDUCTIONS`` runs once per outcome of its
@@ -68,7 +72,7 @@ from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, require_field_free
 from .reductions import REDUCTIONS
 from .rng import RngStream, _nonnegative_int
-from .worlds import clusters, validate_config
+from .worlds import _union, validate_config
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,28 +133,19 @@ class WorldTable:
     @cached_property
     def probs(self) -> np.ndarray:
         """Normalized weights; from the log weights once Z is not a
-        positive finite float, where ``weights / Z`` would be NaN."""
+        positive finite float, where ``weights / Z`` would be NaN, scaled
+        by the largest of them: ``log_Z`` is rounded to its own ulp, which
+        past about 1e13 would skew every probability."""
         if 0.0 < self.Z < math.inf:
             return self.weights / self.Z
-        return np.exp(self.log_weights - self.log_Z)
+        scaled = np.exp(self.log_weights - self.log_weights.max())
+        return scaled / scaled.sum()
 
     @cached_property
     def support(self) -> np.ndarray:
         """Indices of the rows of finite log weight, also where the linear
         weight underflows."""
         return np.flatnonzero(self.log_weights > -math.inf)
-
-
-def _check_caps(g: WeightedGraph, world: str) -> None:
-    if world == "spins":
-        if g.num_nodes > SPINS_ENUM_NODE_CAP:
-            raise CapExceededError(
-                f"spins enumeration needs num_nodes <= {SPINS_ENUM_NODE_CAP}, got {g.num_nodes}"
-            )
-    elif g.num_edges > EDGE_ENUM_CAP:
-        raise CapExceededError(
-            f"edge-world enumeration needs num_edges <= {EDGE_ENUM_CAP}, got {g.num_edges}"
-        )
 
 
 # rows a table builds and folds at a time: enumeration and every reader
@@ -315,10 +310,11 @@ def _pick(flags: np.ndarray, unset: float, set_: float) -> np.ndarray:
     return np.array([unset, set_]).take(flags.view(np.int8))
 
 
-def _one_row(fold: Callable[..., np.ndarray], g: WeightedGraph, world: str, config, count=None) -> float:
-    """One configuration folded as a one-row matrix, with its cluster
-    count for rc."""
-    counts = None if count is None else np.array([count])
+def _one_row(fold: Callable[..., np.ndarray], g: WeightedGraph, world: str, config: Sequence[int]) -> float:
+    """One configuration, once validated, folded as a one-row matrix; an
+    rc row takes its cluster count from the union-find pass."""
+    validate_config(g, world, config)
+    counts = np.array([_union(g, config)[1]]) if world == "rc" else None
     return float(fold(g, world, np.array([config], dtype=np.int8), counts)[0])
 
 
@@ -332,36 +328,30 @@ def weight_spins(g: WeightedGraph, x: Sequence[int]) -> float:
     it down (those limits make the pinned factor exactly 1).  A graph
     without a field has no node factors.
     """
-    validate_config(g, "spins", x)
     return _one_row(_linear_fold, g, "spins", x)
 
 
 def weight_spins_log(g: WeightedGraph, x: Sequence[int]) -> float:
-    validate_config(g, "spins", x)
     return _one_row(_log_fold, g, "spins", x)
 
 
 def weight_subs(g: WeightedGraph, y: Sequence[int]) -> float:
     """Product of lambda over open edges if every node has even open
     degree, else 0."""
-    validate_config(g, "subs", y)
     return _one_row(_linear_fold, g, "subs", y)
 
 
 def weight_subs_log(g: WeightedGraph, y: Sequence[int]) -> float:
-    validate_config(g, "subs", y)
     return _one_row(_log_fold, g, "subs", y)
 
 
 def weight_rc(g: WeightedGraph, z: Sequence[int]) -> float:
     """Open/closed probability products times 2 to the number of clusters."""
-    count = clusters(g, z).count  # validates z
-    return _one_row(_linear_fold, g, "rc", z, count)
+    return _one_row(_linear_fold, g, "rc", z)
 
 
 def weight_rc_log(g: WeightedGraph, z: Sequence[int]) -> float:
-    count = clusters(g, z).count  # validates z
-    return _one_row(_log_fold, g, "rc", z, count)
+    return _one_row(_log_fold, g, "rc", z)
 
 
 def _or_inf(fn: Callable[..., float], *args: float) -> float:
@@ -389,10 +379,30 @@ def _sites(g: WeightedGraph, world: str) -> int:
     return g.num_nodes if world == "spins" else g.num_edges
 
 
+def _require_finite_log_weights(g: WeightedGraph) -> None:
+    """Refuse a graph whose finite couplings and finite field magnitudes
+    sum past float range: a spins log weight, a signed sum of them, could
+    then overflow to inf, and the log-domain identities sum the couplings."""
+    finite = [abs(v) for v in (*g.betas, *(g.field or ())) if math.isfinite(v)]
+    try:
+        math.fsum(finite)
+    except OverflowError:
+        raise InvalidParameterError("the finite couplings and field values sum past float range") from None
+
+
 def _world_spec(g: WeightedGraph, world: str) -> tuple[int, tuple[int, int]]:
     """A world's sites and site values, once the world and its cap are
     checked."""
-    _check_caps(g, world)
+    if world == "spins":
+        if g.num_nodes > SPINS_ENUM_NODE_CAP:
+            raise CapExceededError(
+                f"spins enumeration needs num_nodes <= {SPINS_ENUM_NODE_CAP}, got {g.num_nodes}"
+            )
+        _require_finite_log_weights(g)
+    elif g.num_edges > EDGE_ENUM_CAP:
+        raise CapExceededError(
+            f"edge-world enumeration needs num_edges <= {EDGE_ENUM_CAP}, got {g.num_edges}"
+        )
     if world not in _WORLD_SPECS:
         raise InvalidParameterError(f"unknown world {world!r}")
     return _sites(g, world), _WORLD_SPECS[world][0]
@@ -462,7 +472,8 @@ def _own_tables(g: WeightedGraph, tables: ExactTables | None) -> ExactTables:
 # Partition-function identities
 # ---------------------------------------------------------------------------
 
-# relative error below which a partition-sum identity passes
+# relative error below which a partition-sum identity passes; in the log
+# domain the rounding of log Z may widen it (see _report)
 IDENTITY_TOL = 1e-10
 # max pointwise error below which a kernel is stationary
 STATIONARITY_TOL = 1e-9
@@ -488,10 +499,21 @@ def _log_cosh(beta: float) -> float:
 
 
 def _report(name: str, lhs: float, rhs: float, log_domain: bool) -> IdentityReport:
+    """Z_lhs against Z_rhs, given as Z or, in the log domain, as log Z.
+
+    ``relative_error`` is |Z_lhs / Z_rhs - 1| either way.  The log domain
+    gates on the gap in log Z, that error to first order, and allows the
+    larger of ``IDENTITY_TOL`` and 8 ulps of the larger log Z, which is
+    itself rounded to its ulp (coarser than ``IDENTITY_TOL`` past log Z
+    of about 5e5).  Past about 4.5e15 an ulp of log Z is 1 or more, so a
+    passing check's relative error may read large there.
+    """
     if log_domain:
-        rel = abs(math.expm1(lhs - rhs)) if abs(lhs - rhs) < 700 else math.inf
-    else:
-        rel = abs(lhs - rhs) / lhs if lhs > 0 else math.inf
+        gap = abs(lhs - rhs)
+        rel = abs(math.expm1(lhs - rhs)) if gap < 700 else math.inf
+        tol = max(IDENTITY_TOL, 8 * math.ulp(max(abs(lhs), abs(rhs))))
+        return IdentityReport(name, lhs, rhs, rel, tol, gap < tol, log_domain)
+    rel = abs(lhs - rhs) / lhs if lhs > 0 else math.inf
     return IdentityReport(name, lhs, rhs, rel, IDENTITY_TOL, rel < IDENTITY_TOL, log_domain)
 
 
@@ -522,6 +544,7 @@ def check_relate_identity(g: WeightedGraph, tables: ExactTables | None = None) -
     if any(math.isinf(b) for b in g.betas):
         raise InvalidParameterError("relate identities need finite couplings")
     require_field_free(g)
+    _require_finite_log_weights(g)
     tables = _own_tables(g, tables)
     sum_beta = math.fsum(g.betas)
     prod_cosh = math.prod(_or_inf(math.cosh, b) for b in g.betas)
@@ -559,13 +582,9 @@ def check_rc_normalizer(g: WeightedGraph, tables: ExactTables | None = None) -> 
 # Exact kernel matrices
 # ---------------------------------------------------------------------------
 
-# conversion -> (source world, target world)
-KERNEL_SPECS = {
-    "subs_to_rc": ("subs", "rc"),
-    "rc_to_subs": ("rc", "subs"),
-    "rc_to_spins": ("rc", "spins"),
-    "spins_to_rc": ("spins", "rc"),
-}
+# conversion -> (source world, target world): the conversions into and
+# out of the random-cluster world, named and ordered as in REDUCTIONS
+KERNEL_SPECS = {f.__name__: pair for pair, f in REDUCTIONS.items() if "rc" in pair}
 # composite -> its two conversions, which meet in the random-cluster world
 KERNEL_LEGS = {
     "subs_to_spins": ("subs_to_rc", "rc_to_spins"),

@@ -18,18 +18,17 @@ probability 0 or 1) are answered without consuming randomness.  A
 as the key is, before any draw: a bool, a float or a negative number is
 an error.
 
-The batch draws, :meth:`RngStream.bernoullis` and
-:meth:`RngStream.uniforms`, are draw for draw equal to the scalar calls
-they replace (``bernoulli`` per parameter, ``uniform`` per value): the
-same values, the same ``draws`` count and the same state of the stream
-afterwards.  They only save the per-call overhead of a Python-level
-draw; ``uniforms`` appends straight into a typed array, about 8 bytes a
-value, with no list in between.
+The batch draws save the per-call overhead of a Python-level draw.
+:meth:`RngStream.uniforms` is draw for draw equal to ``uniform`` per
+value: the same values, the same ``draws`` count and the same state of
+the stream afterwards; it appends straight into a typed array, about 8
+bytes a value, with no list in between.  :meth:`RngStream.bernoullis`
+states the Bernoulli rule once, and ``bernoulli`` is that rule for one
+parameter.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random as _random
 from array import array
@@ -82,21 +81,16 @@ class RngStream:
         return self._rng.random()
 
     def bernoulli(self, q: float) -> bool:
-        """Bernoulli(q) draw; q outside (0, 1) is answered deterministically
-        without consuming randomness."""
-        if math.isnan(q) or q < 0.0 or q > 1.0:
-            raise InvalidParameterError(f"Bernoulli parameter must lie in [0, 1], got {q}")
-        if q <= 0.0:
-            return False
-        if q >= 1.0:
-            return True
-        return self.uniform() < q
+        """One Bernoulli(q) draw: :meth:`bernoullis` of the one parameter."""
+        return self.bernoullis((q,))[0] == 1
 
     def bernoullis(self, qs: Iterable[float]) -> list[int]:
-        """``[bernoulli(q) for q in qs]`` as 0/1 ints, in one call.
+        """One 0/1 int per parameter q in [0, 1], in one call: 1 when a
+        uniform draw falls below q, and 0 or 1 without a draw when q is
+        0 or 1.
 
-        Parameters are validated in the same pass; a bad one raises after
-        the draws of the parameters before it, as the scalar loop would.
+        Parameters are validated in the same pass; a bad one (NaN or
+        outside [0, 1]) raises after the draws of the parameters before it.
         """
         random = self._rng.random
         out: list[int] = []

@@ -336,20 +336,9 @@ def config_to_string(world: str, config: Sequence[int]) -> str:
 
 
 def config_from_string(world: str, text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if world == "spins":
-        values = []
-        for ch in text:
-            if ch == "+":
-                values.append(1)
-            elif ch == "-":
-                values.append(-1)
-            else:
-                raise InvalidConfigError(f"spin strings use '+'/'-', got {ch!r}")
-        return tuple(values)
-    values = []
-    for ch in text:
-        if ch not in "01":
-            raise InvalidConfigError(f"edge strings use '0'/'1', got {ch!r}")
-        values.append(int(ch))
-    return tuple(values)
+    kind, alphabet = ("spin", {"+": 1, "-": -1}) if world == "spins" else ("edge", {"0": 0, "1": 1})
+    try:
+        return tuple(alphabet[ch] for ch in text.strip())
+    except KeyError as exc:
+        legal = "/".join(map(repr, alphabet))
+        raise InvalidConfigError(f"{kind} strings use {legal}, got {exc.args[0]!r}") from None

@@ -26,6 +26,7 @@ from isingworlds import (
     cli,
     draws,
     empirical_distribution,
+    exact,
     exact_tables,
     perfect_sample,
     tv_distance,
@@ -33,11 +34,14 @@ from isingworlds import (
 from isingworlds.cftp import MAX_EPOCH, first_epoch
 from isingworlds.chains import DRAW_BLOCK
 from isingworlds.cli import main
-from isingworlds.fixtures import fixture_graph, fixture_path
-from isingworlds.graphio import load_graph
+from isingworlds.fixtures import complete_graph, fixture_graph, fixture_path
+from isingworlds.graphio import load_graph, save_graph
 from isingworlds.worlds import STATISTICS
 
 TRIANGLE = str(fixture_path("triangle", "beta"))
+# path3 at beta 1e308: each coupling is finite, but the two sum past float
+# range, so a spins energy reads -inf, and its spread NaN
+HOT_PATH3 = "param beta\n0 1 1e308\n1 2 1e308\n"
 
 
 def write(tmp_path, name, text):
@@ -851,6 +855,78 @@ class TestVerify:
     def test_json_fixture_accepted(self, capsys):
         graph = str(fixture_path("triangle", "beta", "json"))
         assert main(["verify", "--graph", graph]) == 0
+
+    def test_huge_beta_passes_within_the_rounding_of_log_z(self, tmp_path, capsys):
+        # log Z near 7.4e5 is rounded to 1.2e-10, coarser than IDENTITY_TOL
+        graph = tmp_path / "k4.graph"
+        save_graph(complete_graph(4, 123456.789), graph)
+        assert main(["verify", "--graph", str(graph)]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["passed"] is True
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["sample", "--method", "enum", "--world", "spins", "--samples", "200", "--seed", "1"]]
+    )
+    def test_couplings_past_float_range_are_input_errors(self, argv, tmp_path, capsys):
+        graph = write(tmp_path, "hot.graph", HOT_PATH3)
+        assert main([*argv, "--graph", graph]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "past float range" in captured.err
+
+
+def strict_documents(text):
+    """The JSON documents of a payload: one indented object, or one a line."""
+    if text.startswith("{\n"):
+        return [strict_json(text)]
+    return [strict_json(line) for line in text.splitlines()]
+
+
+class TestStrictJson:
+    """Every JSON payload is strict JSON, on stdout and in --out and its
+    sidecar: an infinity is spelled "inf"/"-inf" and a NaN is null."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        hot = write(tmp_path, "hot.graph", HOT_PATH3)
+        config = write(tmp_path, "z.txt", "011")
+        return {
+            "reduce": ["reduce", "--from", "rc", "--to", "spins", "--graph", TRIANGLE, "--config", config,
+                       "--seed", "1"],
+            "verify": ["verify", "--graph", TRIANGLE, "--all-identities"],
+            "sample": ["sample", "--world", "spins", "--method", "cftp", "--graph", hot, "--samples", "5",
+                       "--seed", "1"],
+            "perfect": ["perfect", "--world", "spins", "--graph", hot, "--samples", "5", "--seed", "1"],
+        }
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("command", ["reduce", "verify", "sample", "perfect"])
+    def test_every_payload_is_strict(self, command, to_file, commands, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(commands[command] + (["--out", str(out)] if to_file else [])) == 0
+        texts = [capsys.readouterr().out]
+        if to_file:
+            texts += [out.read_text(), (tmp_path / "out.json.manifest.json").read_text()]
+        documents = [doc for text in texts for doc in strict_documents(text)]
+        assert documents
+
+    def test_infinite_mean_and_undefined_spread(self, commands, capsys):
+        assert main(commands["sample"]) == 0
+        summary = strict_json(capsys.readouterr().out.splitlines()[-1])
+        assert summary["stats"]["energy"] == {"mean": "-inf", "se": None}
+
+    def test_failing_identity_spells_its_infinite_error(self, monkeypatch, capsys):
+        # every rc row ruled out: Z_rc = 0, so rc_normalizer's error is inf
+        values, _ = exact._WORLD_SPECS["rc"]
+
+        def nothing(g, zs, ruled_out):
+            ruled_out[:] = True
+            yield from ()
+
+        monkeypatch.setitem(exact._WORLD_SPECS, "rc", (values, nothing))
+        assert main(["verify", "--graph", TRIANGLE]) == 1
+        report = strict_json(capsys.readouterr().out)
+        (rc,) = [c for c in report["checks"] if c["name"] == "rc_normalizer"]
+        assert rc["relative_error"] == "inf" and rc["passed"] is False
 
 
 class TestErrors:

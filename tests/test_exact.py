@@ -462,6 +462,11 @@ class TestIdentityGatesCatchAPlantedDefect:
         "triangle-1100-nodes": (WeightedGraph(1100, ((0, 1), (1, 2), (0, 2)), (0.5,) * 3), {
             "rc_normalizer": (False, True),
         }),
+        # log Z near 7.4e5: the log-domain tolerance is 8 ulps, 9.3e-10
+        "k4-beta-123456.789": (complete_graph(4, 123456.789), {
+            "spins_vs_rc": (True, True), "spins_vs_subs": (False, True),
+            "rc_normalizer": (False, False),
+        }),
     }
 
     @staticmethod
@@ -501,6 +506,62 @@ class TestIdentityGatesCatchAPlantedDefect:
             assert (report.passed, report.used_log_domain) == (passed, log_domain), name
             if not passed:  # the plant's own size, not a blowup
                 assert 1e-10 < report.relative_error < 1e-7, (name, report.relative_error)
+
+
+class TestHugeFiniteBeta:
+    """Finite couplings far past the linear range: the identities allow
+    the rounding of log Z, the tables' probabilities do not depend on it,
+    and couplings that sum past float range are refused."""
+
+    @staticmethod
+    def graphs():
+        rnd = random.Random(33)
+        k4 = complete_graph(4)
+        yield complete_graph(4, 123456.789)
+        for _ in range(60):
+            yield complete_graph(4, [1e5 * rnd.uniform(0.5, 2.0) for _ in k4.edges])
+        for scale in (1e15, 1e16, 1e20, 1e100):
+            for base in (complete_graph(5), grid_graph(3, 3), grid_graph(3, 4)):
+                yield WeightedGraph(base.num_nodes, base.edges,
+                                    tuple(scale * rnd.uniform(0.5, 2.0) for _ in base.edges))
+
+    def test_identities_pass_within_the_rounding_of_log_z(self):
+        for g in self.graphs():
+            for report in [*check_relate_identity(g), check_rc_normalizer(g)]:
+                assert report.passed, (g.betas, report)
+                if report.used_log_domain:
+                    larger = max(abs(report.lhs), abs(report.rhs))
+                    assert report.tolerance == max(exact.IDENTITY_TOL, 8 * math.ulp(larger))
+                else:
+                    assert report.tolerance == exact.IDENTITY_TOL
+
+    @pytest.mark.parametrize("beta", [1e13, 1e15, 1e300])
+    def test_probabilities_are_exact(self, beta):
+        # path3: half on +++ and half on ---, the first and the last row
+        probs = enumerate_world(path_graph(3, beta), "spins").probs
+        assert probs[0] == probs[-1] == 0.5
+        assert not probs[1:-1].any()
+
+    def test_couplings_past_float_range_are_refused(self, enumerated):
+        g = path_graph(3, 1e308)
+        with pytest.raises(InvalidParameterError, match="past float range"):
+            check_relate_identity(g)
+        assert enumerated == []  # refused before any enumeration
+        with pytest.raises(InvalidParameterError, match="past float range"):
+            enumerate_world(g, "spins")
+        # the edge worlds' weights stay finite: both sides pinned
+        assert check_rc_normalizer(g).passed
+        for world in ("subs", "rc"):
+            assert enumerate_world(g, world).probs.sum() == 1.0
+
+    def test_field_values_count_towards_the_range(self):
+        # each value fits; the coupling and the field together do not, nor
+        # two negative field values, whose all-up row sums to -2e308
+        for g in (WeightedGraph(2, ((0, 1),), (1e308,), (1e308, -math.inf)),
+                  WeightedGraph(2, (), (), (-1e308, -1e308))):
+            with pytest.raises(InvalidParameterError, match="past float range"):
+                enumerate_world(g, "spins")
+        assert enumerate_world(WeightedGraph(2, ((0, 1),), (1e308,), (0.0, -math.inf)), "spins").Z > 0
 
 
 class _BranchBits:
@@ -694,6 +755,14 @@ class TestKernelMatrices:
         g = WeightedGraph(3, ((0, 1), (1, 2), (0, 2)), (0.5, 0.5, 0.5), (0.7, 0.0, 0.0))
         with pytest.raises(InvalidConfigError, match="field"):
             exact_kernel_matrix(g, "rc_to_spins")
+
+    def test_kernel_specs_are_the_rc_conversions(self):
+        assert list(exact.KERNEL_SPECS.items()) == [
+            ("subs_to_rc", ("subs", "rc")),
+            ("rc_to_subs", ("rc", "subs")),
+            ("rc_to_spins", ("rc", "spins")),
+            ("spins_to_rc", ("spins", "rc")),
+        ]
 
     def test_unknown_kernel(self):
         with pytest.raises(InvalidParameterError):

@@ -65,6 +65,21 @@ def test_bernoulli_validates_parameter():
         rng.bernoulli(float("nan"))
 
 
+@pytest.mark.parametrize("q", [0, 1, 0.3, True, math.nan, -0.1, 1.5])
+def test_bernoulli_is_bernoullis_of_one(q):
+    scalar, batch = RngStream(4), RngStream(4)
+    try:
+        (expected,) = batch.bernoullis([q])
+    except InvalidParameterError as exc:
+        with pytest.raises(InvalidParameterError) as raised:
+            scalar.bernoulli(q)
+        assert str(raised.value) == str(exc)
+    else:
+        assert scalar.bernoulli(q) is (expected == 1)
+    assert scalar.draws == batch.draws
+    assert scalar.uniform() == batch.uniform()  # the streams stay in step
+
+
 def test_negative_seed_rejected():
     with pytest.raises(InvalidParameterError):
         RngStream(-1)

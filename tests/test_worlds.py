@@ -490,6 +490,14 @@ class TestSerialization:
             config_from_string("spins", "+0")
         with pytest.raises(InvalidConfigError):
             config_from_string("rc", "+1")
+        rules = {"spins": ("+-+", "spin strings use '+'/'-'"), "subs": ("011", "edge strings use '0'/'1'"),
+                 "rc": ("011", "edge strings use '0'/'1'")}
+        for world, (good, rule) in rules.items():
+            for bad in ("x", "1" if world == "spins" else "-", "'"):
+                for text in (bad + good, good[:1] + bad + good[1:], good + bad):
+                    with pytest.raises(InvalidConfigError) as raised:
+                        config_from_string(world, text)
+                    assert str(raised.value) == f"{rule}, got {bad!r}", text
 
 
 class TestStatistics:
