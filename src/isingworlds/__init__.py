@@ -8,7 +8,7 @@ from the past, and a brute-force enumeration oracle that verifies every
 distributional claim on small graphs.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .cftp import (
     CftpRun,
@@ -105,7 +105,6 @@ __all__ = [
     "read_graph_text",
     "reduce_unidirectional_field",
     "run_chain",
-    "sample_from_table",
     "save_graph",
     "spins_to_rc",
     "spins_to_subs",
@@ -115,11 +114,7 @@ __all__ = [
     "sw_subgraphs_step",
     "tv_distance",
     "weight_rc",
-    "weight_rc_log",
-    "weight_spins",
-    "weight_spins_log",
     "weight_subs",
-    "weight_subs_log",
 ]
 
 

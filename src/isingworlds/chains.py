@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .cftp import DEFAULT_MAX_EPOCH, first_epoch, perfect_sample
 from .errors import InvalidConfigError, InvalidParameterError
-from .graph import WeightedGraph, require_field_free
+from .graph import WeightedGraph, _require_finite_log_weights, require_field_free
 from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
 from .rng import RngStream
 from .worlds import SpinConfig, SubgraphConfig, require_statistic, require_support
@@ -97,7 +97,8 @@ def run_chain(
     A row is recorded after every ``thin``-th step; ``steps = 0`` yields
     an empty trace and leaves the state untouched.  The counts, the start
     state and the statistic names (each at most once) are checked before
-    any draw, whatever ``steps`` is.
+    any draw, whatever ``steps`` is; so is, for a spins chain, that the
+    couplings sum within float range, as the oracle checks it.
     """
     _require_counts(("steps", steps, 0), ("thin", thin, 1))
     if len(set(collect)) != len(collect):
@@ -105,6 +106,8 @@ def run_chain(
     kernel = _KERNELS.get(init.world)
     if kernel is None:
         raise InvalidConfigError(f"no chain kernel runs in world {init.world!r}")
+    if init.world == "spins":
+        _require_finite_log_weights(g)
     require_support(g, init.world, init.config)
 
     trace = ChainTrace(stats=tuple(collect))
@@ -159,12 +162,16 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
       ``RngStream(seed)``, ``block`` at a time (this loads numpy).
 
     Only ``enum`` in the spins world accepts a field graph; every other
-    case, and a count below 0 (``n``) or 1 (``thin``, ``block``), raises
-    on the first ``next``, whatever ``n`` is.
+    case, a spins graph whose finite couplings and field values sum past
+    float range (which the oracle refuses), and a count below 0 (``n``)
+    or 1 (``thin``, ``block``), raise on the first ``next``, whatever
+    ``n`` is.
     """
     _require_counts(("n", n, 0), ("thin", thin, 1), ("block", block, 1))
     if method != "enum" or world != "spins":
         require_field_free(g)
+    if world == "spins":
+        _require_finite_log_weights(g)
     if method == "cftp":
         if n:
             first_epoch(g, max_epoch)  # kept on g, so a pool's workers get it with g and run no pilot

@@ -5,47 +5,48 @@ truth: full weight tables and partition sums per world, the
 partition-function identities linking the worlds, exact one-step
 transition matrices, and the closed-form even-subgraph count.
 
-Each world states its unnormalized weight once, as the factors its
+The oracle has one numeric domain, the log domain, at every beta.
+Each world states its unnormalized log weight once, as the factors its
 factor function yields over an int8 block of configurations (one row per
-configuration), each factor carrying its value pair in both the linear
-and the log domain; one fold per domain evaluates every world, so the
-two domains cannot drift apart.  The scalar ``weight_*`` functions
-validate one configuration and fold it as a one-row matrix.  The spins
+configuration), each factor carrying one pair of log values; one fold
+evaluates every world.  The scalar ``weight_*`` functions validate one
+configuration, fold it as a one-row matrix and exponentiate.  The spins
 weight includes the field's node factors when the graph carries one;
-the random-cluster folds take each row's cluster count from their
-caller, which for the scalar rc weights is the union-find pass of
-``worlds._union``, while the tables keep their own min-label counts
-(below).  The weights live here, not in :mod:`worlds`, because the
-oracle is their only production user: the samplers never import numpy.
+the random-cluster fold takes each row's cluster count from its caller,
+which for the scalar rc weight is the union-find pass of
+``worlds._union`` and for a table its own min-label counts (below).  The
+weights live here, not in :mod:`worlds`, because the oracle is their
+only production user: the samplers never import numpy.
 
-Tables store weights, not configurations.  Row r of a table is the
+Tables store log weights, not configurations.  Row r of a table is the
 binary expansion of r over the world's sites (``itertools.product``
-order), so a table keeps only its weights, 8 bytes a row, and an rc
-table its cluster counts in the smallest unsigned dtype that holds
-``num_nodes``, for its log weights.  Tables are read by row index:
-``rows`` rebuilds the configurations at any indices and ``index`` maps
-configurations back to theirs, so a draw, a histogram or a kernel matrix
-addresses rows without a tuple or a dict entry per row.  Whole tables are
-rebuilt in blocks of ``BLOCK_ROWS``, column by column, both to fold the
-weights at enumeration and to read log weights or every configuration;
-every per-row float operation is the same whatever the block size, so
-the values are too.  A random-cluster table takes its cluster counts
-from min-label propagation over each block, on the edge-incident nodes
-only, which is deliberately independent of the traversals the samplers
-use (the union-find pass of ``worlds._union`` and the forest of
+order), so a table keeps only its log weights, 8 bytes a row.  Tables
+are read by row index: ``rows`` rebuilds the configurations at any
+indices and ``index`` maps configurations back to theirs, so a draw, a
+histogram or a kernel matrix addresses rows without a tuple or a dict
+entry per row.  Whole tables are built in blocks of ``BLOCK_ROWS``,
+column by column, both to fold the log weights at enumeration and to
+read every configuration; every per-row float operation is the same
+whatever the block size, so the values are too.  A random-cluster block
+takes its cluster counts, which feed its fold and are not kept, from
+min-label propagation on the edge-incident nodes only, which is
+deliberately independent of the traversals the samplers use (the
+union-find pass of ``worlds._union`` and the forest of
 ``worlds._open_forest``): an oracle sharing that code would share its
 faults.  Parity work likewise covers only edge-incident nodes, so a
 graph with a few edges and many isolated nodes costs no more than its
-edges.
+edges.  Probabilities are the log weights less the largest of them,
+exponentiated and normalised, so they never depend on the rounding of
+log Z.
 
 ``ExactTables`` enumerates each world the first time it is read, so an
 identity check or kernel matrix enumerates only the worlds it reads,
 each once; ``exact_tables`` reads all three at once.  The three
-partition-sum identities are one statement, ``Z_A = Z_B * factor``,
-checked by one routine in the linear domain, or in the log domain once
-a side leaves float range.  A spins table, and the identities that read
-one, refuse a graph whose finite couplings and field values sum past
-float range, where a log weight could overflow.
+partition-sum identities are one statement,
+``log Z_A = log Z_B + log factor``, checked by one routine.  A spins
+table, and the identities that read one, refuse a graph whose finite
+couplings and field values sum past float range, where a log weight
+could overflow.
 
 Kernel matrices, by contrast, run the production code on purpose: each
 conversion in ``reductions.REDUCTIONS`` runs once per outcome of its
@@ -69,7 +70,7 @@ import numpy as np
 
 from .caps import CAPS, EDGE_ENUM_CAP, KERNEL_EDGE_CAP, KERNEL_NODE_CAP, SPINS_ENUM_NODE_CAP
 from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
-from .graph import WeightedGraph, require_field_free
+from .graph import WeightedGraph, _require_finite_log_weights, require_field_free
 from .reductions import REDUCTIONS
 from .rng import RngStream, _nonnegative_int
 from .worlds import _union, validate_config
@@ -81,16 +82,14 @@ class WorldTable:
 
     Configurations are listed in lexicographic order of their serialized
     bit/sign strings, which keeps golden outputs stable; row r is the
-    binary expansion of r, so only the weights are stored.  ``rows`` maps
-    row indices to configurations and ``index`` maps configurations back;
-    ``configs`` is every row as a tuple.  An rc table keeps each row's
-    cluster count in ``counts`` for its log fold.
+    binary expansion of r, so only the log weights are stored.  ``rows``
+    maps row indices to configurations and ``index`` maps configurations
+    back; ``configs`` is every row as a tuple.
     """
 
     world: str
-    weights: np.ndarray
+    log_weights: np.ndarray
     graph: WeightedGraph
-    counts: np.ndarray | None = None
 
     @property
     def _layout(self) -> tuple[int, tuple[int, int]]:
@@ -113,38 +112,32 @@ class WorldTable:
     def configs(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for _, block in _row_blocks(*self._layout) for c in map(tuple, block.tolist()))
 
-    @cached_property
-    def Z(self) -> float:
-        return float(self.weights.sum())
-
-    @cached_property
-    def log_weights(self) -> np.ndarray:
-        """The world's log weight of every row."""
-        out, counts = np.empty(len(self.weights)), self.counts
-        for part, block in _row_blocks(*self._layout):
-            out[part] = _log_fold(self.graph, self.world, block, None if counts is None else counts[part])
-        return out
+    def _scaled(self) -> np.ndarray:
+        """Every weight divided by the largest, as one new array: a log
+        ratio past float range is -inf, whose exp is the 0 it stands for."""
+        with np.errstate(over="ignore"):
+            scaled = self.log_weights - self.log_weights.max()
+        return np.exp(scaled, out=scaled)
 
     @cached_property
     def log_Z(self) -> float:
-        """log Z from the log weights, for when the linear sum overflows."""
-        return float(np.logaddexp.reduce(self.log_weights))
+        """The largest log weight plus the log of the sum of the scaled
+        weights; -inf when no row has positive weight."""
+        top = float(self.log_weights.max())
+        return top if top == -math.inf else top + math.log(float(self._scaled().sum()))
 
     @cached_property
     def probs(self) -> np.ndarray:
-        """Normalized weights; from the log weights once Z is not a
-        positive finite float, where ``weights / Z`` would be NaN, scaled
-        by the largest of them: ``log_Z`` is rounded to its own ulp, which
-        past about 1e13 would skew every probability."""
-        if 0.0 < self.Z < math.inf:
-            return self.weights / self.Z
-        scaled = np.exp(self.log_weights - self.log_weights.max())
-        return scaled / scaled.sum()
+        """The scaled weights normalised, in place: ``log_Z`` is rounded to
+        its own ulp, which past about 1e13 would skew every probability."""
+        probs = self._scaled()
+        probs /= probs.sum()
+        return probs
 
     @cached_property
     def support(self) -> np.ndarray:
-        """Indices of the rows of finite log weight, also where the linear
-        weight underflows."""
+        """Indices of the rows of finite log weight, also where the
+        probability underflows."""
         return np.flatnonzero(self.log_weights > -math.inf)
 
 
@@ -221,15 +214,15 @@ def cluster_counts(
 # Weights
 # ---------------------------------------------------------------------------
 
-# Each world states its weight once, as its factors over a configuration
-# matrix (one row per configuration, one column per node for spins or
-# per edge): a factor is a flag column (bool or 0/1 int8) with its
-# (unset, set) value pair in the linear domain and in the log domain.
-# A world's factor function yields them in node/edge order and marks the
-# rows a hard constraint rules out in the mask it is given.  The folds
-# below multiply or add the factors with the float operations of the
-# plain loop, one column at a time, and set ruled-out rows at the end, so
-# a 0 * inf on the way never leaks a NaN into them.
+# Each world states its log weight once, as its factors over a
+# configuration matrix (one row per configuration, one column per node
+# for spins or per edge): a factor is a flag column (bool or 0/1 int8)
+# with its (unset, set) pair of log values.  A world's factor function
+# yields them in node/edge order and marks the rows a hard constraint
+# rules out in the mask it is given.  The fold below adds the factors
+# with the float operations of the plain loop, one column at a time, and
+# sets ruled-out rows at the end, so an inf - inf on the way never leaks
+# a NaN into them.
 
 def spins_factors(g: WeightedGraph, xs: np.ndarray, ruled_out: np.ndarray) -> Iterator[tuple]:
     """Edge factors exp(beta * x_i * x_j), then the field's node factors;
@@ -239,7 +232,7 @@ def spins_factors(g: WeightedGraph, xs: np.ndarray, ruled_out: np.ndarray) -> It
         if math.isinf(beta):
             ruled_out |= ~agree
         else:
-            yield agree, (_or_inf(math.exp, -beta), _or_inf(math.exp, beta)), (-beta, beta)
+            yield agree, (-beta, beta)
     for v, b in enumerate(g.field or ()):
         if b == 0.0:
             continue
@@ -247,7 +240,7 @@ def spins_factors(g: WeightedGraph, xs: np.ndarray, ruled_out: np.ndarray) -> It
         if math.isinf(b):
             ruled_out |= up != (b > 0)
         else:
-            yield up, (1.0, _or_inf(math.exp, b)), (0.0, b)
+            yield up, (0.0, b)
 
 
 def odd_rows(edges: Sequence[tuple[int, int]], ys: np.ndarray) -> np.ndarray:
@@ -270,35 +263,22 @@ def subs_factors(g: WeightedGraph, ys: np.ndarray, ruled_out: np.ndarray) -> Ite
     """lambda per open edge; rows with an odd-degree node are ruled out."""
     ruled_out |= odd_rows(g.edges, ys)
     for e, lam in enumerate(g.lambdas):
-        yield ys[:, e], (1.0, lam), (0.0, _log(lam))
+        yield ys[:, e], (0.0, _log(lam))
 
 
 def rc_factors(g: WeightedGraph, zs: np.ndarray, ruled_out: np.ndarray) -> Iterator[tuple]:
-    """p per open edge and exp(-2 beta) = 1 - p per closed edge, which no
-    rounding of p zeroes; no row is ruled out, and the 2**clusters factor
-    is the fold's, from the caller's cluster counts."""
+    """log p per open edge and -2 beta = log(1 - p) per closed edge, which
+    no rounding of p moves; no row is ruled out, and the clusters * log 2
+    term is the fold's, from the caller's cluster counts."""
     for e, (p, beta) in enumerate(zip(g.ps, g.betas)):
-        yield zs[:, e], (math.exp(-2.0 * beta), p), (-2.0 * beta, _log(p))
-
-
-def _linear_fold(g: WeightedGraph, world: str, matrix: np.ndarray, counts=None) -> np.ndarray:
-    """The world's weight of every row; rc rows are scaled by 2**counts."""
-    ruled_out = np.zeros(len(matrix), dtype=bool)
-    acc = np.ones(len(matrix))
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        for flags, values, _ in _WORLD_SPECS[world][1](g, matrix, ruled_out):
-            acc *= _pick(flags, *values)
-        if counts is not None:
-            acc = np.ldexp(acc, counts)  # inf past float range, like _or_inf(math.ldexp, ...)
-    acc[ruled_out] = 0.0
-    return acc
+        yield zs[:, e], (-2.0 * beta, _log(p))
 
 
 def _log_fold(g: WeightedGraph, world: str, matrix: np.ndarray, counts=None) -> np.ndarray:
     """The world's log weight of every row; rc rows start at counts * log 2."""
     ruled_out = np.zeros(len(matrix), dtype=bool)
     total = np.zeros(len(matrix)) if counts is None else counts * math.log(2.0)
-    for flags, _, values in _WORLD_SPECS[world][1](g, matrix, ruled_out):
+    for flags, values in _WORLD_SPECS[world][1](g, matrix, ruled_out):
         total += _pick(flags, *values)
     total[ruled_out] = -math.inf
     return total
@@ -310,48 +290,25 @@ def _pick(flags: np.ndarray, unset: float, set_: float) -> np.ndarray:
     return np.array([unset, set_]).take(flags.view(np.int8))
 
 
-def _one_row(fold: Callable[..., np.ndarray], g: WeightedGraph, world: str, config: Sequence[int]) -> float:
-    """One configuration, once validated, folded as a one-row matrix; an
-    rc row takes its cluster count from the union-find pass."""
+def _one_row(g: WeightedGraph, world: str, config: Sequence[int]) -> float:
+    """The log weight of one configuration, once validated, folded as a
+    one-row matrix; an rc row takes its cluster count from the union-find
+    pass."""
     validate_config(g, world, config)
     counts = np.array([_union(g, config)[1]]) if world == "rc" else None
-    return float(fold(g, world, np.array([config], dtype=np.int8), counts)[0])
-
-
-def weight_spins(g: WeightedGraph, x: Sequence[int]) -> float:
-    """Product of edge factors exp(beta * x_i * x_j) and the field's node
-    factors.
-
-    Infinite couplings contribute an agreement indicator instead.  A node
-    with field value B contributes ``exp(B)`` when its spin is up and 1
-    when it is down; ``B = +inf`` pins the spin up and ``B = -inf`` pins
-    it down (those limits make the pinned factor exactly 1).  A graph
-    without a field has no node factors.
-    """
-    return _one_row(_linear_fold, g, "spins", x)
-
-
-def weight_spins_log(g: WeightedGraph, x: Sequence[int]) -> float:
-    return _one_row(_log_fold, g, "spins", x)
+    return float(_log_fold(g, world, np.array([config], dtype=np.int8), counts)[0])
 
 
 def weight_subs(g: WeightedGraph, y: Sequence[int]) -> float:
     """Product of lambda over open edges if every node has even open
-    degree, else 0."""
-    return _one_row(_linear_fold, g, "subs", y)
-
-
-def weight_subs_log(g: WeightedGraph, y: Sequence[int]) -> float:
-    return _one_row(_log_fold, g, "subs", y)
+    degree, else 0; inf past float range."""
+    return _or_inf(math.exp, _one_row(g, "subs", y))
 
 
 def weight_rc(g: WeightedGraph, z: Sequence[int]) -> float:
-    """Open/closed probability products times 2 to the number of clusters."""
-    return _one_row(_linear_fold, g, "rc", z)
-
-
-def weight_rc_log(g: WeightedGraph, z: Sequence[int]) -> float:
-    return _one_row(_log_fold, g, "rc", z)
+    """Open/closed probability products times 2 to the number of clusters;
+    inf past float range."""
+    return _or_inf(math.exp, _one_row(g, "rc", z))
 
 
 def _or_inf(fn: Callable[..., float], *args: float) -> float:
@@ -379,17 +336,6 @@ def _sites(g: WeightedGraph, world: str) -> int:
     return g.num_nodes if world == "spins" else g.num_edges
 
 
-def _require_finite_log_weights(g: WeightedGraph) -> None:
-    """Refuse a graph whose finite couplings and finite field magnitudes
-    sum past float range: a spins log weight, a signed sum of them, could
-    then overflow to inf, and the log-domain identities sum the couplings."""
-    finite = [abs(v) for v in (*g.betas, *(g.field or ())) if math.isfinite(v)]
-    try:
-        math.fsum(finite)
-    except OverflowError:
-        raise InvalidParameterError("the finite couplings and field values sum past float range") from None
-
-
 def _world_spec(g: WeightedGraph, world: str) -> tuple[int, tuple[int, int]]:
     """A world's sites and site values, once the world and its cap are
     checked."""
@@ -409,20 +355,18 @@ def _world_spec(g: WeightedGraph, world: str) -> tuple[int, tuple[int, int]]:
 
 
 def enumerate_world(g: WeightedGraph, world: str) -> WorldTable:
-    """Exhaustive weight table of one world, folded block by block into
-    preallocated arrays.
+    """Exhaustive log weight table of one world, folded block by block
+    into one preallocated array.
 
     For the spins world, a graph carrying a field is enumerated with the
     field factors included; the edge worlds ignore the field.
     """
     sites, values = _world_spec(g, world)
-    weights = np.empty(1 << sites)
-    counts = np.empty(1 << sites, np.min_scalar_type(g.num_nodes)) if world == "rc" else None
+    log_weights = np.empty(1 << sites)
     for part, block in _row_blocks(sites, values):
-        if counts is not None:
-            counts[part] = cluster_counts(g.num_nodes, g.edges, block)
-        weights[part] = _linear_fold(g, world, block, None if counts is None else counts[part])
-    return WorldTable(world, weights, g, counts)
+        counts = cluster_counts(g.num_nodes, g.edges, block) if world == "rc" else None
+        log_weights[part] = _log_fold(g, world, block, counts)
+    return WorldTable(world, log_weights, g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,8 +416,9 @@ def _own_tables(g: WeightedGraph, tables: ExactTables | None) -> ExactTables:
 # Partition-function identities
 # ---------------------------------------------------------------------------
 
-# relative error below which a partition-sum identity passes; in the log
-# domain the rounding of log Z may widen it (see _report)
+# gap in log Z, to first order the relative error in Z, below which a
+# partition-sum identity passes; the rounding of log Z may widen it (see
+# _identity)
 IDENTITY_TOL = 1e-10
 # max pointwise error below which a kernel is stationary
 STATIONARITY_TOL = 1e-9
@@ -487,7 +432,6 @@ class IdentityReport:
     relative_error: float
     tolerance: float
     passed: bool
-    used_log_domain: bool
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -498,38 +442,24 @@ def _log_cosh(beta: float) -> float:
     return beta + math.log1p(math.exp(-2.0 * beta)) - math.log(2.0)
 
 
-def _report(name: str, lhs: float, rhs: float, log_domain: bool) -> IdentityReport:
-    """Z_lhs against Z_rhs, given as Z or, in the log domain, as log Z.
+def _identity(name: str, lhs: WorldTable, rhs: WorldTable, log_terms: Sequence[float]) -> IdentityReport:
+    """Check ``log Z_lhs = log Z_rhs + a + b ...`` over the ``log_terms``
+    of the factor, added left to right.
 
-    ``relative_error`` is |Z_lhs / Z_rhs - 1| either way.  The log domain
-    gates on the gap in log Z, that error to first order, and allows the
-    larger of ``IDENTITY_TOL`` and 8 ulps of the larger log Z, which is
-    itself rounded to its ulp (coarser than ``IDENTITY_TOL`` past log Z
-    of about 5e5).  Past about 4.5e15 an ulp of log Z is 1 or more, so a
-    passing check's relative error may read large there.
+    ``relative_error`` is |Z_lhs / Z_rhs - 1|.  The check gates on the gap
+    in log Z, that error to first order, and allows the larger of
+    ``IDENTITY_TOL`` and 8 ulps of the larger log Z, which is itself
+    rounded to its ulp (coarser than ``IDENTITY_TOL`` past log Z of about
+    5e5).  Past about 4.5e15 an ulp of log Z is 1 or more, so a passing
+    check's relative error may read large there.
     """
-    if log_domain:
-        gap = abs(lhs - rhs)
-        rel = abs(math.expm1(lhs - rhs)) if gap < 700 else math.inf
-        tol = max(IDENTITY_TOL, 8 * math.ulp(max(abs(lhs), abs(rhs))))
-        return IdentityReport(name, lhs, rhs, rel, tol, gap < tol, log_domain)
-    rel = abs(lhs - rhs) / lhs if lhs > 0 else math.inf
-    return IdentityReport(name, lhs, rhs, rel, IDENTITY_TOL, rel < IDENTITY_TOL, log_domain)
-
-
-def _identity(
-    name: str, lhs: WorldTable, rhs: WorldTable, factor: float, log_terms: Sequence[float]
-) -> IdentityReport:
-    """Check ``Z_lhs = Z_rhs * factor``: in the linear domain while both
-    sides are finite floats, else as ``log Z_lhs = log Z_rhs + a + b ...``
-    over the ``log_terms`` of the factor, added left to right."""
-    scaled = rhs.Z * factor
-    if math.isfinite(lhs.Z) and math.isfinite(scaled):
-        return _report(name, lhs.Z, scaled, False)
-    log_rhs = rhs.log_Z
+    left, right = lhs.log_Z, rhs.log_Z
     for term in log_terms:
-        log_rhs += term
-    return _report(name, lhs.log_Z, log_rhs, True)
+        right += term
+    gap = abs(left - right)
+    rel = abs(math.expm1(left - right)) if gap < 700 else math.inf
+    tol = max(IDENTITY_TOL, 8 * math.ulp(max(abs(left), abs(right))))
+    return IdentityReport(name, left, right, rel, tol, gap < tol)
 
 
 def check_relate_identity(g: WeightedGraph, tables: ExactTables | None = None) -> list[IdentityReport]:
@@ -538,23 +468,20 @@ def check_relate_identity(g: WeightedGraph, tables: ExactTables | None = None) -
     ``Z_spins = Z_rc * prod(exp(beta))`` and
     ``Z_spins = Z_subs * 2**num_nodes * prod(cosh(beta))``.
     Requires finite couplings (the agreement-indicator convention for
-    infinite couplings rescales Z_spins).  Each switches to log-domain
-    sums when its linear products overflow.
+    infinite couplings rescales Z_spins).  Both are checked as sums of
+    logs.
     """
     if any(math.isinf(b) for b in g.betas):
         raise InvalidParameterError("relate identities need finite couplings")
     require_field_free(g)
     _require_finite_log_weights(g)
     tables = _own_tables(g, tables)
-    sum_beta = math.fsum(g.betas)
-    prod_cosh = math.prod(_or_inf(math.cosh, b) for b in g.betas)
     return [
-        _identity("spins_vs_rc", tables.spins, tables.rc, _or_inf(math.exp, sum_beta), (sum_beta,)),
+        _identity("spins_vs_rc", tables.spins, tables.rc, (math.fsum(g.betas),)),
         _identity(
             "spins_vs_subs",
             tables.spins,
             tables.subs,
-            _or_inf(math.ldexp, prod_cosh, g.num_nodes),
             (g.num_nodes * math.log(2.0), math.fsum(_log_cosh(b) for b in g.betas)),
         ),
     ]
@@ -567,14 +494,11 @@ def check_rc_normalizer(g: WeightedGraph, tables: ExactTables | None = None) -> 
     """
     require_field_free(g)
     tables = _own_tables(g, tables)
-    shift = g.num_nodes - g.num_edges
-    factor = math.prod(1.0 + math.exp(-2.0 * b) for b in g.betas)
     return _identity(
         "rc_normalizer",
         tables.rc,
         tables.subs,
-        _or_inf(math.ldexp, factor, shift),
-        (shift * math.log(2.0), math.fsum(math.log1p(math.exp(-2.0 * b)) for b in g.betas)),
+        ((g.num_nodes - g.num_edges) * math.log(2.0), math.fsum(math.log1p(math.exp(-2.0 * b)) for b in g.betas)),
     )
 
 
@@ -731,7 +655,7 @@ def inverse_cdf(table: WorldTable) -> Callable[[RngStream, int], list[tuple[int,
     drawn), one uniform each.  The CDF is summed once, so successive calls
     on one stream give the draws of one call for their total count.  A
     table with no positive-weight configuration is an error at once."""
-    if not 0.0 < table.Z < math.inf and len(table.support) == 0:
+    if table.log_Z == -math.inf:
         raise InvalidConfigError(f"the {table.world} table has no configuration of positive weight")
     cum = np.cumsum(table.probs)
     last = np.searchsorted(cum, cum[-1])  # a u past the rounded total takes the last row that adds probability
@@ -747,18 +671,12 @@ def inverse_cdf(table: WorldTable) -> Callable[[RngStream, int], list[tuple[int,
     return sample
 
 
-def sample_from_table(table: WorldTable, rng: RngStream, n: int) -> list[tuple[int, ...]]:
-    """n i.i.d. draws from an exact table by :func:`inverse_cdf`; a table
-    with no positive-weight configuration is an error, whatever n is."""
-    return inverse_cdf(table)(rng, n)
-
-
 def empirical_distribution(samples: Sequence[tuple[int, ...]], table: WorldTable) -> np.ndarray:
     """Histogram of samples aligned to a table's row order."""
     if len(samples) == 0:
         raise InvalidParameterError("an empirical distribution needs at least one sample")
     tally = Counter(map(tuple, samples))
-    counts = np.zeros(len(table.weights))
+    counts = np.zeros(len(table.log_weights))
     counts[table.index(list(tally))] = list(tally.values())
     return counts / len(samples)
 

@@ -268,6 +268,16 @@ class WeightedGraph:
         """``not has_field()``, kept: the guard of every sampler call reads it."""
         return not self.has_field()
 
+    @cached_property
+    def _log_weights_finite(self) -> bool:
+        """Whether the finite couplings and finite field magnitudes sum
+        within float range, kept: every spins sampler call reads it."""
+        try:
+            math.fsum(abs(v) for v in (*self.betas, *(self.field or ())) if math.isfinite(v))
+        except OverflowError:
+            return False
+        return True
+
     def without_field(self) -> "WeightedGraph":
         if self.field is None:
             return self
@@ -308,6 +318,15 @@ def require_field_free(g: WeightedGraph) -> None:
         raise InvalidConfigError(
             "graph carries a magnetic field; apply reduce_unidirectional_field first"
         )
+
+
+def _require_finite_log_weights(g: WeightedGraph) -> None:
+    """Refuse a graph whose finite couplings and finite field magnitudes
+    sum past float range: a spins log weight or energy, a signed sum of
+    them, could then overflow to inf, and the log-domain identities sum
+    the couplings."""
+    if not g._log_weights_finite:
+        raise InvalidParameterError("the finite couplings and field values sum past float range")
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,16 @@ class ClusterPartition:
     count: int
 
 
-_SPIN_VALUES = frozenset((-1, 1))
-_EDGE_VALUES = frozenset((0, 1))
+# the string alphabet of spins and of edge worlds, character -> value,
+# which the values of a configuration and both string functions read
+_ALPHABETS = {"spin": {"+": 1, "-": -1}, "edge": {"0": 0, "1": 1}}
+_SPIN_VALUES = frozenset(_ALPHABETS["spin"].values())
+_EDGE_VALUES = frozenset(_ALPHABETS["edge"].values())
+
+
+def _bad_value(kind: str, value: object) -> InvalidConfigError:
+    text = "-1 or +1" if kind == "spin" else "0 or 1"
+    return InvalidConfigError(f"{kind} values must be {text}, got {value!r}")
 
 
 def validate_config(g: WeightedGraph, world: str, config: Sequence[int]) -> None:
@@ -80,8 +88,7 @@ def validate_config(g: WeightedGraph, world: str, config: Sequence[int]) -> None
     legal = sorted(values)  # compared by ==, which an unhashable value allows
     for value in config:
         if value not in legal:
-            text = "-1 or +1" if kind == "spin" else "0 or 1"
-            raise InvalidConfigError(f"{kind} values must be {text}, got {value!r}")
+            raise _bad_value(kind, value)
 
 
 def require_support(g: WeightedGraph, world: str, config: Sequence[int]) -> None:
@@ -329,14 +336,27 @@ def require_statistic(world: str, name: str) -> _Statistic:
 # for spins), aligned with the graph's edge / node ordering.
 # ---------------------------------------------------------------------------
 
+def _alphabet(world: str) -> tuple[str, dict[str, int]]:
+    kind = "spin" if world == "spins" else "edge"
+    return kind, _ALPHABETS[kind]
+
+
 def config_to_string(world: str, config: Sequence[int]) -> str:
-    if world == "spins":
-        return "".join("+" if v == 1 else "-" for v in config)
-    return "".join(str(v) for v in config)
+    """One character a value, which :func:`config_from_string` reads back;
+    values compare by equality, as in :func:`validate_config`, and any
+    other value raises."""
+    kind, alphabet = _alphabet(world)
+    chars = []
+    for value in config:
+        char = next((char for char, legal in alphabet.items() if legal == value), None)
+        if char is None:
+            raise _bad_value(kind, value)
+        chars.append(char)
+    return "".join(chars)
 
 
 def config_from_string(world: str, text: str) -> tuple[int, ...]:
-    kind, alphabet = ("spin", {"+": 1, "-": -1}) if world == "spins" else ("edge", {"0": 0, "1": 1})
+    kind, alphabet = _alphabet(world)
     try:
         return tuple(alphabet[ch] for ch in text.strip())
     except KeyError as exc:

@@ -198,7 +198,7 @@ def reduced_conditioned_distribution(g: WeightedGraph) -> dict[tuple[int, ...], 
     table = enumerate_world(red.graph, "spins")
     dist: dict[tuple[int, ...], float] = {}
     total = 0.0
-    for config, w in zip(table.configs, table.weights):
+    for config, w in zip(table.configs, table.probs):
         if w <= 0.0:
             continue
         if red.anchor is not None and config[red.anchor] != 1:

@@ -37,12 +37,11 @@ from isingworlds import (
     perfect_subs_sample,
     rc_to_spins,
     rc_to_subs,
-    sample_from_table,
     spins_to_rc,
     subs_to_rc,
     tv_distance,
 )
-from isingworlds.exact import STATIONARITY_TOL
+from isingworlds.exact import STATIONARITY_TOL, inverse_cdf
 from isingworlds.fixtures import fixture_graph
 
 FIXTURES = ("k2", "path3", "triangle", "cycle4", "k4", "grid3x3")
@@ -144,22 +143,22 @@ def test_criterion_5_sampling_exactness():
             checks = []
 
             rng = RngStream(seed, 1)
-            ys = sample_from_table(tables.subs, rng, n)
+            ys = inverse_cdf(tables.subs)(rng, n)
             zs = [subs_to_rc(g, y, rng) for y in ys]
             checks.append(("subs_to_rc", tv_distance(empirical_distribution(zs, tables.rc), tables.rc.probs)))
 
             rng = RngStream(seed, 2)
-            zs = sample_from_table(tables.rc, rng, n)
+            zs = inverse_cdf(tables.rc)(rng, n)
             ys = [rc_to_subs(g, z, rng) for z in zs]
             checks.append(("rc_to_subs", tv_distance(empirical_distribution(ys, tables.subs), tables.subs.probs)))
 
             rng = RngStream(seed, 3)
-            zs = sample_from_table(tables.rc, rng, n)
+            zs = inverse_cdf(tables.rc)(rng, n)
             xs = [rc_to_spins(g, z, rng) for z in zs]
             checks.append(("rc_to_spins", tv_distance(empirical_distribution(xs, tables.spins), tables.spins.probs)))
 
             rng = RngStream(seed, 4)
-            xs = sample_from_table(tables.spins, rng, n)
+            xs = inverse_cdf(tables.spins)(rng, n)
             zs = [spins_to_rc(g, x, rng) for x in xs]
             checks.append(("spins_to_rc", tv_distance(empirical_distribution(zs, tables.rc), tables.rc.probs)))
 
@@ -232,9 +231,9 @@ def test_criterion_7_structural_invariants():
     for t_idx, tables in enumerate(pool):
         feed = RngStream(7000, t_idx)
         inputs[t_idx] = {
-            "subs": sample_from_table(tables.subs, feed, 400),
-            "rc": sample_from_table(tables.rc, feed, 400),
-            "spins": sample_from_table(tables.spins, feed, 400),
+            "subs": inverse_cdf(tables.subs)(feed, 400),
+            "rc": inverse_cdf(tables.rc)(feed, 400),
+            "spins": inverse_cdf(tables.spins)(feed, 400),
         }
 
     rng = RngStream(8000)

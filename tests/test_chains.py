@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import random_graph
+from conftest import random_graph, reference_weight
 
 from isingworlds import (
     InvalidConfigError,
@@ -17,7 +17,6 @@ from isingworlds import (
     exact_tables,
     sw_classic_step,
     sw_subgraphs_step,
-    weight_spins,
     weight_subs,
 )
 from isingworlds.chains import ChainState, initial_state, run_chain
@@ -99,7 +98,7 @@ class TestSubgraphsKernel:
         x = (1, 1, 1)
         for _ in range(200):
             x = sw_classic_step(gx, x, rng)
-            assert weight_spins(gx, x) > 0.0
+            assert reference_weight(gx, "spins", x) > 0.0
 
 
 class TestRunChain:

@@ -40,7 +40,8 @@ from isingworlds.worlds import STATISTICS
 
 TRIANGLE = str(fixture_path("triangle", "beta"))
 # path3 at beta 1e308: each coupling is finite, but the two sum past float
-# range, so a spins energy reads -inf, and its spread NaN
+# range, so a spins log weight or energy would overflow; the spins world
+# refuses it, the edge worlds run it
 HOT_PATH3 = "param beta\n0 1 1e308\n1 2 1e308\n"
 
 
@@ -419,14 +420,14 @@ PINNED_CFTP_STDOUT = {
     ("grid3x3", "perfect-subs", 2024): "f40ce57f3202c1d6589aa1ec5527d9ba4415516e60c4e6a8d57e2f29f90137ad",
     ("grid3x3", "perfect-rc", 7): "1e12571d30c618048248b89497075917334cd1ede68d02e0d41780e5a3aebacd",
     ("grid3x3", "perfect-rc", 2024): "3952089ace00e399d4e638116bc93dd2799a51323fac8e87c0c6a580ca3dc18c",
-    ("grid3x3", "sample-spins", 7): "230966adca88ef6e760320d77037a05240f57b3e2a34757c201051bd83b07adb",
-    ("grid3x3", "sample-spins", 2024): "a06d57d45221380615fe1683be8801f8fea9e600f0d9d79f4471fe495a9b8cf5",
+    ("grid3x3", "sample-spins", 7): "c2c7c63053b9593aa836ddfd35424c99eba02a16b2938ff980bcbf84d82bdac7",
+    ("grid3x3", "sample-spins", 2024): "50a08802c6cd8c5754563d5eed7762f26e6aa74d198460372d577f03373c91f4",
     ("cycle4", "perfect-subs", 7): "df2b9a0ae2faf48dcf2496818a0d96efb1ddd026e5b9a104092ec9eb1174e626",
     ("cycle4", "perfect-subs", 2024): "46e2a40aeb340981fde0a89dfd5576baa146233ebf4099a4b262c08274122ba3",
     ("cycle4", "perfect-rc", 7): "f4deebb3ea79768bbd0f93ffaec6890d6edad9eead2ff617d64ccef1e9b8e480",
     ("cycle4", "perfect-rc", 2024): "23095683c8f3f735259f1d7cb470a1a6e970039757f6ee7dcf3b0be7d2bd1a57",
-    ("cycle4", "sample-spins", 7): "1f5730eefdb9265b7ae71a2521078b54bca13a0732737e36f68af4e3b7641504",
-    ("cycle4", "sample-spins", 2024): "449f43c965d0e6a6775bd580f1c2cbdabb2ed70f4f94ed093c5c776079355734",
+    ("cycle4", "sample-spins", 7): "61b1b8ed327cc0fe40943942b444da3f25662c461bebe498727fd5eb6867b233",
+    ("cycle4", "sample-spins", 2024): "21984eab30742caab5f62a932a6a4699d9c3333757c47a73ffc2b8f794b1752f",
 }
 CFTP_COMMANDS = {
     "perfect-subs": ["perfect", "--world", "subs"],
@@ -449,12 +450,12 @@ def test_cftp_stdout_pinned(name, command, seed, monkeypatch, capsys):
 # every draw is the inverse CDF of the table's support over the same
 # uniforms.  How a table is stored and read may change, the draws may not.
 PINNED_ENUM_STDOUT = {
-    ("triangle", "spins"): "d511ca340faf13d17be694b7771797da8f1a52bbf12e8910c357348498ff427a",
-    ("triangle", "subs"): "08e507b80cb05e702f0e79b485a758689d3cd1ab5b4d57565385735e3deb2240",
-    ("triangle", "rc"): "00cb08f9b49bdf6ec0442477efd7fdca3e23fcdf439098ee227319da3e50ff1b",
-    ("grid3x3", "spins"): "1515feab68b16e124e05e55b7afbc6c70b060ede8a1ce4e78429124027285c3b",
-    ("grid3x3", "subs"): "a006bfab9ce278fb4691b73a97a595747e3ce3350aaa4084594cf86be7a01965",
-    ("grid3x3", "rc"): "a2afb9482103a23d1415915ac2ef2d1c89bff44a364765c1f58354d50160c921",
+    ("triangle", "spins"): "712bace8776013ce6f924a978355df01d353b0fd3808b5a75a8d2fff1d90763c",
+    ("triangle", "subs"): "95516d3b966cb9f8164eb801f063191fe58142145ace61ecac3a4fbe826db9da",
+    ("triangle", "rc"): "0b4dcbd4888c3605cc31ac439ea60c0e72e6f99b6dbbb88a081ba4be4d857925",
+    ("grid3x3", "spins"): "6fd4ea443e112e26485b290dbd3c1587c8f3425c5bf742865496b9512fcc28e1",
+    ("grid3x3", "subs"): "e380a50325caefcbb1c3b3ca0848a0b418e976b159f37b9f2fd0092714875999",
+    ("grid3x3", "rc"): "ef981bd9f055bd9bf8b94f7cb70a5436f45a1e85220248ff150047b2076be2a1",
 }
 
 
@@ -477,14 +478,14 @@ def test_enum_stdout_pinned(name, world, monkeypatch, capsys):
 PINNED_CHAIN_STDOUT = {
     ("grid3x3", "chain-sw"): "baa999e0bbf56614993a8565f2933d8ddec87933fc5360558cb386492efd15d5",
     ("grid3x3", "chain-subs-sw"): "947ecb7fe70539f9a98931028f2dfe3560462ae33043d74f95028935ae1b0854",
-    ("grid3x3", "sample-spins"): "f5ec005b2baa7beaff9e9cbca5f97cdba69f7621cf4c9a6f43d6cd39ed9f9824",
-    ("grid3x3", "sample-subs"): "84a913a94a7988eba59f0d82185a198e9f74eb79a802eedf1f68327b8e427cdd",
-    ("grid3x3", "sample-rc"): "e43472013863f1e5de40ca8bc4eaeb8054573702b2a3dcea68a158218712ff0d",
+    ("grid3x3", "sample-spins"): "af5c9d9d241006e133c69f4bbe96f3f7e48369ce4843ee026de92eafe5407d24",
+    ("grid3x3", "sample-subs"): "11762e078493a5acf1b19fefb1ca6eb2ec6681763501514b1b45492c7e3e51f2",
+    ("grid3x3", "sample-rc"): "79abd3a75f0c9b0ad4b71b68576a13906a7085da7517a8d14603b6a620b6a5a9",
     ("grid12", "chain-sw"): "ef82052487a987e27c73ea6df3b24f5be68bcffffaf0ffe36c78f44416fd9221",
     ("grid12", "chain-subs-sw"): "5a7a1e976bc59e7089e7d15f9dd2196abb36e65a8b1735b025c52aa59bcf218e",
-    ("grid12", "sample-spins"): "eb59f79340a6c08806eb9cef69e43225fb892ab0331317b36f44be2dff025544",
-    ("grid12", "sample-subs"): "c4bd6f7a0d5c4906630ba89713eb6986113a1f48af171099c4a8bfc1d1da8431",
-    ("grid12", "sample-rc"): "3edf3e501970bf42230c5d4f2231cc3a2476b0e9d8fa11aa1332590b3cfe9eab",
+    ("grid12", "sample-spins"): "d37df5c5fe45fbbcc714d8adb7109bd0fac29cd999903e5d2fb910f366bdbe9c",
+    ("grid12", "sample-subs"): "a86ab71f2e2a7972101a8532d45f1eb9b6ffb28d614ffba821008723622b873e",
+    ("grid12", "sample-rc"): "0188c44ae4b3893ee22ca9482cb01dea5273bfd31b66f6296d42bda95132572f",
 }
 CHAIN_COMMANDS = {
     "chain-sw": ["chain", "--kernel", "sw", "--steps", "60"],
@@ -819,12 +820,12 @@ class TestVerify:
         assert any("skipped" in c for c in report["checks"])
 
     def test_rc_normalizer_past_float_range(self, tmp_path, capsys):
-        # 2**1099 clusters overflow a float; the check moves to log weights
+        # 2**1099 clusters overflow a float; verify reports log Z
         graph = write(tmp_path, "big.graph", "param beta\nnodes 1100\n0 1 inf\n")
         assert main(["verify", "--graph", graph]) == 0
         report = json.loads(capsys.readouterr().out)
         (rc,) = [c for c in report["checks"] if c["name"] == "rc_normalizer"]
-        assert rc["used_log_domain"] and rc["passed"]
+        assert rc["passed"] and rc["lhs"] == pytest.approx(1099 * math.log(2.0), rel=1e-15)
 
     def test_sparse_huge_graph_costs_only_its_edges(self, tmp_path, capsys):
         # the tables' parity and labels cover edge-incident nodes only; a
@@ -835,7 +836,7 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         (rc,) = [c for c in report["checks"] if c["name"] == "rc_normalizer"]
-        assert rc["used_log_domain"] and rc["passed"]
+        assert rc["passed"]
 
     def test_overflowing_partition_sum_reports_finite_errors(self, tmp_path):
         # three beta-300 edges overflow every linear Z; the stationarity
@@ -865,13 +866,36 @@ class TestVerify:
         assert report["passed"] is True
 
     @pytest.mark.parametrize(
-        "argv", [["verify"], ["sample", "--method", "enum", "--world", "spins", "--samples", "200", "--seed", "1"]]
+        "argv",
+        [["verify"], *(["sample", "--method", method, "--world", "spins", "--samples", "200", "--seed", "1"]
+                       for method in ("enum", "cftp", "chain")),
+         ["perfect", "--world", "spins", "--samples", "5", "--seed", "1"],
+         ["chain", "--kernel", "sw", "--steps", "5", "--seed", "1"]],
     )
     def test_couplings_past_float_range_are_input_errors(self, argv, tmp_path, capsys):
         graph = write(tmp_path, "hot.graph", HOT_PATH3)
         assert main([*argv, "--graph", graph]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "past float range" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [*(["sample", "--method", method, "--world", world, "--samples", "5", "--seed", "1"]
+           for method in ("enum", "cftp", "chain") for world in ("subs", "rc")),
+         ["perfect", "--world", "subs", "--samples", "5", "--seed", "1"],
+         ["chain", "--kernel", "subs-sw", "--steps", "5", "--seed", "1"]],
+    )
+    def test_the_edge_worlds_run_such_couplings(self, argv, tmp_path, capsys):
+        # both couplings pin their edge open (p = lambda = 1): every rc
+        # draw opens both, and the path's only even subgraph is empty
+        graph = write(tmp_path, "hot.graph", HOT_PATH3)
+        assert main([*argv, "--graph", graph]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "chain":
+            assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["0.0"] * 5
+        else:
+            expected = (1, 1) if "rc" in argv else (0, 0)
+            assert {tuple(json.loads(line)["config"]) for line in out.splitlines()[:5]} == {expected}
 
 
 def strict_documents(text):
@@ -893,9 +917,9 @@ class TestStrictJson:
             "reduce": ["reduce", "--from", "rc", "--to", "spins", "--graph", TRIANGLE, "--config", config,
                        "--seed", "1"],
             "verify": ["verify", "--graph", TRIANGLE, "--all-identities"],
-            "sample": ["sample", "--world", "spins", "--method", "cftp", "--graph", hot, "--samples", "5",
+            "sample": ["sample", "--world", "rc", "--method", "cftp", "--graph", hot, "--samples", "5",
                        "--seed", "1"],
-            "perfect": ["perfect", "--world", "spins", "--graph", hot, "--samples", "5", "--seed", "1"],
+            "perfect": ["perfect", "--world", "rc", "--graph", hot, "--samples", "5", "--seed", "1"],
         }
 
     @pytest.mark.parametrize("to_file", [False, True])
@@ -909,10 +933,13 @@ class TestStrictJson:
         documents = [doc for text in texts for doc in strict_documents(text)]
         assert documents
 
-    def test_infinite_mean_and_undefined_spread(self, commands, capsys):
+    def test_infinite_mean_and_undefined_spread(self, commands, monkeypatch, capsys):
+        # no graph the spins world accepts sums its energy past float
+        # range, so a statistic is patched to -inf, whose spread is NaN
+        monkeypatch.setitem(STATISTICS["rc"], "edges", lambda g, z: -math.inf)
         assert main(commands["sample"]) == 0
         summary = strict_json(capsys.readouterr().out.splitlines()[-1])
-        assert summary["stats"]["energy"] == {"mean": "-inf", "se": None}
+        assert summary["stats"]["edges"] == {"mean": "-inf", "se": None}
 
     def test_failing_identity_spells_its_infinite_error(self, monkeypatch, capsys):
         # every rc row ruled out: Z_rc = 0, so rc_normalizer's error is inf

@@ -20,7 +20,6 @@ from isingworlds import (
     kernel_stationarity_error,
     rc_to_spins,
     rc_to_subs,
-    sample_from_table,
     spins_to_rc,
     spins_to_subs,
     subs_to_rc,
@@ -29,6 +28,7 @@ from isingworlds import (
     tv_distance,
 )
 from isingworlds.caps import KERNEL_EDGE_CAP, KERNEL_NODE_CAP
+from isingworlds.exact import inverse_cdf
 from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, cycle_graph, fixture_graph, grid_graph, path_graph
 from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import require_support
@@ -284,7 +284,7 @@ class TestCompositions:
         for _ in range(100):
             g = random_graph(rnd, max_nodes=6, max_edges=9)
             table = enumerate_world(g, "subs")
-            y = sample_from_table(table, RngStream(rnd.randint(0, 9999)), 1)[0]
+            y = inverse_cdf(table)(RngStream(rnd.randint(0, 9999)), 1)[0]
             rng = RngStream(rnd.randint(0, 9999))
             subs_to_spins(g, y, rng)
             assert rng.draws <= g.num_edges + g.num_nodes
@@ -381,7 +381,7 @@ class TestMonotoneCouplings:
         rnd = random.Random(88)
         g = fixture_graph("k4", 0.5)
         table = enumerate_world(g, "subs")
-        ys = sample_from_table(table, RngStream(11), 300)
+        ys = inverse_cdf(table)(RngStream(11), 300)
         for k, y in enumerate(ys):
             z = subs_to_rc(g, y, RngStream(1000 + k))
             assert all(ze >= ye for ze, ye in zip(z, y))
@@ -389,7 +389,7 @@ class TestMonotoneCouplings:
     def test_rc_to_subs_dominated_by_input(self):
         g = fixture_graph("k4", 0.5)
         table = enumerate_world(g, "rc")
-        zs = sample_from_table(table, RngStream(12), 300)
+        zs = inverse_cdf(table)(RngStream(12), 300)
         for k, z in enumerate(zs):
             y = rc_to_subs(g, z, RngStream(2000 + k))
             assert all(ye <= ze for ye, ze in zip(y, z))
@@ -405,10 +405,10 @@ class TestSamplingMatchesTables:
         n = 20000
         rng = RngStream(20240601)
 
-        ys = sample_from_table(tables.subs, rng, n)
+        ys = inverse_cdf(tables.subs)(rng, n)
         zs = [subs_to_rc(g, y, rng) for y in ys]
         assert tv_distance(empirical_distribution(zs, tables.rc), tables.rc.probs) < 0.02
 
-        zs = sample_from_table(tables.rc, rng, n)
+        zs = inverse_cdf(tables.rc)(rng, n)
         ys = [rc_to_subs(g, z, rng) for z in zs]
         assert tv_distance(empirical_distribution(ys, tables.subs), tables.subs.probs) < 0.02

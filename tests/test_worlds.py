@@ -15,6 +15,7 @@ from conftest import (
     dfs_component_labels,
     joined_without_edge,
     random_graph,
+    reference_weight,
 )
 from isingworlds import (
     InvalidConfigError,
@@ -24,14 +25,10 @@ from isingworlds import (
     enumerate_world,
     heat_bath_rc_step,
     weight_rc,
-    weight_rc_log,
-    weight_spins,
-    weight_spins_log,
     weight_subs,
-    weight_subs_log,
 )
-from isingworlds.exact import cluster_counts
-from isingworlds.fixtures import complete_graph, fixture_graph, grid_graph
+from isingworlds.exact import _one_row, cluster_counts
+from isingworlds.fixtures import FIXTURE_NAMES, complete_graph, fixture_graph, grid_graph
 from isingworlds.reductions import REDUCTIONS
 from isingworlds.worlds import (
     STATISTICS,
@@ -49,13 +46,13 @@ from isingworlds.worlds import (
 class TestWeightSpins:
     def test_infinite_coupling_disagreement_is_zero(self):
         g = complete_graph(2, math.inf)
-        assert weight_spins(g, (1, -1)) == 0.0
-        assert weight_spins(g, (1, 1)) == 1.0  # agreement indicator
+        assert _one_row(g, "spins", (1, -1)) == -math.inf
+        assert _one_row(g, "spins", (1, 1)) == 0.0  # agreement indicator
 
     def test_zero_coupling_weight_is_one(self):
         g = complete_graph(2, 0.0)
         for x in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-            assert weight_spins(g, x) == 1.0
+            assert _one_row(g, "spins", x) == 0.0
 
     @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
     def test_triangle_total_weight(self, beta):
@@ -64,36 +61,36 @@ class TestWeightSpins:
         total = 0.0
         for bits in range(8):
             x = tuple(1 if (bits >> k) & 1 else -1 for k in range(3))
-            total += weight_spins(g, x)
+            total += math.exp(_one_row(g, "spins", x))
         assert total == pytest.approx(2 * math.exp(3 * beta) + 6 * math.exp(-beta), rel=1e-12)
 
     def test_rejects_bad_config(self):
         g = complete_graph(2, 0.5)
         with pytest.raises(InvalidConfigError):
-            weight_spins(g, (1, 0))
+            _one_row(g, "spins", (1, 0))
         with pytest.raises(InvalidConfigError):
-            weight_spins(g, (1,))
+            _one_row(g, "spins", (1,))
 
 
 class TestWeightSpinsField:
     def test_infinite_field_pins_up(self):
         g = WeightedGraph.from_edges(1, [], field={0: math.inf})
-        assert weight_spins(g, (-1,)) == 0.0
-        assert weight_spins(g, (1,)) == 1.0
+        assert _one_row(g, "spins", (-1,)) == -math.inf
+        assert _one_row(g, "spins", (1,)) == 0.0
 
     def test_negative_infinite_field_pins_down(self):
         g = WeightedGraph.from_edges(1, [], field={0: -math.inf})
-        assert weight_spins(g, (1,)) == 0.0
-        assert weight_spins(g, (-1,)) == 1.0
+        assert _one_row(g, "spins", (1,)) == -math.inf
+        assert _one_row(g, "spins", (-1,)) == 0.0
 
     def test_zero_field_factor_is_one(self):
         g = WeightedGraph.from_edges(1, [], field={0: 0.0})
-        assert weight_spins(g, (1,)) == 1.0
-        assert weight_spins(g, (-1,)) == 1.0
+        assert _one_row(g, "spins", (1,)) == 0.0
+        assert _one_row(g, "spins", (-1,)) == 0.0
 
     def test_log_three_field_up_spin(self):
         g = WeightedGraph.from_edges(1, [], field={0: math.log(3.0)})
-        assert weight_spins(g, (1,)) == pytest.approx(3.0, rel=1e-12)
+        assert _one_row(g, "spins", (1,)) == math.log(3.0)
 
 
 class TestWeightSubs:
@@ -127,7 +124,8 @@ class TestWeightRc:
 
     def test_edgeless_graph(self):
         g = WeightedGraph(4, (), ())
-        assert weight_rc(g, ()) == 16.0  # 2**4
+        assert _one_row(g, "rc", ()) == 4 * math.log(2.0)
+        assert weight_rc(g, ()) == pytest.approx(16.0, rel=1e-15)  # 2**4, as exp of its log
 
     def test_extreme_couplings(self):
         g = WeightedGraph.from_edges(2, [(0, 1, math.inf)])
@@ -139,10 +137,13 @@ class TestWeightRc:
     def test_closed_log_weight_is_exact_at_large_beta(self, beta):
         # log(1 - p) through the rounded p is off by 0.044 at beta = 18
         expected = -2.0 * beta + 2.0 * math.log(2.0)  # two singletons
-        assert weight_rc_log(complete_graph(2, beta), (0,)) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert _one_row(complete_graph(2, beta), "rc", (0,)) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestLogDomainAgreement:
+    """The oracle's log weight of one row against the linear product of
+    the reference loop."""
+
     def test_log_matches_linear_on_random_graphs(self):
         rnd = random.Random(1234)
         for _ in range(60):
@@ -150,11 +151,8 @@ class TestLogDomainAgreement:
             for _ in range(10):
                 x = tuple(rnd.choice((-1, 1)) for _ in range(g.num_nodes))
                 y = tuple(rnd.randint(0, 1) for _ in range(g.num_edges))
-                for linear, logv in (
-                    (weight_spins(g, x), weight_spins_log(g, x)),
-                    (weight_subs(g, y), weight_subs_log(g, y)),
-                    (weight_rc(g, y), weight_rc_log(g, y)),
-                ):
+                for world, config in (("spins", x), ("subs", y), ("rc", y)):
+                    linear, logv = reference_weight(g, world, config), _one_row(g, world, config)
                     if linear > 0.0 and math.isfinite(linear):
                         assert abs(math.exp(logv) / linear - 1.0) < 1e-12
                     else:
@@ -168,8 +166,8 @@ class TestLogDomainAgreement:
             g = WeightedGraph(g0.num_nodes, g0.edges, g0.betas, tuple(field[v] for v in range(g0.num_nodes)))
             for _ in range(8):
                 x = tuple(rnd.choice((-1, 1)) for _ in range(g.num_nodes))
-                linear = weight_spins(g, x)
-                logv = weight_spins_log(g, x)
+                linear = reference_weight(g, "spins", x)
+                logv = _one_row(g, "spins", x)
                 if linear > 0.0:
                     assert abs(math.exp(logv) / linear - 1.0) < 1e-12
                 else:
@@ -484,6 +482,25 @@ class TestSerialization:
         assert config_from_string("spins", "+-+") == (1, -1, 1)
         assert config_to_string("rc", (0, 1, 1)) == "011"
         assert config_from_string("subs", "011") == (0, 1, 1)
+        # values equal to a legal one pass, as validate_config lets them
+        assert config_to_string("rc", (True, 1.0, 0)) == "110"
+        assert config_to_string("spins", (1.0, -1, True)) == "+-+"
+
+    def test_round_trip_on_every_fixture(self):
+        for name in FIXTURE_NAMES:
+            for world in ("spins", "subs", "rc"):
+                for config in enumerate_world(fixture_graph(name), world).configs:
+                    assert config_from_string(world, config_to_string(world, config)) == config
+
+    def test_bad_values(self):
+        rules = {"spins": ((1, -1, 1), "spin values must be -1 or +1"),
+                 "subs": ((0, 1, 1), "edge values must be 0 or 1"), "rc": ((0, 1, 1), "edge values must be 0 or 1")}
+        for world, (good, rule) in rules.items():
+            for bad in (2, 0 if world == "spins" else -1, "1", [1]):
+                for config in ((bad, *good), (*good[:1], bad, *good[1:]), (*good, bad)):
+                    with pytest.raises(InvalidConfigError) as raised:
+                        config_to_string(world, config)
+                    assert str(raised.value) == f"{rule}, got {bad!r}", config
 
     def test_bad_characters(self):
         with pytest.raises(InvalidConfigError):
