@@ -31,7 +31,8 @@ holding what that step reads (its edge, both thresholds, the edge's
 endpoints and its short cycles), zipped with the epoch's uniforms, so a
 step does no index arithmetic and looks nothing up on the graph.  The
 queries mark their visited nodes in one per-run list of stamps and queue
-them in two per-run lists, one per side of the search, so no query
+them in two per-run lists, one per side of the search, made at the run's
+first query (a run on a tiny graph often asks none), so no query
 allocates; the stamp rises by 2 a query, which gives
 :attr:`CftpRun.queries` at no cost a step.
 
@@ -97,7 +98,7 @@ from typing import Sequence
 
 from .errors import InvalidParameterError, NoCoalescenceError
 from .graph import WeightedGraph, require_field_free
-from .reductions import REDUCTIONS
+from .reductions import _BODIES, REDUCTIONS
 from .rng import RngStream, _nonnegative_int
 from .worlds import RcConfig, SubgraphConfig, _connected, validate_config
 
@@ -176,7 +177,8 @@ def cftp_rc_run(
     ``max_epoch`` is below a sweep's epoch; callers may retry with a
     larger budget, up to :data:`MAX_EPOCH`.
     """
-    max_epoch = _nonnegative_int(max_epoch, "max_epoch")
+    if type(max_epoch) is not int or max_epoch < 0:
+        max_epoch = _nonnegative_int(max_epoch, "max_epoch")
     if max_epoch > MAX_EPOCH:
         raise InvalidParameterError(f"max_epoch must lie in [0, {MAX_EPOCH}], got {max_epoch}")
     require_field_free(g)
@@ -191,14 +193,17 @@ def cftp_rc_run(
             f"no coalescence within 2**{max_epoch} steps: a sweep of the {s} free edges "
             f"takes {s} steps, so max_epoch (--max-epoch) must be at least {lowest}"
         )
-    first = max(lowest, first_epoch(g, max_epoch) if _first is None else _first)
+    if _first is None:
+        _first = plan.first_epochs.get(max_epoch)
+        if _first is None:
+            _first = first_epoch(g, max_epoch)
+    first = max(lowest, _first)
 
     # record t - 1 is the uniform of step -t, which is sweep position -t % s;
     # drawn once and replayed by every deeper epoch
     uniforms = array("d")
     adj = g.adjacency
-    n = g.num_nodes
-    mark, from_i, from_j = [0] * n, [0] * n, [0] * n
+    mark = from_i = from_j = None  # made at the first query: a small run may ask none
     stamp = 1  # raised by 2 a query
     total_steps = 0
     for epoch in range(first, max_epoch + 1):
@@ -219,6 +224,9 @@ def cftp_rc_run(
                     top[edge] = bot[edge] = 1
                 else:  # closed first, so the query asks about the rest of the graph
                     top[edge] = bot[edge] = 0
+                    if mark is None:
+                        n = g.num_nodes
+                        mark, from_i, from_j = [0] * n, [0] * n, [0] * n
                     stamp += 2
                     if _connected(adj, top, i, j, cycles, mark, stamp, from_i, from_j):
                         top[edge] = 1
@@ -271,7 +279,8 @@ def perfect_sample(
     if world != "rc" and ("rc", world) not in REDUCTIONS:
         raise InvalidParameterError(f"unknown world {world!r}")
     run = cftp_rc_run(g, rng, max_epoch)
-    config = run.config if world == "rc" else REDUCTIONS[("rc", world)](g, run.config, rng)
+    # a coalesced run has positive weight, so its conversion skips the guard
+    config = run.config if world == "rc" else _BODIES[REDUCTIONS[("rc", world)]](g, run.config, rng)
     return config, run
 
 

@@ -21,25 +21,30 @@ from typing import Callable, Iterator, Sequence
 from .cftp import DEFAULT_MAX_EPOCH, first_epoch, perfect_sample
 from .errors import InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, _require_finite_log_weights, require_field_free
-from .reductions import rc_to_spins, rc_to_subs, spins_to_rc, subs_to_rc
+from .reductions import _rc_to_spins, _rc_to_subs, _spins_to_rc, _subs_to_rc
 from .rng import RngStream
 from .worlds import SpinConfig, SubgraphConfig, require_statistic, require_support
 
 
+# each chain world's two conversion bodies, there and back through the
+# random-cluster world; a step whose input the library built runs them
+# unguarded (see :mod:`isingworlds.reductions`)
+_KERNELS = {
+    "spins": (_spins_to_rc, _rc_to_spins),
+    "subs": (_subs_to_rc, _rc_to_subs),
+}
+
+
 def sw_classic_step(g: WeightedGraph, x: Sequence[int], rng: RngStream) -> SpinConfig:
     """One cluster-flip update: spins -> random cluster -> spins."""
-    return rc_to_spins(g, spins_to_rc(g, x, rng), rng)
+    require_support(g, "spins", x)
+    return _rc_to_spins(g, _spins_to_rc(g, x, rng), rng)
 
 
 def sw_subgraphs_step(g: WeightedGraph, y: Sequence[int], rng: RngStream) -> SubgraphConfig:
     """One edge-world cluster update: subgraphs -> random cluster -> subgraphs."""
-    return rc_to_subs(g, subs_to_rc(g, y, rng), rng)
-
-
-_KERNELS = {
-    "spins": sw_classic_step,
-    "subs": sw_subgraphs_step,
-}
+    require_support(g, "subs", y)
+    return _rc_to_subs(g, _subs_to_rc(g, y, rng), rng)
 
 
 @dataclass
@@ -103,12 +108,13 @@ def run_chain(
     _require_counts(("steps", steps, 0), ("thin", thin, 1))
     if len(set(collect)) != len(collect):
         raise InvalidConfigError(f"each statistic may be collected once, got {list(collect)}")
-    kernel = _KERNELS.get(init.world)
-    if kernel is None:
+    legs = _KERNELS.get(init.world)
+    if legs is None:
         raise InvalidConfigError(f"no chain kernel runs in world {init.world!r}")
     if init.world == "spins":
         _require_finite_log_weights(g)
-    require_support(g, init.world, init.config)
+    require_support(g, init.world, init.config)  # once: every later state is a kernel's output
+    there, back = legs
 
     trace = ChainTrace(stats=tuple(collect))
     config = init.config
@@ -117,7 +123,7 @@ def run_chain(
 
     step = init.step
     for _ in range(steps):
-        config = kernel(g, config, rng)
+        config = back(g, there(g, config, rng), rng)
         step += 1
         if (step - init.step) % thin == 0:
             trace.steps.append(step)
@@ -131,8 +137,11 @@ DRAW_BLOCK = 128  # the most CFTP draws in one task handed to ``map``
 
 
 def _cftp_block(g: WeightedGraph, world: str, seed: int, stop: int, max_epoch: int, size: int, start: int) -> list:
-    """CFTP draws ``start`` up to ``start + size`` (or ``stop``), each on its own key."""
-    runs = (perfect_sample(g, world, RngStream(seed, i), max_epoch) for i in range(start, min(start + size, stop)))
+    """CFTP draws ``start`` up to ``start + size`` (or ``stop``), each on its
+    own key ``(seed, i)``: substream i of the key ``(seed,)``, which is
+    checked and formatted once a block."""
+    streams = RngStream(seed, ())
+    runs = (perfect_sample(g, world, streams.substream(i), max_epoch) for i in range(start, min(start + size, stop)))
     return [(config, run.epoch) for config, run in runs]
 
 
@@ -188,8 +197,8 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
     elif n:  # no draw, no start
         chain_world = "subs" if world == "rc" else world
         config, _ = perfect_sample(g, chain_world, RngStream(seed, (0, 0)), max_epoch)
-        kernel, rng = _KERNELS[chain_world], RngStream(seed)
-        for _ in range(n):
+        (there, back), rng = _KERNELS[chain_world], RngStream(seed)
+        for _ in range(n):  # every state a kernel's output of a perfect draw: no guard
             for _ in range(thin):
-                config = kernel(g, config, rng)
-            yield (subs_to_rc(g, config, rng) if world == "rc" else config), None
+                config = back(g, there(g, config, rng), rng)
+            yield (_subs_to_rc(g, config, rng) if world == "rc" else config), None

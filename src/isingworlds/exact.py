@@ -51,6 +51,9 @@ could overflow.
 Kernel matrices, by contrast, run the production code on purpose: each
 conversion in ``reductions.REDUCTIONS`` runs once per outcome of its
 Bernoulli draws, so a stationarity check tests the code that samples.
+Its source rows are support rows, which pass the conversion's guard by
+construction, so they go straight to its body, as every hop whose input
+the library built does (:mod:`reductions`).
 
 Enumeration is capped (the caps live in :mod:`caps` and are re-exported
 here); callers see :class:`CapExceededError` rather than an accidental
@@ -71,7 +74,7 @@ import numpy as np
 from .caps import CAPS, EDGE_ENUM_CAP, KERNEL_EDGE_CAP, KERNEL_NODE_CAP, SPINS_ENUM_NODE_CAP
 from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, _require_finite_log_weights, require_field_free
-from .reductions import REDUCTIONS
+from .reductions import _BODIES, REDUCTIONS
 from .rng import RngStream, _nonnegative_int
 from .worlds import _union, validate_config
 
@@ -584,6 +587,9 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
     source_world, target_world = KERNEL_SPECS[kernel]
     source, target = getattr(tables, source_world), getattr(tables, target_world)
     convert = REDUCTIONS[(source_world, target_world)]
+    # support rows have positive weight, so a library conversion runs
+    # without its guard; any other function put in REDUCTIONS runs as it is
+    convert = _BODIES.get(convert, convert)
     source_configs = _support_tuples(source)
     column = {config: c for c, config in enumerate(_support_tuples(target))}
     matrix = np.zeros((len(source_configs), len(column)))
@@ -605,14 +611,15 @@ def _convolve(g: WeightedGraph, kernel: str, tables: ExactTables) -> KernelMatri
 
 
 def _require_kernel(g: WeightedGraph, kernel: str) -> None:
-    """Reject an unknown kernel or a graph past the kernel caps, before
-    any enumeration."""
+    """Reject an unknown kernel, a graph past the kernel caps or one with
+    a field, before any enumeration."""
     if kernel not in KERNEL_SPECS and kernel not in KERNEL_LEGS:
         raise InvalidParameterError(f"unknown kernel {kernel!r}")
     if g.num_edges > KERNEL_EDGE_CAP:
         raise CapExceededError(f"kernel matrices need num_edges <= {KERNEL_EDGE_CAP}")
     if g.num_nodes > KERNEL_NODE_CAP:
         raise CapExceededError(f"kernel matrices need num_nodes <= {KERNEL_NODE_CAP}")
+    require_field_free(g)  # the conversions' guard, which their matrices skip
 
 
 def exact_kernel_matrix(g: WeightedGraph, kernel: str, tables: ExactTables | None = None) -> KernelMatrix:

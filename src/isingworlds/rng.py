@@ -10,7 +10,13 @@ little-endian integer, seeds the stream's ``random.Random``.  Distinct
 keys thus give well separated streams, a substream is the key with one
 more id, and nothing here needs numpy.  A stream keeps its key's text,
 so a substream checks and formats only its own id; what is left of its
-cost is the digest and the seeding of the Mersenne Twister.  ``draws``
+cost is the digest and the seeding of the Mersenne Twister.  That
+seeding skips ``Random.__init__`` and its Python-level ``seed``: the
+stream makes a bare ``random.Random`` instance and seeds it through the
+C base class's ``seed``, which for an int key is all the Python ``seed``
+does besides clearing ``gauss_next``, so the generator's state equals
+that of ``random.Random(key)``.  It stays a real ``random.Random``, so a
+stream pickles, deep-copies and draws ``randrange`` as before.  ``draws``
 counts the entropy-consuming calls, which is how reductions report
 their Bernoulli budgets; degenerate Bernoulli draws (success
 probability 0 or 1) are answered without consuming randomness.  A
@@ -29,14 +35,19 @@ parameter.
 
 from __future__ import annotations
 
+import _random
 import operator
-import random as _random
 from array import array
 from hashlib import blake2b
 from itertools import repeat, starmap
+from random import Random
 from typing import Iterable
 
 from .errors import InvalidParameterError
+
+
+# the C base class's seed, which ``Random.seed`` calls for an int key
+_seed = _random.Random.seed
 
 
 def _nonnegative_int(value: object, what: str) -> int:
@@ -69,7 +80,10 @@ class RngStream:
         self.stream = stream
         self._key = key
         digest = blake2b(key.encode(), digest_size=16).digest()
-        self._rng = _random.Random(int.from_bytes(digest, "little"))
+        rng = Random.__new__(Random)  # Random(key) without its Python-level __init__ and seed
+        _seed(rng, int.from_bytes(digest, "little"))
+        rng.gauss_next = None  # all that Random.seed adds for an int key
+        self._rng = rng
         self.draws = 0
 
     def __repr__(self) -> str:

@@ -11,9 +11,9 @@ oracle and their only user, so this module and the samplers built on it
 need no numpy.
 
 Each world has two guards: :func:`validate_config` checks a
-configuration's shape, and :func:`require_support`, which every
-conversion and chain applies to its input, adds a field-free graph and
-positive weight.
+configuration's shape, and :func:`require_support`, which every public
+conversion and chain applies once to the configuration it is handed,
+adds a field-free graph and positive weight.
 
 All three worlds meet at the clusters of an open edge set, and this
 module holds every traversal of that open subgraph: the union-find pass
@@ -156,37 +156,41 @@ def _union(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], int]:
     return root, count
 
 
-def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Maximal spanning forest of the open subgraph via iterative DFS.
+def _open_forest(g: WeightedGraph, z: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Maximal spanning forest of the open subgraph via iterative DFS, in
+    one pass.
 
-    Returns ``(parent_edge, order)`` where ``parent_edge[v]`` is the
-    forest edge joining ``v`` to its parent (-1 for roots) and ``order``
-    is node-discovery order, roots taken in ascending order.  Scanning
-    ``order`` backwards retires each non-root node's unique parent edge
-    while it is a leaf of what remains, which is how the subgraphs
-    conversion peels it; cluster counts come from :func:`_union` and
-    labels from :func:`clusters`.
+    Returns ``(parent, parent_edge, order, chords)``: ``parent[v]`` is
+    ``v``'s parent in the forest and ``parent_edge[v]`` the edge joining
+    them (a root is its own parent, with edge -1); ``order`` holds the
+    non-root nodes in discovery order, the trees grown from roots taken
+    in ascending order; ``chords`` is ``z`` with the forest edges closed,
+    the open edges outside the forest.  Scanning ``order`` backwards
+    retires each node's parent edge while it is a leaf of what remains,
+    which is how the subgraphs conversion peels it; cluster counts come
+    from :func:`_union` and labels from :func:`clusters`.
     """
     n = g.num_nodes
     adj = g.adjacency
+    parent = [-1] * n  # -1 until the node is seen
     parent_edge = [-1] * n
     order: list[int] = []
-    seen = [False] * n
+    chords = list(z)
     for r in range(n):
-        if seen[r]:
+        if parent[r] >= 0:
             continue
-        seen[r] = True
-        order.append(r)
+        parent[r] = r
         stack = [r]
         while stack:
             v = stack.pop()
             for w, e in adj[v]:
-                if z[e] and not seen[w]:
-                    seen[w] = True
+                if z[e] and parent[w] < 0:
+                    parent[w] = v
                     parent_edge[w] = e
+                    chords[e] = 0
                     order.append(w)
                     stack.append(w)
-    return parent_edge, order
+    return parent, parent_edge, order, chords
 
 
 def _connected(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from conftest import brute_degrees, random_graph
 from isingworlds import (
+    ChainState,
     InvalidConfigError,
     RngStream,
     WeightedGraph,
@@ -18,13 +20,16 @@ from isingworlds import (
     exact_kernel_matrix,
     exact_tables,
     kernel_stationarity_error,
+    perfect_sample,
     rc_to_spins,
     rc_to_subs,
+    run_chain,
     spins_to_rc,
     spins_to_subs,
     subs_to_rc,
     subs_to_spins,
     sw_classic_step,
+    sw_subgraphs_step,
     tv_distance,
 )
 from isingworlds.caps import KERNEL_EDGE_CAP, KERNEL_NODE_CAP
@@ -200,6 +205,83 @@ class TestRcToSpinsBitIdentity:
             self._assert_same(g, tuple(int(rnd.random() < density) for _ in range(g.num_edges)), k)
 
 
+def _reference_rc_to_subs(g, z, rng):
+    """rc_to_subs from a forest that gives only each node's parent edge:
+    a DFS with its own seen list, a separate pass that takes the forest
+    edges out of the coins, and a peel that flips both endpoints of each
+    forced edge."""
+    n = g.num_nodes
+    parent_edge, order, seen = [-1] * n, [], [False] * n
+    for r in range(n):
+        if seen[r]:
+            continue
+        seen[r] = True
+        order.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for w, e in g.adjacency[v]:
+                if z[e] and not seen[w]:
+                    seen[w] = True
+                    parent_edge[w] = e
+                    order.append(w)
+                    stack.append(w)
+    coin = list(z)
+    for e in parent_edge:
+        if e >= 0:
+            coin[e] = 0
+    coin_edges = [e for e in range(g.num_edges) if coin[e]]
+    y, parity = [0] * g.num_edges, [0] * n
+    for e, bit in zip(coin_edges, rng.bernoullis([0.5] * len(coin_edges))):
+        if bit:
+            y[e] = 1
+            for v in g.edges[e]:
+                parity[v] ^= 1
+    for v in reversed(order):
+        e = parent_edge[v]
+        if e >= 0 and parity[v]:
+            y[e] = 1
+            for u in g.edges[e]:
+                parity[u] ^= 1
+    return tuple(y)
+
+
+class TestRcToSubsBitIdentity:
+    """The one-pass forest (parents as the seen mark, the coins' edges and
+    the peel by parent) changes no edge and no draw."""
+
+    def _assert_same(self, g, z, seed):
+        rng, ref_rng = RngStream(seed), RngStream(seed)
+        assert rc_to_subs(g, z, rng) == _reference_rc_to_subs(g, z, ref_rng)
+        assert rng.draws == ref_rng.draws
+
+    def test_random_graphs_with_isolated_nodes_and_extremes(self):
+        # beta 0 (closed), 0.44, inf (open) and 25, whose p rounds to 1 but
+        # whose edge may still be closed; many nodes, few edges, so most
+        # graphs have isolated nodes
+        rnd = random.Random(3535)
+        isolated = 0
+        for k in range(300):
+            n = rnd.randint(1, 14)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            edges = sorted(rnd.sample(pairs, rnd.randint(0, min(len(pairs), 3 * n))))
+            betas = tuple(rnd.choice((0.0, 0.44, 0.44, math.inf, 25.0)) for _ in edges)
+            g = WeightedGraph(n, tuple(edges), betas)
+            assert g.ps.count(1.0) == betas.count(math.inf) + betas.count(25.0)
+            isolated += any(not nbrs for nbrs in g.adjacency)
+            z = tuple(1 if b == math.inf else 0 if b == 0.0 else rnd.randint(0, 1) for b in betas)
+            for seed in (k, k + 1000, k + 2000):
+                self._assert_same(g, z, seed)
+        assert isolated > 50
+
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.9])
+    def test_grid(self, density):
+        g = grid_graph(12, 12, 0.44)
+        rnd = random.Random(int(density * 10))
+        for k in range(5):
+            self._assert_same(g, tuple(int(rnd.random() < density) for _ in range(g.num_edges)), k)
+
+
 class TestSpinsToRc:
     def test_disagreement_closes(self):
         g = fixture_graph("k2", 0.5)
@@ -234,6 +316,21 @@ CONVERSIONS = {
 }
 
 
+def _chain(world):
+    return lambda g, config, rng: run_chain(g, ChainState(world, config), 3, rng)
+
+
+# every public function that takes a configuration from outside the
+# library: each checks it once, before any draw
+ENTRY_POINTS = {
+    **CONVERSIONS,
+    "sw_classic_step": ("spins", sw_classic_step),
+    "sw_subgraphs_step": ("subs", sw_subgraphs_step),
+    "run_chain_spins": ("spins", _chain("spins")),
+    "run_chain_subs": ("subs", _chain("subs")),
+}
+
+
 @pytest.fixture(scope="module")
 def oracle_rows():
     """Every configuration of every world on 160 random graphs with zero
@@ -249,11 +346,11 @@ def oracle_rows():
 
 
 class TestZeroWeightInputs:
-    @pytest.mark.parametrize("name", list(CONVERSIONS))
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     def test_rejected_before_any_draw(self, name, oracle_rows):
         # a zero-weight input is no draw from the source world: no output,
         # no randomness spent; every positive-weight input converts
-        world, convert = CONVERSIONS[name]
+        world, convert = ENTRY_POINTS[name]
         rejected = 0
         for g, row_world, config, log_weight in oracle_rows:
             if row_world != world:
@@ -268,6 +365,20 @@ class TestZeroWeightInputs:
                 convert(g, config, rng)
         assert rejected > 0
 
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_malformed_rejected_before_any_draw(self, name):
+        world, convert = ENTRY_POINTS[name]
+        g = fixture_graph("triangle", 0.5)
+        good = (1, 1, 1) if world == "spins" else (0, 0, 0)
+        bad_value = (1, 0, 1) if world == "spins" else (0, 2, 0)
+        field = WeightedGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)], field={0: 0.3})
+        for graph, config, message in ((g, good[:2], "length 2"), (g, bad_value, "values must be"),
+                                       (field, good, "magnetic field")):
+            rng = RngStream(7)
+            with pytest.raises(InvalidConfigError, match=message):
+                convert(graph, config, rng)
+            assert rng.draws == 0
+
     def test_large_finite_beta_rules_nothing_out(self):
         # p rounds to 1 at beta = 20, but (1, -1) keeps weight exp(-20) and
         # the closed rc edge weight exp(-40)
@@ -276,6 +387,47 @@ class TestZeroWeightInputs:
         assert spins_to_subs(g, (1, -1), RngStream(5)) == (0,)
         assert sw_classic_step(g, (1, -1), RngStream(5)) in ((1, 1), (1, -1), (-1, 1), (-1, -1))
         require_support(g, "rc", (0,))
+
+
+@pytest.fixture
+def guard_calls(monkeypatch):
+    """The worlds of every require_support call, wherever the package
+    imported it."""
+    calls = []
+
+    def counting(g, world, config):
+        calls.append(world)
+        return require_support(g, world, config)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "isingworlds" and getattr(module, "require_support", None) is require_support:
+            monkeypatch.setattr(module, "require_support", counting)
+    return calls
+
+
+class TestGuardRunsOnce:
+    """A configuration is checked where it enters the library; the hops
+    whose input the library built run unchecked."""
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_each_entry_point_checks_once(self, name, guard_calls):
+        world, convert = ENTRY_POINTS[name]
+        g = fixture_graph("cycle4", 0.6)
+        convert(g, (1,) * 4 if world == "spins" else (0,) * 4, RngStream(1))
+        assert guard_calls == [world]
+
+    @pytest.mark.parametrize("world, start", [("spins", (1, -1, 1, 1)), ("subs", (1, 1, 1, 1))])
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    def test_run_chain_checks_its_start_only(self, world, start, steps, guard_calls):
+        trace = run_chain(fixture_graph("cycle4", 0.6), ChainState(world, start), steps, RngStream(2), ("clusters",))
+        assert (guard_calls, len(trace)) == ([world], steps)
+
+    @pytest.mark.parametrize("world", ["rc", "subs", "spins"])
+    def test_perfect_sample_checks_nothing(self, world, guard_calls):
+        g = fixture_graph("k4", 0.45)
+        for i in range(20):
+            perfect_sample(g, world, RngStream(3, i))
+        assert guard_calls == []
 
 
 class TestCompositions:

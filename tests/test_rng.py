@@ -1,6 +1,8 @@
 """Reproducibility contract of the seeded stream source."""
 
+import copy
 import math
+import pickle
 import random
 from array import array
 from hashlib import blake2b
@@ -149,6 +151,61 @@ class TestStreamKey:
         # any change to the key derivation changes every seeded output
         assert RngStream(0).uniform() == 0.9090615755421099
         assert RngStream(2024, 7).substream(3).uniform() == 0.9398117335066679
+
+
+class TestSeeding:
+    """A stream seeds a plain ``random.Random`` through the C base class's
+    ``seed``, past ``Random.__init__``, and must end in the state that
+    ``random.Random(key)`` gives on every supported Python."""
+
+    KEYS = ((0, ()), (7, (1, 42)), (2**70, ()), (2**70, (3, 2**40)), (2024, (7, 3)))
+
+    @staticmethod
+    def _key_int(seed, stream):
+        text = "%x," * (1 + len(stream)) % (seed, *stream)
+        return int.from_bytes(blake2b(text.encode(), digest_size=16).digest(), "little")
+
+    @pytest.mark.parametrize("seed, stream", KEYS)
+    def test_state_is_that_of_random_random(self, seed, stream):
+        expected = random.Random(self._key_int(seed, stream))
+        direct = RngStream(seed, stream)._rng
+        nested = RngStream(seed, stream[:-1]).substream(stream[-1])._rng if stream else direct
+        for rng in (direct, nested):
+            assert type(rng) is random.Random
+            assert rng.getstate() == expected.getstate()
+            assert rng.gauss_next is None
+
+    def test_pickle_and_deepcopy_continue_draw_for_draw(self):
+        def mid_run():
+            rng = RngStream(2**70, (5,))
+            rng.uniforms(3, array("d"))
+            rng.bernoullis([0.5, 0.2, 1.0])
+            rng.randrange(9)
+            return rng
+
+        def rest(rng):
+            return [rng.uniform(), rng.bernoullis([0.3, 0.7]), rng.randrange(2**70 + 1), rng.draws,
+                    rng.substream(4).uniform()]
+
+        rng = mid_run()
+        twins = pickle.loads(pickle.dumps(rng)), copy.deepcopy(rng)
+        expected = rest(mid_run())
+        for twin in (*twins, rng):
+            assert repr(twin) == "RngStream(seed=1180591620717411303424, stream=(5,), draws=6)"
+            assert rest(twin) == expected
+
+    def test_randrange_sequences_unchanged(self):
+        # the values random.Random(key).randrange gave before the direct seeding
+        rng = RngStream(2**70, (3, 1))
+        bounds = (2, 3, 10, 1000, 2**40, 2**70 + 1)
+        assert [rng.randrange(n) for n in bounds] == [1, 2, 5, 751, 899501579521, 985655985048481372056]
+        assert rng.draws == 6
+        expected = random.Random(self._key_int(2**70, (3, 1)))
+        again = RngStream(2**70, (3, 1))
+        assert [again.randrange(n) for n in bounds] == [expected.randrange(n) for n in bounds]
+        child = RngStream(9).substream(4)
+        child.uniform()
+        assert [child.randrange(7) for _ in range(6)] == [5, 0, 6, 4, 4, 5]
 
 
 def test_bernoulli_frequency_sane():
