@@ -121,7 +121,8 @@ __all__ = [
 # The names of __all__ not imported above belong to the enumeration
 # oracle, the only module that needs numpy.  They are imported on first
 # access (PEP 562), so the samplers and the command line start without
-# numpy.
+# the oracle; the oracle loads numpy only when it first runs, so naming
+# one of them (``from isingworlds import *`` included) loads no numpy.
 def __getattr__(name: str):
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -187,7 +187,7 @@ def draws(g: WeightedGraph, world: str, method: str, seed: int, n: int, thin: in
         blocks = map(partial(_cftp_block, g, world, seed, n, max_epoch, block), range(0, n, block))
         yield from chain.from_iterable(blocks)  # holds no spent block while the next is drawn
     elif method == "enum":
-        from .exact import enumerate_world, inverse_cdf  # the oracle loads numpy
+        from .exact import enumerate_world, inverse_cdf  # loads numpy when it runs
 
         sample, rng = inverse_cdf(enumerate_world(g, world)), RngStream(seed)
         for start in range(0, n, block):  # the draws of one sample(rng, n), a block at a time

@@ -324,7 +324,7 @@ def cmd_sample(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> in
 
 
 def cmd_verify(args: argparse.Namespace, g: WeightedGraph, emit: Callable) -> int:
-    from .exact import (  # the oracle loads numpy
+    from .exact import (  # the oracle, which loads numpy when it first runs
         STATIONARITY_TOL,
         ExactTables,
         check_even_subgraph_count,
@@ -455,9 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # before the oracle's lazy numpy import: OpenBLAS otherwise starts a
-    # worker per core that spins after every call and takes CPU from the
-    # single-threaded oracle, whose products are at most 4096 x 1024
+    # before the oracle first runs, which is when it loads numpy: OpenBLAS
+    # otherwise starts a worker per core that spins after every call and
+    # takes CPU from the single-threaded oracle, whose products are at
+    # most 4096 x 1024
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     started = time.perf_counter()

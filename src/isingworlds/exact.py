@@ -16,7 +16,10 @@ the random-cluster fold takes each row's cluster count from its caller,
 which for the scalar rc weight is the union-find pass of
 ``worlds._union`` and for a table its own min-label counts (below).  The
 weights live here, not in :mod:`worlds`, because the oracle is their
-only production user: the samplers never import numpy.
+only production user: the samplers never import numpy.  Nor does
+importing this module: ``np`` starts as a stand-in that imports numpy
+at the oracle's first use of it, so an oracle name imported from the
+package loads no numpy either; the oracle's first call does.
 
 Tables store log weights, not configurations.  Row r of a table is the
 binary expansion of r over the world's sites (``itertools.product``
@@ -69,14 +72,28 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .caps import CAPS, EDGE_ENUM_CAP, KERNEL_EDGE_CAP, KERNEL_NODE_CAP, SPINS_ENUM_NODE_CAP
 from .errors import CapExceededError, InvalidConfigError, InvalidParameterError
 from .graph import WeightedGraph, _require_finite_log_weights, require_field_free
 from .reductions import _BODIES, REDUCTIONS
 from .rng import RngStream, _nonnegative_int
 from .worlds import _union, validate_config
+
+
+class _Numpy:
+    """``np`` until its first attribute read, which imports numpy and
+    rebinds ``np`` to it.  That holds only while nothing here reads
+    ``np`` at import time (the annotations are strings)."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,25 +132,31 @@ class WorldTable:
     def configs(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for _, block in _row_blocks(*self._layout) for c in map(tuple, block.tolist()))
 
-    def _scaled(self) -> np.ndarray:
-        """Every weight divided by the largest, as one new array: a log
-        ratio past float range is -inf, whose exp is the 0 it stands for."""
-        with np.errstate(over="ignore"):
-            scaled = self.log_weights - self.log_weights.max()
-        return np.exp(scaled, out=scaled)
-
     @cached_property
     def log_Z(self) -> float:
         """The largest log weight plus the log of the sum of the scaled
-        weights; -inf when no row has positive weight."""
-        top = float(self.log_weights.max())
-        return top if top == -math.inf else top + math.log(float(self._scaled().sum()))
+        weights; -inf when no row has positive weight.
+
+        The scaled weights are summed a chunk at a time, then the chunk
+        sums in adjacent pairs, level by level.  A table has 2**k rows and
+        a chunk a power of two of them, and numpy sums 2**k values by
+        halving them down to 128-value leaves, so this is numpy's own
+        order, bit for bit, without a scaled copy of the table."""
+        lw = self.log_weights
+        top = float(lw.max())
+        if top == -math.inf:
+            return top
+        chunk = 1 << (BLOCK_ROWS.bit_length() - 1)
+        sums = [float(_scaled(lw[start:start + chunk], top).sum()) for start in range(0, len(lw), chunk)]
+        while len(sums) > 1:
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        return top + math.log(sums[0])
 
     @cached_property
     def probs(self) -> np.ndarray:
         """The scaled weights normalised, in place: ``log_Z`` is rounded to
         its own ulp, which past about 1e13 would skew every probability."""
-        probs = self._scaled()
+        probs = _scaled(self.log_weights, self.log_weights.max())
         probs /= probs.sum()
         return probs
 
@@ -147,6 +170,14 @@ class WorldTable:
 # rows a table builds and folds at a time: enumeration and every reader
 # hold one block of configurations at once, never the whole table
 BLOCK_ROWS = 1 << 14
+
+
+def _scaled(log_weights: np.ndarray, top: float) -> np.ndarray:
+    """Each weight divided by exp(top), as one new array: a log ratio
+    past float range is -inf, whose exp is the 0 it stands for."""
+    with np.errstate(over="ignore"):
+        scaled = log_weights - top
+    return np.exp(scaled, out=scaled)
 
 
 def _config_rows(sites: int, values: tuple[int, int], indices: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Monotone coupling from the past: kernel, records, and exactness."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -513,6 +514,36 @@ class TestPerfectSubs:
         )
         se = math.sqrt(target * (1 - target) / n)
         assert abs(hits / n - target) < 3.5 * se
+
+
+def _plant_q3_threshold(g):
+    """Plant in ``g``'s CFTP plan the lower heat-bath threshold of the
+    q = 3 random-cluster model, p / (3 - 2p), for the Ising one's
+    p / (2 - p): the kernel stays monotone, so the runs coalesce, but on
+    the q = 3 law.  The pilots run again on the planted plan."""
+    plan = g.cftp_plan
+    low = tuple(p / (3.0 - 2.0 * p) for p in g.ps)
+    sweep = tuple((e, p, low[e], i, j, cycles) for e, p, _, i, j, cycles in plan.sweep)
+    g.__dict__["cftp_plan"] = dataclasses.replace(plan, low=low, sweep=sweep, first_epochs={})
+
+
+class TestGatePower:
+    """Criterion 5's perfect-subs gate, TV < 0.01 against the subs table,
+    fails on a sampler with a planted defect and passes on production,
+    at the same n, stream and fixture."""
+
+    def test_perfect_subs_gate_catches_the_q3_threshold(self):
+        n = 20_000
+        tvs = {}
+        for planted in (False, True):
+            g = fixture_graph("cycle4", math.atanh(0.6))
+            if planted:
+                _plant_q3_threshold(g)
+            table = enumerate_world(g, "subs")
+            master = RngStream(11)
+            ys = [perfect_subs_sample(g, master.substream(i)) for i in range(n)]
+            tvs[planted] = tv_distance(empirical_distribution(ys, table), table.probs)
+        assert tvs[False] < 0.01 <= tvs[True], tvs
 
 
 PERFECT_GRAPHS = {

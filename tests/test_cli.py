@@ -1085,9 +1085,29 @@ print(json.dumps({
 }))
 """
 
+_ORACLE_NAMES_PROBE = """
+import json, sys, typing
+from isingworlds import *
+star = "numpy" in sys.modules
+from isingworlds import exact_tables, kernel_stationarity_error, weight_rc, weight_subs
+named = "numpy" in sys.modules
+import isingworlds
+from isingworlds.fixtures import fixture_graph
+exact_tables(fixture_graph("triangle", 0.6))
+ran = "numpy" in sys.modules
+import numpy
+print(json.dumps({
+    "star": star,
+    "named": named,
+    "ran": ran,
+    "attribute": isingworlds.exact_tables is isingworlds.exact.exact_tables,
+    "hints": typing.get_type_hints(WorldTable)["log_weights"] is numpy.ndarray,
+}))
+"""
+
 
 class TestImportGraph:
-    """Only the enumeration oracle loads numpy."""
+    """Only the enumeration oracle loads numpy, when it first runs."""
 
     def test_samplers_run_without_numpy(self, tmp_path):
         config = write(tmp_path, "z.txt", "010")
@@ -1107,6 +1127,11 @@ class TestImportGraph:
     def test_lazy_exports_resolve(self):
         assert _probe(_EXPORTS_PROBE) == {
             "before": False, "environ": True, "attribute": True, "star": True, "dir": []
+        }
+
+    def test_oracle_names_load_no_numpy_until_the_oracle_runs(self):
+        assert _probe(_ORACLE_NAMES_PROBE) == {
+            "star": False, "named": False, "ran": True, "attribute": True, "hints": True
         }
 
 

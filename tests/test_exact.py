@@ -277,6 +277,22 @@ class TestBlockedTables:
         assert held <= 10 * (1 << 20)
         assert peak <= held + 256 * exact.BLOCK_ROWS
 
+    @pytest.mark.parametrize("rows", [exact.BLOCK_ROWS, 1000])
+    def test_log_Z_sums_without_a_copy(self, rows, monkeypatch):
+        # 2**17 rows, a fifth of them -inf: the chunk sums added in pairs
+        # are numpy's own order, so log_Z is the one-array sum bit for bit,
+        # and no scaled copy of the table is ever held
+        monkeypatch.setattr(exact, "BLOCK_ROWS", rows)
+        rnd = np.random.default_rng(17)
+        log_weights = rnd.normal(0.0, 30.0, 1 << 17)
+        log_weights[rnd.random(len(log_weights)) < 0.2] = -math.inf
+        top = log_weights.max()
+        expected = float(top) + math.log(float(np.exp(log_weights - top).sum()))
+        table = exact.WorldTable("rc", log_weights, fixture_graph("triangle"))
+        log_Z, _, peak = traced(lambda: table.log_Z)
+        assert bit_equal(log_Z, expected)
+        assert peak < log_weights.nbytes // 4
+
     def test_even_subgraph_count_memory(self):
         report, _, peak = traced(check_even_subgraph_count, cap_graph(), (1,) * 20)
         assert report.passed
