@@ -22,8 +22,10 @@ as a field-free model on a slightly larger graph.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidConfigError, InvalidParameterError, UnsupportedFieldError
@@ -97,6 +99,37 @@ def beta_to_param(beta: float, param: str) -> float:
     return _PARAMS[param][1](beta)
 
 
+def _integer(raw, what: str) -> int:
+    """An int, or an integral float as its int; a bool or a fraction is refused."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if not isinstance(raw, bool):
+        try:
+            return operator.index(raw)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{what} must be an integer, got {raw!r}")
+
+
+def _checked(edges: tuple, betas: tuple, num_nodes: int) -> bool:
+    """Check every edge and coupling: raise at the first invalid one, or
+    return False at the first edge that is not a tuple of two ints with a
+    float coupling, so that the caller converts the input and checks again."""
+    for edge, beta in zip(edges, betas):
+        if type(edge) is not tuple:
+            return False
+        i, j = edge
+        if type(i) is not int or type(j) is not int or type(beta) is not float:
+            return False
+        if not (0 <= i < j < num_nodes and beta >= 0.0):
+            if i == j:
+                raise InvalidParameterError(f"self-loop at node {i} is not allowed")
+            if not 0 <= i < j < num_nodes:
+                raise InvalidParameterError(f"edge ({i}, {j}) must satisfy 0 <= i < j < num_nodes")
+            _require_beta(beta)
+    return True
+
+
 def golden_stride(s: int) -> int:
     """The stride of a golden-ratio scan of ``s`` items: the integer nearest
     ``s * 0.6180339887``, raised until it is coprime to ``s``, so that the
@@ -113,8 +146,10 @@ class WeightedGraph:
 
     Nodes are the dense integers ``0 .. num_nodes - 1``.  Edges are stored
     as ``(i, j)`` with ``i < j`` in the order given at construction; that
-    order is the edge-index order used by every configuration.  The
-    instance is immutable and safe to share across threads.
+    order is the edge-index order used by every configuration.  Whatever
+    sequences it is given, it stores tuples of ints and of floats (a node
+    id may be an integral float, never a bool), so the instance is
+    immutable, hashable and safe to share across threads.
     """
 
     num_nodes: int
@@ -123,25 +158,35 @@ class WeightedGraph:
     field: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 0:
+        num_nodes = _integer(self.num_nodes, "num_nodes")
+        if num_nodes < 0:
             raise InvalidParameterError("num_nodes must be nonnegative")
-        if len(self.edges) != len(self.betas):
+        edges, betas, field = self.edges, self.betas, self.field
+        if len(edges) != len(betas):
             raise InvalidParameterError("edges and betas must have equal length")
-        seen: set[tuple[int, int]] = set()
-        for (i, j), beta in zip(self.edges, self.betas):
-            if i == j:
-                raise InvalidParameterError(f"self-loop at node {i} is not allowed")
-            if not 0 <= i < j < self.num_nodes:
-                raise InvalidParameterError(f"edge ({i}, {j}) must satisfy 0 <= i < j < num_nodes")
-            if (i, j) in seen:
-                raise InvalidParameterError(f"parallel edge ({i}, {j}); pre-merge couplings by beta addition")
-            seen.add((i, j))
-            _require_beta(beta)
-        if self.field is not None:
-            if len(self.field) != self.num_nodes:
+        # a tuple of int pairs and a tuple of floats, as the loaders build
+        # them, are kept as they are; anything else is converted first
+        if not (type(edges) is tuple and type(betas) is tuple and _checked(edges, betas, num_nodes)):
+            edges = tuple((_integer(i, "node id"), _integer(j, "node id")) for i, j in edges)
+            betas = tuple(map(float, betas))
+            _checked(edges, betas, num_nodes)
+        ordered = sorted(edges)
+        if any(map(operator.eq, ordered, islice(ordered, 1, None))):
+            seen: set[tuple[int, int]] = set()
+            for pair in edges:  # name the first repeat in edge order
+                if pair in seen:
+                    raise InvalidParameterError(f"parallel edge {pair}; pre-merge couplings by beta addition")
+                seen.add(pair)
+        if field is not None:
+            field = tuple(map(float, field))
+            if len(field) != num_nodes:
                 raise InvalidParameterError("field must assign a value to every node")
-            for value in self.field:
+            for value in field:
                 _require_number(value, "field value")
+        object.__setattr__(self, "num_nodes", num_nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "field", field)
 
     @classmethod
     def from_edges(
@@ -160,24 +205,18 @@ class WeightedGraph:
         pairs: list[tuple[int, int]] = []
         betas: list[float] = []
         for i, j, value in edges:
-            i, j = int(i), int(j)
-            if i > j:
-                i, j = j, i
-            pairs.append((i, j))
+            i, j = _integer(i, "node id"), _integer(j, "node id")
+            pairs.append((i, j) if i < j else (j, i))
             betas.append(coupling_to_beta(value, param))
-        field_tuple: tuple[float, ...] | None = None
-        if field is not None:
-            if isinstance(field, Mapping):
-                values = [0.0] * num_nodes
-                for node, value in field.items():
-                    node = int(node)
-                    if not 0 <= node < num_nodes:
-                        raise InvalidParameterError(f"field references unknown node {node}")
-                    values[node] = float(value)
-                field_tuple = tuple(values)
-            else:
-                field_tuple = tuple(float(v) for v in field)
-        return cls(num_nodes, tuple(pairs), tuple(betas), field_tuple)
+        if isinstance(field, Mapping):
+            values = [0.0] * num_nodes
+            for node, value in field.items():
+                node = _integer(node, "field node")
+                if not 0 <= node < num_nodes:
+                    raise InvalidParameterError(f"field references unknown node {node}")
+                values[node] = value
+            field = values
+        return cls(num_nodes, tuple(pairs), tuple(betas), field)
 
     @property
     def num_edges(self) -> int:

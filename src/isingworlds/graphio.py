@@ -22,9 +22,16 @@ records, each tagged with its location (``line N``, ``edge k`` or
 ids and the node count are nonnegative integers (never booleans or
 fractions) and imply at most ``MAX_NODES`` nodes, there are no
 self-loops or duplicate edges, values are numbers or infinity spellings
-(never booleans or NaN), and every edge value is a legal coupling in the
-declared parameterization, so ``inf`` only passes with ``param beta``.
-Every violation is a :class:`GraphFormatError` naming its location.
+(never booleans or NaN, and never a finite literal past float range such
+as ``1e400``), and every edge value is a legal coupling in the declared
+parameterization, so ``inf`` only passes with ``param beta``.  Every
+violation is a :class:`GraphFormatError` naming its location.
+
+Loading is one pass: a reader yields its records one line or JSON entry
+at a time and the builder consumes each before the next is read, so
+apart from the input text (and, for JSON, the entries of its parsed
+payload not yet read) only the graph being built grows with the file.
+A location is formatted only for the record that is refused.
 """
 
 from __future__ import annotations
@@ -32,15 +39,19 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Iterator
 
 from .errors import GraphFormatError, InvalidParameterError
 from .graph import PARAM_NAMES, WeightedGraph, beta_to_param, coupling_to_beta
 
 # every sampler allocates per-node state, so a file may not imply more nodes
 MAX_NODES = 1_000_000
+# characters of text split into lines at a time, so that a file's lines do
+# not all exist at once
+LINE_BLOCK = 1 << 13
 
 
-def _index(where: str, raw, what: str, limit: int) -> int:
+def _index(raw, what: str, limit: int) -> int:
     """A nonnegative int up to ``limit``: an int, an integral float, or a
     string ``int`` reads."""
     value = raw
@@ -52,95 +63,159 @@ def _index(where: str, raw, what: str, limit: int) -> int:
     elif isinstance(raw, float) and raw.is_integer():
         value = int(raw)
     if type(value) is not int or value < 0:  # bool is an int subclass
-        raise GraphFormatError(f"{where}: {what} must be a nonnegative integer, got {raw!r}")
+        raise GraphFormatError(f"{what} must be a nonnegative integer, got {raw!r}")
     if value > limit:
-        raise GraphFormatError(f"{where}: {what} must be at most {limit}, got {raw!r}")
+        raise GraphFormatError(f"{what} must be at most {limit}, got {raw!r}")
     return value
 
 
-def _number(where: str, raw, what: str) -> float:
-    """A number, or a string ``float`` reads ("0.5", "inf", "-inf", ...)."""
+# what float() reads as infinity, after an optional sign and in any case
+_INFINITY = ("inf", "infinity")
+
+
+def _number(raw, what: str) -> float:
+    """A number, or a string ``float`` reads ("0.5", "inf", "-inf", ...);
+    only an infinity spelling may read as infinity."""
     try:
         if isinstance(raw, bool):  # float(True) is 1.0
             raise TypeError
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
-        raise GraphFormatError(f"{where}: cannot parse {what} {raw!r}") from None
+        raise GraphFormatError(f"cannot parse {what} {raw!r}") from None
     if math.isnan(value):
-        raise GraphFormatError(f"{where}: {what} is NaN")
+        raise GraphFormatError(f"{what} is NaN")
+    if math.isinf(value) and not (isinstance(raw, str) and raw.strip().lstrip("+-").lower() in _INFINITY):
+        raise GraphFormatError(f"{what} {raw!r} is past float range")
     return value
 
 
-def _build(param: tuple, nodes: tuple | None, fields: list, edges: list) -> WeightedGraph:
-    """Validate raw records and build the graph.
+def _build(at: str, records: Iterator[tuple]) -> WeightedGraph:
+    """Check records as they arrive and build the graph.
 
-    ``param`` and ``nodes`` are ``(where, raw)``; ``fields`` holds
-    ``(where, node, value)`` and ``edges`` ``(where, i, j, value)``.
+    ``records`` yields ``("param", loc, name)`` first, then ``("edge", loc,
+    (i, j, value))``, ``("field", loc, (node, value))`` and ``("nodes",
+    loc, count)`` records; the last ``nodes`` record counts and is checked
+    after the others.  A location ``loc`` is a string, or a number that
+    ``at`` formats only when its record is refused.
     """
-    where, name = param
+    _, loc, name = next(records)
     if name not in PARAM_NAMES:
-        raise GraphFormatError(f"{where}: unknown parameterization {name!r}, expected beta|lambda|p")
-    num_nodes = 0 if nodes is None else _index(*nodes, "node count", MAX_NODES)
+        raise GraphFormatError(f"{_where(at, loc)}: unknown parameterization {name!r}, expected beta|lambda|p")
+    num_nodes = 0
+    nodes = None
     pairs: list[tuple[int, int]] = []
     betas: list[float] = []
     seen: set[tuple[int, int]] = set()
-    for where, i, j, value in edges:
-        i = _index(where, i, "node id", MAX_NODES - 1)
-        j = _index(where, j, "node id", MAX_NODES - 1)
-        if i == j:
-            raise GraphFormatError(f"{where}: self-loop at node {i}")
-        pair = (i, j) if i < j else (j, i)
-        if pair in seen:
-            raise GraphFormatError(f"{where}: duplicate edge {pair}")
-        seen.add(pair)
-        try:
-            betas.append(coupling_to_beta(_number(where, value, "edge value"), name))
-        except InvalidParameterError as exc:
-            raise GraphFormatError(f"{where}: {exc}") from None
-        pairs.append(pair)
-        num_nodes = max(num_nodes, pair[1] + 1)
     field: dict[int, float] = {}
-    for where, node, value in fields:
-        node = _index(where, node, "node id", MAX_NODES - 1)
-        field[node] = _number(where, value, "field value")
-        num_nodes = max(num_nodes, node + 1)
-    values = tuple(field.get(node, 0.0) for node in range(num_nodes)) if fields else None
+    for kind, loc, raw in records:
+        try:
+            if kind == "edge":
+                i, j, value = raw
+                i = _index(i, "node id", MAX_NODES - 1)
+                j = _index(j, "node id", MAX_NODES - 1)
+                if i == j:
+                    raise GraphFormatError(f"self-loop at node {i}")
+                pair = (i, j) if i < j else (j, i)
+                if pair in seen:
+                    raise GraphFormatError(f"duplicate edge {pair}")
+                seen.add(pair)
+                betas.append(coupling_to_beta(_number(value, "edge value"), name))
+                pairs.append(pair)
+                if pair[1] >= num_nodes:
+                    num_nodes = pair[1] + 1
+            elif kind == "field":
+                node, value = raw
+                node = _index(node, "node id", MAX_NODES - 1)
+                field[node] = _number(value, "field value")
+                num_nodes = max(num_nodes, node + 1)
+            else:
+                nodes = (loc, raw)
+        except (GraphFormatError, InvalidParameterError) as exc:
+            raise GraphFormatError(f"{_where(at, loc)}: {exc}") from None
+    del seen  # the constructor makes its own check
+    if nodes is not None:
+        loc, raw = nodes
+        try:
+            num_nodes = max(num_nodes, _index(raw, "node count", MAX_NODES))
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{_where(at, loc)}: {exc}") from None
+    values = tuple(field.get(node, 0.0) for node in range(num_nodes)) if field else None
     return WeightedGraph(num_nodes, tuple(pairs), tuple(betas), values)
 
 
-def read_graph_text(text: str) -> WeightedGraph:
-    param = nodes = None
-    fields: list = []
-    edges: list = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+def _where(at: str, loc) -> str:
+    return loc if isinstance(loc, str) else at.format(loc)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split a block of about
+    ``LINE_BLOCK`` characters at a time: a block ends just after a newline,
+    so no line break, ``\\r\\n`` included, spans two blocks."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + LINE_BLOCK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _text_records(text: str) -> Iterator[tuple]:
+    """The records of a text file, one line at a time."""
+    param = None
+    for line_no, raw in enumerate(_lines(text), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        where = f"line {line_no}"
         if param is None:
             if tokens[0] != "param" or len(tokens) != 2:
-                raise GraphFormatError(f"{where}: expected header 'param beta|lambda|p'")
-            param = (where, tokens[1])
+                raise GraphFormatError(f"line {line_no}: expected header 'param beta|lambda|p'")
+            param = tokens[1]
+            yield "param", line_no, param
         elif tokens[0] == "nodes":
             if len(tokens) != 2:
-                raise GraphFormatError(f"{where}: expected 'nodes <count>'")
-            nodes = (where, tokens[1])
+                raise GraphFormatError(f"line {line_no}: expected 'nodes <count>'")
+            yield "nodes", line_no, tokens[1]
         elif tokens[0] == "field":
             if len(tokens) != 3:
-                raise GraphFormatError(f"{where}: expected 'field <node> <value>'")
-            fields.append((where, tokens[1], tokens[2]))
+                raise GraphFormatError(f"line {line_no}: expected 'field <node> <value>'")
+            yield "field", line_no, tokens[1:]
         elif len(tokens) != 3:
-            raise GraphFormatError(f"{where}: expected edge '<i> <j> <value>'")
+            raise GraphFormatError(f"line {line_no}: expected edge '<i> <j> <value>'")
         else:
-            edges.append((where, *tokens))
+            yield "edge", line_no, tokens
     if param is None:
         raise GraphFormatError("empty graph file: missing 'param' header")
-    return _build(param, nodes, fields, edges)
+
+
+def read_graph_text(text: str) -> WeightedGraph:
+    return _build("line {}", _text_records(text))
+
+
+def _json_float(literal: str) -> float | str:
+    """A JSON number with a fraction or an exponent; a finite literal past
+    float range stays a string, which the builder refuses with its place."""
+    value = float(literal)
+    return literal if math.isinf(value) else value
+
+
+def _json_records(payload: dict, edges: list, field: dict) -> Iterator[tuple]:
+    """The records of a JSON payload, one entry at a time; each edge entry
+    leaves the payload as it is read, so the parsed entries and the graph
+    built from them do not all exist at once."""
+    yield "param", "key 'param'", payload.get("param")
+    edges.reverse()
+    for k in range(len(edges)):
+        entry = edges.pop()
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise GraphFormatError(f"edge {k}: expected [i, j, value], got {entry!r}")
+        yield "edge", k, entry
+    for key, value in field.items():
+        yield "field", f"field {key!r}", (key, value)
+    yield "nodes", "key 'nodes'", payload.get("nodes", 0)
 
 
 def read_graph_json(text: str) -> WeightedGraph:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_float=_json_float)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -151,15 +226,7 @@ def read_graph_json(text: str) -> WeightedGraph:
         raise GraphFormatError(f"key 'edges': expected a list of [i, j, value], got {edges!r}")
     if not isinstance(field, dict):
         raise GraphFormatError(f"key 'field': expected an object of node: value, got {field!r}")
-    for k, entry in enumerate(edges):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise GraphFormatError(f"edge {k}: expected [i, j, value], got {entry!r}")
-    return _build(
-        ("key 'param'", payload.get("param")),
-        ("key 'nodes'", payload.get("nodes", 0)),
-        [(f"field {key!r}", key, value) for key, value in field.items()],
-        [(f"edge {k}", *entry) for k, entry in enumerate(edges)],
-    )
+    return _build("edge {}", _json_records(payload, edges, field))
 
 
 def _spelled(value: float):
@@ -197,7 +264,7 @@ def load_graph(path: str | Path) -> WeightedGraph:
     """Read a graph file; '.json' selects the JSON schema, anything else text."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
     if path.suffix == ".json":

@@ -1,8 +1,10 @@
 """Coupling conversions, graph construction, and field elimination."""
 
+import gc
 import math
 import pickle
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -21,11 +23,13 @@ from isingworlds import (
     check_relate_identity,
     initial_state,
     lambda_to_beta,
+    load_graph,
     p_to_beta,
     rc_to_spins,
     rc_to_subs,
     reduce_unidirectional_field,
     run_chain,
+    save_graph,
     spins_to_rc,
     subs_to_rc,
 )
@@ -119,6 +123,61 @@ class TestWeightedGraph:
     def test_disconnected_graphs_allowed(self):
         g = WeightedGraph.from_edges(5, [(0, 1, 0.5)])
         assert g.num_nodes == 5 and g.num_edges == 1
+
+    def test_parallel_edge_message_names_the_first_repeat_in_edge_order(self):
+        # sorted, (0, 1) repeats first; in edge order, (2, 3) does
+        with pytest.raises(InvalidParameterError, match=r"^parallel edge \(2, 3\); "):
+            WeightedGraph(4, ((2, 3), (0, 1), (2, 3), (0, 1)), (0.5,) * 4)
+
+    @pytest.mark.parametrize(
+        "num_nodes,edges,betas,field",
+        [
+            (2, ((0, 1),), ("0.5",), None),
+            (2, ((0, 1),), (True,), None),
+            (2, ((0.0, 1),), (0.5,), None),
+            (2.0, ((0, 1),), (0.5,), None),
+            (3, [(0, 1), [1, 2]], [0.5, 1], [0, "1.5", -math.inf]),
+            (3, ((0, 1), (1, 2)), (0.5, math.inf), (0.0, 2.0, 0.0)),
+        ],
+        ids=["string coupling", "bool coupling", "float node id", "float node count", "lists", "plain"],
+    )
+    def test_stores_ints_and_floats_in_tuples(self, num_nodes, edges, betas, field, tmp_path):
+        g = WeightedGraph(num_nodes, edges, betas, field)
+        assert type(g.num_nodes) is int
+        assert type(g.edges) is tuple and type(g.betas) is tuple
+        assert all(type(pair) is tuple and [type(v) for v in pair] == [int, int] for pair in g.edges)
+        assert all(type(beta) is float for beta in g.betas)
+        assert g.field is None or (type(g.field) is tuple and all(type(v) is float for v in g.field))
+        hash(g)
+        for name in ("g.graph", "g.json"):
+            save_graph(g, tmp_path / name)
+            assert load_graph(tmp_path / name) == g
+
+    @pytest.mark.parametrize("edges", [((True, 1),), ((0, 0.5),), (("0", 1),), ((0, None),)])
+    def test_rejects_bool_and_non_integral_node_ids(self, edges):
+        with pytest.raises(InvalidParameterError, match="node id must be an integer"):
+            WeightedGraph(2, edges, (0.5,))
+        with pytest.raises(InvalidParameterError, match="node id must be an integer"):
+            WeightedGraph.from_edges(2, [(*edges[0], 0.5)])
+
+    def test_plain_input_is_kept_without_a_copy(self):
+        edges, betas, field = ((0, 1), (1, 2)), (0.5, 0.25), (1.0, 0.0, 0.0)
+        g = WeightedGraph(3, edges, betas, field)
+        assert g.edges is edges and g.betas is betas
+
+    def test_construction_memory_is_a_few_bytes_an_edge(self):
+        """The repeated-edge check sorts references to the edge tuples
+        instead of filling a set of every pair."""
+        g = grid_graph(64, 64, 0.44)
+        edges, betas = g.edges, g.betas
+        gc.collect()  # a full collection empties the free lists, which tracemalloc counts
+        tracemalloc.start()
+        try:
+            WeightedGraph(g.num_nodes, edges, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * g.num_edges
 
 
 def _cycles_through(g, e):

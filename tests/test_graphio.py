@@ -1,9 +1,11 @@
 """Graph file parsing and writing."""
 
+import gc
 import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -16,9 +18,11 @@ from isingworlds import (
     load_graph,
     read_graph_json,
     read_graph_text,
+    save_graph,
 )
+from isingworlds import graphio
 from isingworlds.cli import main
-from isingworlds.fixtures import fixture_graph, fixture_path
+from isingworlds.fixtures import fixture_graph, fixture_path, grid_graph
 from isingworlds.graphio import MAX_NODES
 
 TRIANGLE_TEXT = """\
@@ -216,6 +220,14 @@ MALFORMED = [
     ("field value bool", "param beta\nfield 0 true\n", _json(field={"0": True}), "line 2", "field '0'"),
     ("field value NaN", "param beta\nfield 0 nan\n", _json(field={"0": "nan"}), "line 2", "field '0'"),
     ("field value list", None, _json(field={"0": [1]}), None, "field '0'"),
+    # a finite literal past float range is not an infinite coupling or field
+    ("edge literal past float", "param beta\n0 1 1e400\n", '{"param": "beta", "edges": [[0, 1, 1e400]]}',
+     "line 2", "edge 0"),
+    ("edge string past float", None, _json(edges=[[0, 1, "1e400"]]), None, "edge 0"),
+    ("edge literal past float, lambda", "param lambda\n0 1 1e400\n",
+     '{"param": "lambda", "edges": [[0, 1, 1e400]]}', "line 2", "edge 0"),
+    ("field literal past float", "param beta\nfield 0 -1e999\n", '{"param": "beta", "field": {"0": -1e999}}',
+     "line 2", "field '0'"),
 ]
 
 MALFORMED_FILES = [
@@ -277,3 +289,81 @@ def test_text_and_json_round_trip_random_graphs():
             assert again.field == (field if g.has_field() else None)
             for b1, b2 in zip(again.betas, g.betas):
                 assert b1 == pytest.approx(b2, rel=1e-12) or (math.isinf(b1) and math.isinf(b2))
+
+
+def test_past_float_range_is_refused_by_name():
+    with pytest.raises(GraphFormatError, match=r"^line 2: edge value '1e400' is past float range$"):
+        read_graph_text("param beta\n0 1 1e400\n")
+    with pytest.raises(GraphFormatError, match=r"^edge 1: edge value '-1E999' is past float range$"):
+        read_graph_json('{"param": "beta", "edges": [[0, 1, 0.5], [1, 2, -1E999]]}')
+
+
+def test_infinity_spellings_still_read_as_infinity():
+    g = read_graph_text("param beta\nfield 0 -inf\nfield 1 +Infinity\n0 1 inf\n1 2 +inf\n2 3 infinity\n3 4 INF\n")
+    assert g.betas == (math.inf,) * 4
+    assert g.field[:2] == (-math.inf, math.inf)
+    g = read_graph_json('{"param": "beta", "field": {"0": "-inf"}, "edges": [[0, 1, "inf"], [1, 2, 1e300]]}')
+    assert g.betas == (math.inf, 1e300)
+    assert g.field[0] == -math.inf
+
+
+@pytest.mark.parametrize("suffix", [".graph", ".json"])
+def test_byte_order_mark_is_skipped(suffix, tmp_path):
+    g = WeightedGraph.from_edges(3, [(0, 1, 0.5), (1, 2, math.inf)], field={2: -1.5})
+    path = tmp_path / f"g{suffix}"
+    save_graph(g, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_graph(path) == g
+
+
+@pytest.mark.parametrize("suffix,bound", [(".graph", 400), (".json", 450)])
+def test_loading_is_one_pass(suffix, bound, tmp_path):
+    """A loaded graph holds about 167 bytes an edge; loading a file keeps
+    no per-edge record or location while it builds one (a loader that
+    kept both until the graph was built peaked at about 660 bytes an edge
+    for text and 630 for JSON)."""
+    g = grid_graph(64, 64, 0.44)
+    path = tmp_path / f"grid64{suffix}"
+    save_graph(g, path)
+    gc.collect()  # a full collection empties the free lists, which tracemalloc counts
+    tracemalloc.start()
+    try:
+        loaded = load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == g
+    assert peak <= bound * g.num_edges
+
+
+def test_lines_are_split_a_block_at_a_time_as_splitlines_splits_them(monkeypatch):
+    rnd = random.Random(8)
+    pieces = ["0", "1 2 0.5", " ", "#", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n"]
+    for block in (1, 2, 3, 7):
+        monkeypatch.setattr(graphio, "LINE_BLOCK", block)
+        for _ in range(500):
+            text = "".join(rnd.choice(pieces) for _ in range(rnd.randrange(30)))
+            assert list(graphio._lines(text)) == text.splitlines()
+    text = "param beta\r\n" + "".join(f"{i} {i + 1} 0.5\r\n" for i in range(50)) + "50 51 -1\r\n"
+    with pytest.raises(GraphFormatError, match="^line 52: "):
+        read_graph_text(text)
+    monkeypatch.setattr(graphio, "LINE_BLOCK", 1 << 13)
+    with pytest.raises(GraphFormatError, match="^line 52: "):
+        read_graph_text(text)
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("param beta\n0 1 abc\n0 1\n", "line 2"),  # a value fault before a shape fault
+        ("param beta\nfield 0 nan\n0 0 0.5\n", "line 2"),  # a field line before an edge line
+        ("param beta\nnodes x\n0 0 0.5\n", "line 3"),  # the node count after every other line
+    ],
+)
+def test_text_faults_are_found_in_file_order(text, where):
+    with pytest.raises(GraphFormatError, match=f"^{where}: "):
+        read_graph_text(text)
+
+
+def test_only_the_last_node_count_counts():
+    assert read_graph_text("param beta\nnodes x\nnodes 3\n0 1 0.5\n").num_nodes == 3
