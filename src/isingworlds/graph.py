@@ -100,10 +100,16 @@ def beta_to_param(beta: float, param: str) -> float:
 
 
 def _integer(raw, what: str) -> int:
-    """An int, or an integral float as its int; a bool or a fraction is refused."""
+    """An int, an integral float, or a string ``int`` reads, as an int; a
+    bool or a fraction is refused."""
     if isinstance(raw, float) and raw.is_integer():
         return int(raw)
-    if not isinstance(raw, bool):
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    elif not isinstance(raw, bool):
         try:
             return operator.index(raw)
         except TypeError:
@@ -148,8 +154,8 @@ class WeightedGraph:
     as ``(i, j)`` with ``i < j`` in the order given at construction; that
     order is the edge-index order used by every configuration.  Whatever
     sequences it is given, it stores tuples of ints and of floats (a node
-    id may be an integral float, never a bool), so the instance is
-    immutable, hashable and safe to share across threads.
+    id may be an integral float or a string ``int`` reads, never a bool),
+    so the instance is immutable, hashable and safe to share across threads.
     """
 
     num_nodes: int
@@ -170,8 +176,10 @@ class WeightedGraph:
             edges = tuple((_integer(i, "node id"), _integer(j, "node id")) for i, j in edges)
             betas = tuple(map(float, betas))
             _checked(edges, betas, num_nodes)
-        ordered = sorted(edges)
-        if any(map(operator.eq, ordered, islice(ordered, 1, None))):
+        # ascending edges, as every grid and every file written from one
+        # holds them, cannot repeat; other orders are checked with a set of
+        # the stored pairs
+        if not all(map(operator.lt, edges, islice(edges, 1, None))) and len(set(edges)) < len(edges):
             seen: set[tuple[int, int]] = set()
             for pair in edges:  # name the first repeat in edge order
                 if pair in seen:
@@ -205,7 +213,8 @@ class WeightedGraph:
         pairs: list[tuple[int, int]] = []
         betas: list[float] = []
         for i, j, value in edges:
-            i, j = _integer(i, "node id"), _integer(j, "node id")
+            if type(i) is not int or type(j) is not int:
+                i, j = _integer(i, "node id"), _integer(j, "node id")
             pairs.append((i, j) if i < j else (j, i))
             betas.append(coupling_to_beta(value, param))
         if isinstance(field, Mapping):

@@ -29,9 +29,9 @@ violation is a :class:`GraphFormatError` naming its location.
 
 Loading is one pass: a reader yields its records one line or JSON entry
 at a time and the builder consumes each before the next is read, so
-apart from the input text (and, for JSON, the entries of its parsed
-payload not yet read) only the graph being built grows with the file.
-A location is formatted only for the record that is refused.
+apart from the input text and its lines (for JSON, the entries of its
+parsed payload not yet read) only the graph being built grows with the
+file.  A location is formatted only for the record that is refused.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ from .graph import PARAM_NAMES, WeightedGraph, beta_to_param, coupling_to_beta
 
 # every sampler allocates per-node state, so a file may not imply more nodes
 MAX_NODES = 1_000_000
-# characters of text split into lines at a time, so that a file's lines do
-# not all exist at once
-LINE_BLOCK = 1 << 13
 
 
 def _index(raw, what: str, limit: int) -> int:
@@ -74,8 +71,10 @@ _INFINITY = ("inf", "infinity")
 
 
 def _number(raw, what: str) -> float:
-    """A number, or a string ``float`` reads ("0.5", "inf", "-inf", ...);
-    only an infinity spelling may read as infinity."""
+    """A number, or a string ``float`` reads ("0.5", "inf", "-inf", ...).
+    A string past float range ("1e400") is refused; the JSON reader keeps
+    such number literals as strings, so only an infinite float (JSON's
+    ``Infinity``) or an infinity spelling reads as infinity."""
     try:
         if isinstance(raw, bool):  # float(True) is 1.0
             raise TypeError
@@ -84,7 +83,7 @@ def _number(raw, what: str) -> float:
         raise GraphFormatError(f"cannot parse {what} {raw!r}") from None
     if math.isnan(value):
         raise GraphFormatError(f"{what} is NaN")
-    if math.isinf(value) and not (isinstance(raw, str) and raw.strip().lstrip("+-").lower() in _INFINITY):
+    if math.isinf(value) and isinstance(raw, str) and raw.strip().lstrip("+-").lower() not in _INFINITY:
         raise GraphFormatError(f"{what} {raw!r} is past float range")
     return value
 
@@ -147,21 +146,10 @@ def _where(at: str, loc) -> str:
     return loc if isinstance(loc, str) else at.format(loc)
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split a block of about
-    ``LINE_BLOCK`` characters at a time: a block ends just after a newline,
-    so no line break, ``\\r\\n`` included, spans two blocks."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + LINE_BLOCK) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
-
-
 def _text_records(text: str) -> Iterator[tuple]:
     """The records of a text file, one line at a time."""
     param = None
-    for line_no, raw in enumerate(_lines(text), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue

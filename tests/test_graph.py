@@ -136,10 +136,11 @@ class TestWeightedGraph:
             (2, ((0, 1),), (True,), None),
             (2, ((0.0, 1),), (0.5,), None),
             (2.0, ((0, 1),), (0.5,), None),
+            (2, (("0", "1"),), (0.5,), None),
             (3, [(0, 1), [1, 2]], [0.5, 1], [0, "1.5", -math.inf]),
             (3, ((0, 1), (1, 2)), (0.5, math.inf), (0.0, 2.0, 0.0)),
         ],
-        ids=["string coupling", "bool coupling", "float node id", "float node count", "lists", "plain"],
+        ids=["string coupling", "bool coupling", "float node id", "float node count", "string node ids", "lists", "plain"],
     )
     def test_stores_ints_and_floats_in_tuples(self, num_nodes, edges, betas, field, tmp_path):
         g = WeightedGraph(num_nodes, edges, betas, field)
@@ -153,12 +154,16 @@ class TestWeightedGraph:
             save_graph(g, tmp_path / name)
             assert load_graph(tmp_path / name) == g
 
-    @pytest.mark.parametrize("edges", [((True, 1),), ((0, 0.5),), (("0", 1),), ((0, None),)])
+    @pytest.mark.parametrize("edges", [((True, 1),), ((0, 0.5),), (("0.5", 1),), ((0, None),)])
     def test_rejects_bool_and_non_integral_node_ids(self, edges):
         with pytest.raises(InvalidParameterError, match="node id must be an integer"):
             WeightedGraph(2, edges, (0.5,))
         with pytest.raises(InvalidParameterError, match="node id must be an integer"):
             WeightedGraph.from_edges(2, [(*edges[0], 0.5)])
+
+    def test_from_edges_reads_integer_strings(self):
+        g = WeightedGraph.from_edges(2, [("1", "0", 0.5)], field={"0": 1.0})
+        assert g == WeightedGraph(2, ((0, 1),), (0.5,), (1.0, 0.0))
 
     def test_plain_input_is_kept_without_a_copy(self):
         edges, betas, field = ((0, 1), (1, 2)), (0.5, 0.25), (1.0, 0.0, 0.0)

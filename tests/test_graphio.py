@@ -20,7 +20,6 @@ from isingworlds import (
     read_graph_text,
     save_graph,
 )
-from isingworlds import graphio
 from isingworlds.cli import main
 from isingworlds.fixtures import fixture_graph, fixture_path, grid_graph
 from isingworlds.graphio import MAX_NODES
@@ -305,6 +304,10 @@ def test_infinity_spellings_still_read_as_infinity():
     g = read_graph_json('{"param": "beta", "field": {"0": "-inf"}, "edges": [[0, 1, "inf"], [1, 2, 1e300]]}')
     assert g.betas == (math.inf, 1e300)
     assert g.field[0] == -math.inf
+    # json.dumps writes an infinite float as the bare literal Infinity
+    g = read_graph_json('{"param": "beta", "field": {"0": -Infinity, "1": Infinity}, "edges": [[0, 1, Infinity]]}')
+    assert g.betas == (math.inf,)
+    assert g.field == (-math.inf, math.inf)
 
 
 @pytest.mark.parametrize("suffix", [".graph", ".json"])
@@ -334,22 +337,6 @@ def test_loading_is_one_pass(suffix, bound, tmp_path):
         tracemalloc.stop()
     assert loaded == g
     assert peak <= bound * g.num_edges
-
-
-def test_lines_are_split_a_block_at_a_time_as_splitlines_splits_them(monkeypatch):
-    rnd = random.Random(8)
-    pieces = ["0", "1 2 0.5", " ", "#", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n"]
-    for block in (1, 2, 3, 7):
-        monkeypatch.setattr(graphio, "LINE_BLOCK", block)
-        for _ in range(500):
-            text = "".join(rnd.choice(pieces) for _ in range(rnd.randrange(30)))
-            assert list(graphio._lines(text)) == text.splitlines()
-    text = "param beta\r\n" + "".join(f"{i} {i + 1} 0.5\r\n" for i in range(50)) + "50 51 -1\r\n"
-    with pytest.raises(GraphFormatError, match="^line 52: "):
-        read_graph_text(text)
-    monkeypatch.setattr(graphio, "LINE_BLOCK", 1 << 13)
-    with pytest.raises(GraphFormatError, match="^line 52: "):
-        read_graph_text(text)
 
 
 @pytest.mark.parametrize(
